@@ -23,6 +23,7 @@ from .modring import is_prime
 
 FORMATS = ("jsonl", "csv", "human")
 REPORT_COLUMNS = ("check", "p", "required_exp", "residual_valuation", "holds", "status", "lhs", "rhs")
+REPORT_KEYS = ("check", "p", "required_exp", "status")  # the keys the human table reads
 
 
 def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -33,9 +34,6 @@ def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
                     default=d if suppress else "jsonl", help="output format (default jsonl)")
     ap.add_argument("--workers", type=int,
                     default=d if suppress else 1, help="parallel worker processes (default 1)")
-    ap.add_argument("--backend", choices=("auto", "fixed-width", "bignum"),
-                    default=d if suppress else "auto",
-                    help="arithmetic backend policy; informational, Python integers are arbitrary precision")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,13 +249,31 @@ def cmd_bernoulli(args) -> int:
     return 0
 
 
+def _read_reports(fh, name: str) -> list[dict]:
+    rows = []
+    for lineno, line in enumerate(fh, 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError as exc:
+            raise WlabError(f"{name}:{lineno}: not valid JSON ({exc})") from exc
+        missing = [k for k in REPORT_KEYS if not isinstance(row, dict) or k not in row]
+        if missing:
+            raise WlabError(f"{name}:{lineno}: not a report row (missing {', '.join(missing)})")
+        rows.append(row)
+    return rows
+
+
 def cmd_report(args) -> int:
-    fh = sys.stdin if args.file == "-" else open(args.file)
     try:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+        if args.file == "-":
+            rows = _read_reports(sys.stdin, "<stdin>")
+        else:
+            with open(args.file) as fh:
+                rows = _read_reports(fh, args.file)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise WlabError(f"cannot read {args.file}: {exc}") from exc
     fmt = args.format if args.format != "jsonl" else "human"
     _emit_reports(rows, fmt, sys.stdout)
     total = len(rows)

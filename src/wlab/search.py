@@ -2,10 +2,15 @@
 
 Two search kinds:
 
-* ``wolstenholme``: primes with C(2p-1, p-1) = 1 mod p^4, located through
-  the valuation of R_1 = sum 1/k.  The scan decides v_p(R_1) >= 3 from the
-  half-range sum T = sum_{k <= (p-1)/2} 1/(k(p-k)) (R_1 = p*T exactly), so
-  the modulus stays at p^2; hits are re-verified at full precision and
+* ``wolstenholme``: primes with C(2p-1, p-1) = 1 mod p^4, equivalently
+  p | B_{p-3}.  The scan filters each prime with Lehmer's cube sum
+  S(p) = sum_{k <= p/6} 1/k^3 mod p: S(p) = 15 * sum_{k <= (p-1)/2} 1/k^3
+  = -30 * B_{p-3} (mod p) (D. H. Lehmer, Ann. of Math. 1938), so for p >= 7
+  a hit is exactly S(p) = 0.  That is p/6 steps mod p per prime.  At p = 5
+  the range is empty and 15 = 0 mod 5, so 5 is excluded explicitly (it is
+  not a Wolstenholme prime).  Every filter hit is re-verified at full
+  precision, through v_p(R_1) from the half-range sum
+  T = sum_{k <= (p-1)/2} 1/(k(p-k)) mod p^3 (R_1 = p*T exactly) and
   against the binomial product.
 * ``mod_p8``: primes whose central-binomial congruence residual reaches
   exponent 8 (one above the proven level).
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 from .congruence import CheckContext, binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch
-from .modring import inv_int, residual_valuation
+from .modring import inv_int, is_prime, residual_valuation
 
 SCHEMA_VERSION = 1
 KIND_MIN = {"wolstenholme": 5, "mod_p8": 7}
@@ -89,6 +94,21 @@ def _half_sum_parts(p: int, m: int) -> tuple[int, int]:
     return num, den
 
 
+def lehmer_cube_sum(p: int) -> int:
+    """S(p) = sum_{k <= p/6} 1/k^3 mod p, as a running fraction.
+
+    For p >= 7, S(p) = 15 * sum_{k <= (p-1)/2} 1/k^3 = -30 * B_{p-3} (mod p),
+    so S(p) = 0 exactly when p is a Wolstenholme prime.  At p = 5 the sum
+    is empty and the congruence degenerates (15 = 0 mod 5).
+    """
+    num, den = 0, 1
+    for k in range(1, p // 6 + 1):
+        c = k * k * k % p
+        num = (num * c + den) % p
+        den = den * c % p
+    return num * pow(den, -1, p) % p
+
+
 def _half_sum(p: int, m: int) -> int:
     num, den = _half_sum_parts(p, m)
     return num * inv_int(den, m) % m
@@ -129,8 +149,8 @@ class SearchTask:
     def __post_init__(self):
         if self.kind not in KIND_MIN:
             raise InvalidInput(f"unknown search kind {self.kind!r}")
-        if not 5 <= self.lo < self.hi:
-            raise InvalidInput(f"need 5 <= lo < hi, got [{self.lo}, {self.hi}]")
+        if not 5 <= self.lo <= self.hi:
+            raise InvalidInput(f"need 5 <= lo <= hi, got [{self.lo}, {self.hi}]")
         if self.chunk < 1:
             raise InvalidInput("chunk must be >= 1")
 
@@ -209,14 +229,26 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointCorrupt(f"unsupported schema_version {raw['schema_version']}")
     if raw["kind"] not in KIND_MIN:
         raise CheckpointCorrupt(f"unknown kind {raw['kind']!r}")
+    lo, hi, last = raw["lo"], raw["hi"], raw["last_completed_prime"]
+    if not 5 <= lo <= hi:
+        raise CheckpointCorrupt(f"checkpoint range [{lo}, {hi}] is not a valid scan range")
+    if not lo - 1 <= last <= hi:
+        raise CheckpointCorrupt(f"last_completed_prime {last} outside [{lo - 1}, {hi}]")
+    prev = max(lo, KIND_MIN[raw["kind"]]) - 1
     for h in raw["hits"]:
-        if not isinstance(h, dict) or "p" not in h or "witness" not in h:
+        if not isinstance(h, dict) or not isinstance(h.get("p"), int) or "witness" not in h:
             raise CheckpointCorrupt("malformed hit entry")
+        p = h["p"]
+        if not prev < p <= last or not is_prime(p):
+            raise CheckpointCorrupt(
+                f"hit p={p} is not a prime in ascending order inside [{lo}, {last}]"
+            )
+        prev = p
     return Checkpoint(
         kind=raw["kind"],
-        lo=raw["lo"],
-        hi=raw["hi"],
-        last_completed_prime=raw["last_completed_prime"],
+        lo=lo,
+        hi=hi,
+        last_completed_prime=last,
         hits=raw["hits"],
         updated_at=raw["updated_at"],
     )
@@ -226,26 +258,32 @@ def load_checkpoint(path: str) -> Checkpoint:
 # scanning
 # ---------------------------------------------------------------------------
 
+def _confirm(kind: str, p: int) -> dict | None:
+    """Full-precision indicator at one prime: its hit dict, or None."""
+    if kind == "wolstenholme":
+        v = wolstenholme_indicator(p)
+        u = residual_valuation(binom_central_int(p, p**5) - 1, p, 5)
+        if (v >= 3) != (u >= 4):
+            raise InternalInconsistency(f"at p={p} indicator v={v} but binomial u={u}")
+        return {"p": p, "witness": {"r1_valuation": v, "binom_residual_valuation": u}} if v >= 3 else None
+    v = mod_p8_indicator(p)
+    if p >= 11 and v < 7:
+        raise InternalInconsistency(f"residual below proven floor at p={p}: {v}")
+    return {"p": p, "witness": {"residual_valuation": v}} if v >= 8 else None
+
+
 def _scan_chunk(kind: str, primes: list[int]) -> list[dict]:
     """Evaluate the indicator over a chunk; returns hit dicts only."""
     out: list[dict] = []
-    if kind == "wolstenholme":
-        for p in primes:
-            if _half_sum_parts(p, p * p)[0] == 0:
-                v = wolstenholme_indicator(p)
-                u = residual_valuation(binom_central_int(p, p**5) - 1, p, 5)
-                if v < 3 or u < 4:
-                    raise InternalInconsistency(
-                        f"filter hit at p={p} but indicator v={v}, binomial u={u}"
-                    )
-                out.append({"p": p, "witness": {"r1_valuation": v, "binom_residual_valuation": u}})
-    else:
-        for p in primes:
-            v = mod_p8_indicator(p)
-            if p >= 11 and v < 7:
-                raise InternalInconsistency(f"residual below proven floor at p={p}: {v}")
-            if v >= 8:
-                out.append({"p": p, "witness": {"residual_valuation": v}})
+    for p in primes:
+        # the Lehmer filter; p = 5 is no Wolstenholme prime, and its sum is empty
+        if kind == "wolstenholme" and (p == 5 or lehmer_cube_sum(p) != 0):
+            continue
+        hit = _confirm(kind, p)
+        if hit is not None:
+            out.append(hit)
+        elif kind == "wolstenholme":
+            raise InternalInconsistency(f"filter hit at p={p} fails full re-verification")
     return out
 
 
@@ -281,8 +319,10 @@ def resume(checkpoint_path: str, task: SearchTask | None = None, workers: int = 
     """Continue a checkpointed search to completion.
 
     If ``task`` is given its (kind, lo, hi) must match the checkpoint.
-    A checkpoint that already covers the range returns its stored hits.
-    ``on_hit`` also fires for hits carried over from the checkpoint.
+    Hits carried over from the checkpoint are re-verified first; one that
+    fails, witness included, raises ``CheckpointCorrupt``.  A checkpoint
+    that already covers the range returns its stored hits.  ``on_hit`` also
+    fires for hits carried over from the checkpoint.
     """
     cp = load_checkpoint(checkpoint_path)
     if task is not None:
@@ -313,7 +353,12 @@ def _execute(task: SearchTask, workers: int, progress, on_hit,
                 on_hit(h)
 
     if resume_from is not None:
-        absorb([SearchHit(p=h["p"], kind=task.kind, witness=h["witness"]) for h in resume_from.hits])
+        carried = []
+        for h in resume_from.hits:
+            if _confirm(task.kind, h["p"]) != h:
+                raise CheckpointCorrupt(f"checkpoint hit p={h['p']} fails re-verification")
+            carried.append(SearchHit(p=h["p"], kind=task.kind, witness=h["witness"]))
+        absorb(carried)
         primes = [q for q in primes if q > resume_from.last_completed_prime]
         base_last = resume_from.last_completed_prime
         if not primes:

@@ -125,6 +125,11 @@ class TestSearchCommand:
         data = json.loads(open(ck).read())
         assert data["last_completed_prime"] == 300
 
+    def test_single_prime_scan(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "wolstenholme", "--min", "16843", "--max", "16843")
+        assert code == 0
+        assert [json.loads(line)["p"] for line in out.splitlines()] == [16843]
+
     def test_env_checkpoint_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("WLAB_CHECKPOINT_DIR", str(tmp_path))
         code, _, _ = run_cli(capsys, "search", "wolstenholme", "--max", "200")
@@ -168,12 +173,39 @@ class TestReportCommand:
         assert "0 failed" in err2
 
 
+    def test_missing_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "report", str(tmp_path / "absent.jsonl"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
+
+    def test_malformed_jsonl(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"check": "eq1.1", "p": 11\n')
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}:1: not valid JSON") and len(err.splitlines()) == 1
+
+    def test_row_without_p(self, capsys, tmp_path):
+        path = tmp_path / "nop.jsonl"
+        path.write_text('{"check": "eq1.1", "required_exp": 3, "status": "pass"}\n')
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:1: not a report row (missing p)\n"
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1
 
     def test_bad_flag(self, capsys):
         assert main(["verify", "--p", "11", "--nope"]) == 1
+
+    def test_backend_flag_removed(self, capsys):
+        for argv in (["--backend", "bignum", "verify", "--p", "11"],
+                     ["verify", "--p", "11", "--backend", "auto"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "usage:" in err and "Traceback" not in err
 
     def test_p2_reports_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p", "2", "--check", "eq1.1")

@@ -1,14 +1,18 @@
 """Prime generation, indicators, parallel search, checkpoint/resume."""
 
 import json
+import os
 import random
 
 import pytest
 
 from wlab.errors import CheckpointCorrupt, InvalidInput, TaskMismatch
+from wlab.modring import batch_inv_ints
 from wlab.search import (
     Checkpoint,
     SearchTask,
+    _half_sum_parts,
+    lehmer_cube_sum,
     load_checkpoint,
     mod_p8_indicator,
     primes_in,
@@ -17,6 +21,9 @@ from wlab.search import (
     save_checkpoint,
     wolstenholme_indicator,
 )
+
+
+EXTENDED = os.environ.get("WLAB_EXTENDED") == "1"
 
 
 def trial_division_primes(lo: int, hi: int) -> list[int]:
@@ -106,6 +113,35 @@ class TestIndicators:
             assert harmonic_hit == binom_hit, p
 
 
+def assert_lehmer_matches_oracles(lo: int, hi: int) -> None:
+    """At every prime in [lo, hi]: S(p) = 15 * (half-range cube sum) mod p,
+    and S(p) = 0 exactly where the half-range filter mod p^2 fires."""
+    for p in primes_in(lo, hi):
+        half = sum(x * x * x for x in batch_inv_ints(range(1, (p - 1) // 2 + 1), p, p)) % p
+        s = lehmer_cube_sum(p)
+        assert s == 15 * half % p, p
+        assert (s == 0) == (_half_sum_parts(p, p * p)[0] == 0), p
+
+
+class TestLehmerFilter:
+    def test_differential_every_prime_to_2e4(self):
+        assert_lehmer_matches_oracles(7, 20_000)
+
+    @pytest.mark.extended
+    @pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for the 2e4..1e5 sweep")
+    def test_differential_every_prime_2e4_to_1e5(self):
+        assert_lehmer_matches_oracles(20_000, 100_000)
+
+    def test_p5_is_no_hit(self):
+        # the Lehmer sum is empty at p = 5, so the scan must not treat it as a zero
+        assert lehmer_cube_sum(5) == 0
+        assert run_search(SearchTask("wolstenholme", 5, 5)) == []
+
+    def test_second_wolstenholme_prime_through_the_scan(self):
+        hits = run_search(SearchTask("wolstenholme", 2124600, 2124700))
+        assert [h.p for h in hits] == [2124679]
+
+
 class TestRunSearch:
     def test_wolstenholme_small_range_empty(self):
         assert run_search(SearchTask("wolstenholme", 5, 100)) == []
@@ -133,9 +169,13 @@ class TestRunSearch:
         with pytest.raises(InvalidInput):
             SearchTask("nope", 5, 10)
         with pytest.raises(InvalidInput):
-            SearchTask("wolstenholme", 10, 10)
+            SearchTask("wolstenholme", 10, 9)
         with pytest.raises(InvalidInput):
             SearchTask("wolstenholme", 5, 10, chunk=0)
+
+    def test_single_prime_scan(self):
+        assert [h.p for h in run_search(SearchTask("wolstenholme", 16843, 16843))] == [16843]
+        assert run_search(SearchTask("wolstenholme", 16844, 16844)) == []
 
 
 class TestCheckpointing:
@@ -194,6 +234,91 @@ class TestCheckpointing:
         path.write_text(json.dumps(good))
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(str(path))
+
+
+WITNESS_16843 = {"r1_valuation": 3, "binom_residual_valuation": 4}
+
+
+def write_checkpoint(tmp_path, **fields) -> str:
+    raw = {"schema_version": 1, "kind": "wolstenholme", "lo": 16000, "hi": 17000,
+           "last_completed_prime": 16900, "hits": [], "updated_at": "x"}
+    raw.update(fields)
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestCheckpointSemantics:
+    @pytest.mark.parametrize("last", [15998, 17001])
+    def test_last_completed_prime_outside_range(self, tmp_path, last):
+        with pytest.raises(CheckpointCorrupt, match="last_completed_prime"):
+            load_checkpoint(write_checkpoint(tmp_path, last_completed_prime=last))
+
+    def test_last_completed_prime_bounds_inclusive(self, tmp_path):
+        for last in (15999, 17000):
+            assert load_checkpoint(write_checkpoint(tmp_path, last_completed_prime=last)).last_completed_prime == last
+
+    def test_invalid_range(self, tmp_path):
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(write_checkpoint(tmp_path, lo=17000, hi=16000, last_completed_prime=16500))
+
+    def test_composite_hit(self, tmp_path):
+        path = write_checkpoint(tmp_path, lo=5, hi=100, last_completed_prime=50,
+                                hits=[{"p": 9, "witness": WITNESS_16843}])
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointCorrupt):
+            resume(path)
+
+    def test_non_integer_hit(self, tmp_path):
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(write_checkpoint(tmp_path, hits=[{"p": "16843", "witness": WITNESS_16843}]))
+
+    def test_hits_not_ascending(self, tmp_path):
+        hits = [{"p": 16843, "witness": WITNESS_16843}, {"p": 16843, "witness": WITNESS_16843}]
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(write_checkpoint(tmp_path, hits=hits))
+        hits = [{"p": 16843, "witness": {}}, {"p": 16831, "witness": {}}]
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(write_checkpoint(tmp_path, hits=hits))
+
+    def test_hit_outside_range(self, tmp_path):
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(write_checkpoint(tmp_path, hits=[{"p": 15991, "witness": {}}]))
+
+    def test_hit_beyond_last_completed_prime(self, tmp_path):
+        path = write_checkpoint(tmp_path, last_completed_prime=16829,
+                                hits=[{"p": 16843, "witness": WITNESS_16843}])
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(path)
+
+    def test_hit_below_kind_minimum(self, tmp_path):
+        path = write_checkpoint(tmp_path, kind="mod_p8", lo=5, hi=100, last_completed_prime=50,
+                                hits=[{"p": 5, "witness": {"residual_valuation": 8}}])
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(path)
+
+    def test_unverified_hit_rejected_before_on_hit(self, tmp_path):
+        # 16829 is prime and inside the range, but no Wolstenholme prime
+        path = write_checkpoint(tmp_path, hits=[{"p": 16829, "witness": WITNESS_16843}])
+        assert load_checkpoint(path).hits[0]["p"] == 16829
+        seen = []
+        with pytest.raises(CheckpointCorrupt, match="re-verification"):
+            resume(path, on_hit=seen.append)
+        assert seen == []
+
+    def test_wrong_witness_rejected(self, tmp_path):
+        path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": {"r1_valuation": 4,
+                                                                         "binom_residual_valuation": 4}}])
+        with pytest.raises(CheckpointCorrupt, match="re-verification"):
+            resume(path)
+
+    def test_verified_hit_carried_over(self, tmp_path):
+        path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": WITNESS_16843}])
+        seen = []
+        hits = resume(path, on_hit=seen.append)
+        assert [h.p for h in hits] == [h.p for h in seen] == [16843]
+        assert hits[0].witness == WITNESS_16843
 
 
 class TestKillAndResume:
