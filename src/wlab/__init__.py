@@ -19,28 +19,11 @@ from .congruence import (
     CheckContext,
     binom_central,
     binom_exact_oracle,
-    check_bernoulli_forms,
-    check_glaisher,
-    check_mod_p5,
-    check_tauraso,
     check_theorem_main,
-    check_wolstenholme,
-    check_wprime_conditional,
     registry_names,
     run_suite,
 )
-from .modring import (
-    PrimePowerRing,
-    Residue,
-    TruncatedSeries,
-    batch_inv,
-    inv,
-    is_prime,
-    pow_mod,
-    ring_new,
-    series_mul,
-    symmetric_product,
-)
+from .modring import PrimePowerRing, Residue, inv, is_prime, ring_new
 from .report import CongruenceReport
 from .search import (
     Checkpoint,
@@ -52,13 +35,6 @@ from .search import (
     run_search,
     wolstenholme_indicator,
 )
-from .sums import (
-    SumTable,
-    build_sum_table,
-    inverse_power_sum,
-    newton_symmetric,
-    power_sum,
-    symmetric_sums,
-)
+from .sums import SumTable, build_sum_table
 
 __version__ = "0.1.0"

@@ -148,11 +148,11 @@ def fraction_mod(fr: Fraction, m: int) -> int:
 # index reduction
 # ---------------------------------------------------------------------------
 
-def kummer_reduce(index: int, p: int, r: int) -> tuple[int, bool]:
+def kummer_reduce(index: int, p: int, r: int) -> int:
     """Least even n >= r+1 with n = index mod p^(r-1)*(p-1).
 
-    On success B_index/index and B_n/n agree mod p^r; the returned flag
-    records that the link holds (failures raise instead).
+    B_index/index and B_n/n agree mod p^r; inputs the congruence does not
+    cover raise instead.
     """
     if r < 1:
         raise InvalidInput("precision r must be >= 1")
@@ -166,7 +166,7 @@ def kummer_reduce(index: int, p: int, r: int) -> tuple[int, bool]:
     n = index % period
     while n < r + 1:
         n += period
-    return n, True
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def bernoulli_mod(
     mr = p**r
     if use_exact_oracle and index <= DEFAULT_EXACT_CAP:
         return BernoulliResidue(index=index, p=p, r=r, value=fraction_mod(_bern(index), mr))
-    n, _ = kummer_reduce(index, p, r)
+    n = kummer_reduce(index, p, r)
     if use_exact_oracle and n <= DEFAULT_EXACT_CAP:
         bn = fraction_mod(_bern(n), mr)
     elif r <= 5 and p >= 11:

@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
 from fractions import Fraction
 
 from . import congruence, search
 from .bernoulli import bernoulli_mod, fraction_mod
-from .errors import WlabError
+from .errors import TaskMismatch, WlabError
 from .modring import is_prime
 
 FORMATS = ("jsonl", "csv", "human")
@@ -47,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", parents=[common], help="run congruence checks over a prime or prime range")
-    v.add_argument("--p", required=True, metavar="RANGE", help="a prime, or an inclusive range lo..hi")
+    v.add_argument("--p", metavar="RANGE", help="a prime, or an inclusive range lo..hi (required unless --list-checks)")
     v.add_argument("--check", action="append", default=None, metavar="NAME",
                    help="check name or group (repeatable; default all); see --list-checks")
     v.add_argument("--exp", type=int, default=None,
@@ -153,6 +152,9 @@ def cmd_verify(args) -> int:
         return 1
     if checks:
         congruence.expand_selection(checks)  # fail fast on unknown names
+    if args.p is None:
+        print("error: verify needs --p (or --list-checks)", file=sys.stderr)
+        return 1
     lo, hi = _parse_prime_range(args.p)
     if lo == hi:
         if not is_prime(lo):
@@ -162,14 +164,8 @@ def cmd_verify(args) -> int:
     else:
         primes = search.primes_in(lo, hi)
 
-    rows: list[dict] = []
-    if args.workers > 1 and len(primes) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for result in pool.map(_verify_prime, primes, [checks] * len(primes), [args.exp] * len(primes), chunksize=16):
-                rows.extend(result)
-    else:
-        for p in primes:
-            rows.extend(_verify_prime(p, checks, args.exp))
+    verify = functools.partial(_verify_prime, checks=checks, exp=args.exp)
+    rows = [row for result in search.ordered_map(verify, primes, args.workers, chunksize=16) for row in result]
 
     _emit_reports(rows, args.format, sys.stdout)
     violated = any(row["status"] == "fail" for row in rows)
@@ -207,10 +203,13 @@ def cmd_search(args) -> int:
             print(f"{row['kind']}: p={row['p']} witness={row['witness']}", flush=True)
 
     if args.resume is not None:
-        task = None
-        if args.max is not None:
-            lo = args.min if args.min is not None else search.KIND_MIN[kind]
-            task = search.SearchTask(kind, lo, args.max, args.chunk, args.resume)
+        # the kind, and each bound that is given, must be the checkpoint's
+        cp = search.load_checkpoint(args.resume)
+        lo = cp.lo if args.min is None else args.min
+        hi = cp.hi if args.max is None else args.max
+        if (kind, lo, hi) != (cp.kind, cp.lo, cp.hi):
+            raise TaskMismatch(f"checkpoint is for {cp.kind} [{cp.lo}, {cp.hi}], requested {kind} [{lo}, {hi}]")
+        task = search.SearchTask(kind, lo, hi, args.chunk, args.resume)
         search.resume(args.resume, task=task, workers=args.workers,
                       progress=_progress_printer(kind), on_hit=emit)
     else:

@@ -1,10 +1,11 @@
 """Named verifiers for the congruence family around C(2p-1, p-1).
 
-Each check compares two independently computed sides in Z/p^w, where the
-working exponent w sits one above the required exponent, so every report
-can tell "holds exactly at the required level" apart from "holds one level
-higher".  A data-driven registry maps check names to evaluators; run_suite
-walks it in a fixed order.
+Each check is one row of REGISTRY: a name, the required exponent, an
+applicability test and a ``sides`` function giving two independently
+computed sides.  run_suite walks the rows in a fixed order and judges each
+in Z/p^w at the working exponent w = required + 1, so every report can tell
+"holds exactly at the required level" apart from "holds one level higher".
+A per-prime CheckContext caches the sums and products the rows share.
 
 The two routes to the central binomial coefficient:
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import bernoulli as bn
-from .errors import CapExceeded, InternalInconsistency, InvalidInput, NotWolstenholme, UnknownCheckName
+from .errors import CapExceeded, InternalInconsistency, InvalidInput, UnknownCheckName
 from .modring import Residue, inv_int, is_prime, range_inverses, residual_valuation, ring_new
 from .report import CongruenceReport, make_report, not_applicable
 from .sums import inverse_power_sums_ints, newton_elementary_ints
@@ -167,44 +168,6 @@ class CheckContext:
         return residual_valuation(self.R(1, 4), self.p, 4)
 
 
-def _ctx(p: int, ctx: CheckContext | None, w_need: int = 8) -> CheckContext:
-    if ctx is not None:
-        return ctx
-    return CheckContext(p, max(w_need, 8))
-
-
-# ---------------------------------------------------------------------------
-# individual checks
-# ---------------------------------------------------------------------------
-
-def check_wolstenholme(p: int, ctx: CheckContext | None = None) -> CongruenceReport:
-    """C(2p-1, p-1) = 1 mod p^3 for p >= 5."""
-    if p < 5:
-        raise InvalidInput("requires p >= 5")
-    ctx = _ctx(p, ctx)
-    return make_report("eq1.1", p, 3, ctx.binom(4), 1, 4)
-
-
-def check_glaisher(p: int, ctx: CheckContext | None = None) -> tuple[CongruenceReport, CongruenceReport]:
-    """Glaisher's mod-p^4 forms: 1 + 2p*R_1 and 1 - (2p^3/3)*B_{p-3}.
-
-    The harmonic side takes the +2p sign, matching the mod-p^5 form it
-    weakens to; with -2p the difference is 4p^2*H_2, which has valuation
-    exactly 3 at a generic prime.
-    """
-    if p < 5:
-        raise InvalidInput("requires p >= 5")
-    ctx = _ctx(p, ctx)
-    w = 5
-    m = p**w
-    lhs = ctx.binom(w)
-    harmonic = make_report("eq1.2-harmonic", p, 4, lhs, (1 + 2 * p * ctx.R(1, w)) % m, w)
-    b = bn.bernoulli_mod(p - 3, p, 2).value if p >= 11 else bn.fraction_mod(bn.exact_bernoulli(p - 3).value, p**2)
-    rhs = (1 - 2 * inv_int(3, m) * pow(p, 3, m) % m * b) % m
-    bern = make_report("eq1.2-bernoulli", p, 4, lhs, rhs, w)
-    return harmonic, bern
-
-
 def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> CongruenceReport:
     """The central congruence: C(2p-1, p-1) = 1 - 2p*H_1 + 4p^2*H_2 mod p^e.
 
@@ -216,44 +179,16 @@ def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> C
     if e < 1:
         raise InvalidInput("exponent must be >= 1")
     w = e + 1
-    ctx = _ctx(p, ctx, w)
+    if ctx is None:
+        ctx = CheckContext(p, max(w, 8))
     if p in (3, 5):
         lhs = math.comb(2 * p - 1, p - 1)
         rhs_fr = 1 - 2 * p * ctx._frac_h(1) + 4 * p * p * ctx._frac_h(2)
         if rhs_fr.denominator != 1 or rhs_fr != lhs:
             raise InternalInconsistency(f"identity case failed at p={p}: {rhs_fr} vs {lhs}")
         return make_report("thm1.1", p, e, lhs % p**w, int(rhs_fr) % p**w, w, identity=True)
-    m = p**w
-    rhs = (1 - 2 * p * ctx.R(1, w) + 4 * p * p * ctx.H(2, w)) % m
+    rhs = 1 - 2 * p * ctx.R(1, w) + 4 * p * p * ctx.H(2, w)
     return make_report("thm1.1", p, e, ctx.binom(w), rhs, w)
-
-
-def check_tauraso(p: int, ctx: CheckContext | None = None) -> tuple[CongruenceReport, CongruenceReport]:
-    """Both mod-p^6 forms: 1 - 2p*R_1 - 2p^2*R_2 and 1 + 2p*R_1 + (2p^3/3)*R_3."""
-    if p < 7:
-        raise InvalidInput("requires p >= 7")
-    ctx = _ctx(p, ctx)
-    w = 7
-    m = p**w
-    lhs = ctx.binom(w)
-    r1 = ctx.R(1, w)
-    first = make_report("cor1.4-r2", p, 6, lhs, (1 - 2 * p * r1 - 2 * p * p * ctx.R(2, w)) % m, w)
-    rhs = (1 + 2 * p * r1 + 2 * inv_int(3, m) * pow(p, 3, m) % m * ctx.R(3, w)) % m
-    second = make_report("cor1.4-r3", p, 6, lhs, rhs, w)
-    return first, second
-
-
-def check_mod_p5(p: int, ctx: CheckContext | None = None) -> tuple[CongruenceReport, CongruenceReport]:
-    """Both mod-p^5 forms: 1 + 2p*R_1 and 1 - p^2*R_2."""
-    if p < 7:
-        raise InvalidInput("requires p >= 7")
-    ctx = _ctx(p, ctx)
-    w = 6
-    m = p**w
-    lhs = ctx.binom(w)
-    first = make_report("cor1.5-r1", p, 5, lhs, (1 + 2 * p * ctx.R(1, w)) % m, w)
-    second = make_report("cor1.5-r2", p, 5, lhs, (1 - p * p * ctx.R(2, w)) % m, w)
-    return first, second
 
 
 @functools.lru_cache(maxsize=4096)
@@ -262,322 +197,144 @@ def _bmod(index: int, p: int, r: int) -> int:
     return bn.bernoulli_mod(index, p, r, use_exact_oracle=False).value
 
 
-def check_bernoulli_forms(p: int, ctx: CheckContext | None = None) -> tuple[CongruenceReport, CongruenceReport]:
-    """The two Bernoulli-form right-hand sides (mod p^6 and mod p^7).
-
-    Every Bernoulli value goes through the index-reduction + power-sum
-    extraction pipeline; each term p^k * B gets B at precision w - k.
-    """
-    if p < 11:
-        raise InvalidInput("requires p >= 11")
-    ctx = _ctx(p, ctx)
-
-    w = 7
-    m = p**w
-    lhs = ctx.binom(w)
-    rhs = (
-        1
-        - pow(p, 3, m) * _bmod(p**3 - p**2 - 2, p, 4)
-        + inv_int(3, m) * pow(p, 5, m) % m * _bmod(p - 3, p, 2)
-        - 6 * inv_int(5, m) % m * pow(p, 5, m) % m * _bmod(p - 5, p, 2)
-    ) % m
-    eq13 = make_report("eq1.3", p, 6, lhs, rhs, w)
-
-    w = 8
-    m = p**w
-    lhs = ctx.binom(w)
-    b3 = _bmod(p - 3, p, 2)
-    b5 = _bmod(p - 5, p, 2)
-    p5 = pow(p, 5, m)
-    p6 = pow(p, 6, m)
-    # p^6 coefficient carries +B_{p-3}/3: the -1/3 variant is off by exactly
-    # one exponent for every prime (see the R_2 expansion note below).
-    rhs = (
-        1
-        - pow(p, 3, m) * _bmod(p**4 - p**3 - 2, p, 5)
-        + p5 * ((inv_int(2, m) * _bmod(p**2 - p - 4, p, 3) - 2 * _bmod(p**4 - p**3 - 4, p, 3)) % m)
-        + p6 * ((2 * inv_int(9, m) * b3 % m * b3 + inv_int(3, m) * b3 - inv_int(10, m) * b5) % m)
-    ) % m
-    eq15 = make_report("eq1.5", p, 7, lhs, rhs, w)
-    return eq13, eq15
+def _eq13(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
+    # every p^k * B term gets B at precision w - k
+    rhs = (1 - p**3 * _bmod(p**3 - p**2 - 2, p, 4) + inv_int(3, m) * p**5 * _bmod(p - 3, p, 2)
+           - 6 * inv_int(5, m) * p**5 * _bmod(p - 5, p, 2))
+    return c.binom(w), rhs
 
 
-def check_wprime_conditional(p: int, ctx: CheckContext | None = None) -> tuple[CongruenceReport, CongruenceReport]:
-    """The two mod-p^7 forms that hold for Wolstenholme primes.
-
-    Raises NotWolstenholme unless C(2p-1, p-1) = 1 mod p^4.
-    """
-    ctx = _ctx(p, ctx)
-    gate = check_wolstenholme(p, ctx)
-    if gate.residual_valuation < 4:
-        raise NotWolstenholme(f"{p} is not a Wolstenholme prime (v={gate.residual_valuation})")
-    w = 8
-    m = p**w
-    lhs = ctx.binom(w)
-    r1 = ctx.R(1, w)
-    first = make_report("eq1.6-r2", p, 7, lhs, (1 - 2 * p * r1 - 2 * p * p * ctx.R(2, w)) % m, w)
-    rhs = (1 + 2 * p * r1 + 2 * inv_int(3, m) * pow(p, 3, m) % m * ctx.R(3, w)) % m
-    second = make_report("eq1.6-r3", p, 7, lhs, rhs, w)
-    return first, second
+def _eq15(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
+    # the p^6 coefficient carries +B_{p-3}/3: the -1/3 variant is off by
+    # exactly one exponent for every prime (see the R_2 note at _lemma35iii)
+    b3, b5 = _bmod(p - 3, p, 2), _bmod(p - 5, p, 2)
+    rhs = (1 - p**3 * _bmod(p**4 - p**3 - 2, p, 5)
+           + p**5 * (inv_int(2, m) * _bmod(p**2 - p - 4, p, 3) - 2 * _bmod(p**4 - p**3 - 4, p, 3))
+           + p**6 * (2 * inv_int(9, m) * b3 * b3 + inv_int(3, m) * b3 - inv_int(10, m) * b5))
+    return c.binom(w), rhs
 
 
-def _remark_data(p: int, ctx: CheckContext) -> CongruenceReport:
-    """Residual of 2R_1 - p*R_1^2 + p*R_2 + (p^2/3)*R_3 against 0 mod p^6.
-
-    Recorded for inspection only; no prime is expected to satisfy it short
-    of being a Wolstenholme prime, and the converse is open.
-    """
-    w = 7
-    m = p**w
-    r1 = ctx.R(1, w)
-    val = (2 * r1 - p * r1 * r1 + p * ctx.R(2, w) + inv_int(3, m) * p * p % m * ctx.R(3, w)) % m
-    return make_report("rem1.5-data", p, 6, val, 0, w, data_only=True)
+def _chain29(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
+    r1, r2, r3, r4 = (c.R(n, w) for n in (1, 2, 3, 4))
+    rhs = (1 + p * r1 + inv_int(2, m) * p**2 * (r1 * r1 - r2) + inv_int(6, m) * p**3 * (2 * r3 - 3 * r1 * r2)
+           + inv_int(8, m) * p**4 * (r2 * r2 - 2 * r4))
+    return c.binom(w), rhs
 
 
-# ---------------------------------------------------------------------------
-# lemma-level checks
-# ---------------------------------------------------------------------------
-
-def _lemma21(n: int) -> Callable[[int, CheckContext], CongruenceReport]:
-    req = 2 if n % 2 else 1
-
-    def run(p: int, ctx: CheckContext) -> CongruenceReport:
-        w = req + 1
-        return make_report(f"lemma2.1-n{n}", p, req, ctx.R(n, w), 0, w)
-
-    return run
+def _chain212(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
+    r1, r2, r3 = (c.R(n, w) for n in (1, 2, 3))
+    rhs = (1 + p * r1 + inv_int(2, m) * p**2 * (r1 * r1 - r2) - 3 * inv_int(4, m) * p**3 * r1 * r2
+           + inv_int(2, m) * p**3 * r3)
+    return c.binom(w), rhs
 
 
-def _lemma22_h3(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 7
-    m = p**w
-    rhs = (inv_int(3, m) * ctx.R(3, w) - inv_int(2, m) * ctx.R(1, w) * ctx.R(2, w)) % m
-    return make_report("lemma2.2-h3", p, 6, ctx.H(3, w), rhs, w)
+def _lemma35i(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
+    rhs = (-inv_int(2, m) * p**2 * _bmod(p**4 - p**3 - 2, p, 5) - inv_int(4, m) * p**4 * _bmod(p**2 - p - 4, p, 3)
+           + inv_int(6, m) * p**5 * _bmod(p - 3, p, 2) + inv_int(20, m) * p**5 * _bmod(p - 5, p, 2))
+    return c.R(1, w), rhs
 
 
-def _lemma22_h4(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 5
-    m = p**w
-    r2 = ctx.R(2, w)
-    rhs = (-inv_int(4, m) * ctx.R(4, w) + inv_int(8, m) * r2 * r2) % m
-    return make_report("lemma2.2-h4", p, 4, ctx.H(4, w), rhs, w)
-
-
-def _lemma23(r: int) -> Callable[[int, CheckContext], CongruenceReport]:
-    def run(p: int, ctx: CheckContext) -> CongruenceReport:
-        w = r + 2
-        m = p**w
-        rhs = 0
-        for i in range(1, r + 1):
-            rhs = (rhs - pow(p, i, m) * ctx.R(i + 1, w)) % m
-        return make_report(f"lemma2.3-r{r}", p, r + 1, 2 * ctx.R(1, w) % m, rhs, w)
-
-    return run
-
-
-def _lemma24_a(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 5
-    m = p**w
-    return make_report("lemma2.4-a", p, 4, 2 * ctx.R(1, w) % m, -p * ctx.R(2, w) % m, w)
-
-
-def _lemma24_b(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 5
-    m = p**w
-    return make_report("lemma2.4-b", p, 4, 2 * ctx.R(3, w) % m, -3 * p * ctx.R(4, w) % m, w)
-
-
-def _chain28(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 8
-    m = p**w
-    rhs = 1
-    for k in range(1, 5):
-        rhs = (rhs + pow(p, k, m) * ctx.H(k, w)) % m
-    return make_report("chain2.8", p, 7, ctx.binom(w), rhs, w)
-
-
-def _chain29(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 8
-    m = p**w
-    r1, r2, r3, r4 = (ctx.R(n, w) for n in (1, 2, 3, 4))
-    rhs = (
-        1
-        + p * r1
-        + inv_int(2, m) * p * p % m * (r1 * r1 - r2)
-        + inv_int(6, m) * pow(p, 3, m) % m * (2 * r3 - 3 * r1 * r2)
-        + inv_int(8, m) * pow(p, 4, m) % m * (r2 * r2 - 2 * r4)
-    ) % m
-    return make_report("chain2.9", p, 7, ctx.binom(w), rhs, w)
-
-
-def _chain212(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 8
-    m = p**w
-    r1, r2, r3 = (ctx.R(n, w) for n in (1, 2, 3))
-    rhs = (
-        1
-        + p * r1
-        + inv_int(2, m) * p * p % m * (r1 * r1 - r2)
-        - 3 * inv_int(4, m) % m * pow(p, 3, m) % m * r1 * r2
-        + inv_int(2, m) * pow(p, 3, m) % m * r3
-    ) % m
-    return make_report("chain2.12", p, 7, ctx.binom(w), rhs, w)
-
-
-def _chain213(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 7
-    m = p**w
-    rhs = (-p * ctx.R(2, w) - p * p * ctx.R(3, w) - pow(p, 3, m) * ctx.R(4, w)) % m
-    return make_report("chain2.13", p, 6, 2 * ctx.R(1, w) % m, rhs, w)
-
-
-def _chain214(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 8
-    m = p**w
-    lhs = pow(p, 3, m) * ctx.R(3, w) % m
-    rhs = (-6 * p * ctx.R(1, w) - 3 * p * p * ctx.R(2, w)) % m
-    return make_report("chain2.14", p, 7, lhs, rhs, w)
-
-
-def _chain215(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 8
-    m = p**w
-    r1, r2 = ctx.R(1, w), ctx.R(2, w)
-    rhs = (
-        1
-        - 2 * p * r1
-        - 2 * p * p * r2
-        + inv_int(4, m) * p * p % m * r1 % m * (2 * r1 - 3 * p * r2)
-    ) % m
-    return make_report("chain2.15", p, 7, ctx.binom(w), rhs, w)
-
-
-def _chain216(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 8
-    m = p**w
-    r1, r2 = ctx.R(1, w), ctx.R(2, w)
-    rhs = (1 - 2 * p * r1 + 2 * p * p * (r1 * r1 - r2)) % m
-    return make_report("chain2.16", p, 7, ctx.binom(w), rhs, w)
-
-
-def _hsum_h5(p: int, ctx: CheckContext) -> CongruenceReport:
-    return make_report("hsum-h5", p, 2, ctx.H(5, 3), 0, 3)
-
-
-def _hsum_h6(p: int, ctx: CheckContext) -> CongruenceReport:
-    return make_report("hsum-h6", p, 1, ctx.H(6, 2), 0, 2)
-
-
-def _lemma35i(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 7
-    m = p**w
-    rhs = (
-        -inv_int(2, m) * p * p % m * _bmod(p**4 - p**3 - 2, p, 5)
-        - inv_int(4, m) * pow(p, 4, m) % m * _bmod(p**2 - p - 4, p, 3)
-        + inv_int(6, m) * pow(p, 5, m) % m * _bmod(p - 3, p, 2)
-        + inv_int(20, m) * pow(p, 5, m) % m * _bmod(p - 5, p, 2)
-    ) % m
-    return make_report("lemma3.5i", p, 6, ctx.R(1, w), rhs, w)
-
-
-def _lemma35ii(p: int, ctx: CheckContext) -> CongruenceReport:
-    w = 6
-    m = p**w
-    r1 = ctx.R(1, w)
-    b3 = _bmod(p - 3, p, 2)
-    rhs = inv_int(9, m) * pow(p, 4, m) % m * b3 % m * b3 % m
-    return make_report("lemma3.5ii", p, 5, r1 * r1 % m, rhs, w)
-
-
-def _lemma35iii(p: int, ctx: CheckContext) -> CongruenceReport:
+def _lemma35iii(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
     # R_2 = p*B_{p^4-p^3-2} + p^3*B_{p^4-p^3-4} - (p^4/3)*B_{p-3}  (mod p^5).
     # The last term arises because R_2 = P_{p^5-p^4-2} mod p^5 and reducing
     # that Bernoulli index to p^4-p^3-2 rescales by 1 - p^3/2 * ... ; the
     # two-term variant without it only ever reaches valuation 4.
-    w = 6
-    m = p**w
-    rhs = (
-        p * _bmod(p**4 - p**3 - 2, p, 5)
-        + pow(p, 3, m) * _bmod(p**4 - p**3 - 4, p, 3)
-        - inv_int(3, m) * pow(p, 4, m) % m * _bmod(p - 3, p, 2)
-    ) % m
-    return make_report("lemma3.5iii", p, 5, ctx.R(2, w), rhs, w)
+    rhs = (p * _bmod(p**4 - p**3 - 2, p, 5) + p**3 * _bmod(p**4 - p**3 - 4, p, 3)
+           - inv_int(3, m) * p**4 * _bmod(p - 3, p, 2))
+    return c.R(2, w), rhs
 
 
-def _kummer33(p: int, ctx: CheckContext) -> CongruenceReport:
-    return replace(bn.kummer_alternating_check(4, p, 2), name="kummer3.3")
+def _tauraso_r2(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
+    return c.binom(w), 1 - 2 * p * c.R(1, w) - 2 * p * p * c.R(2, w)
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
+def _tauraso_r3(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
+    return c.binom(w), 1 + 2 * p * c.R(1, w) + 2 * inv_int(3, m) * p**3 * c.R(3, w)
+
 
 @dataclass(frozen=True)
 class CheckDef:
+    """One registry row, judged at working exponent w = required + 1.
+
+    ``sides(ctx, p, w, m)`` gives (lhs, rhs) to compare mod m = p^w; a row
+    with ``report`` instead builds its whole report.
+    """
+
     name: str
     required: int
-    run: Callable[[int, CheckContext], CongruenceReport]
     applicable: Callable[[int, CheckContext], bool]
+    sides: Callable[[CheckContext, int, int, int], tuple[int, int]] | None = None
+    report: Callable[[int, CheckContext], CongruenceReport] | None = None
     data_only: bool = False
 
 
 def _min_p(bound: int) -> Callable[[int, CheckContext], bool]:
-    return lambda p, ctx: p >= bound
+    return lambda p, c: p >= bound
 
 
-def _is_wolstenholme(p: int, ctx: CheckContext) -> bool:
-    return p >= 5 and ctx.wolstenholme_valuation() >= 3
+P5, P7, P11 = _min_p(5), _min_p(7), _min_p(11)
 
 
-def _thm_applicable(p: int, ctx: CheckContext) -> bool:
-    return p in (3, 5) or p >= 11
+def _is_wolstenholme(p: int, c: CheckContext) -> bool:
+    return p >= 5 and c.wolstenholme_valuation() >= 3
 
 
-def _kummer33_applicable(p: int, ctx: CheckContext) -> bool:
-    return 7 <= p and 4 + 2 * (p - 1) <= bn.DEFAULT_EXACT_CAP
-
-
-def _build_registry() -> dict[str, CheckDef]:
-    defs: list[CheckDef] = [
-        CheckDef("eq1.1", 3, lambda p, c: check_wolstenholme(p, c), _min_p(5)),
-        CheckDef("eq1.2-harmonic", 4, lambda p, c: check_glaisher(p, c)[0], _min_p(5)),
-        CheckDef("eq1.2-bernoulli", 4, lambda p, c: check_glaisher(p, c)[1], _min_p(5)),
-        CheckDef("thm1.1", 7, lambda p, c: check_theorem_main(p, 7, c), _thm_applicable),
-        CheckDef("eq1.3", 6, lambda p, c: check_bernoulli_forms(p, c)[0], _min_p(11)),
-        CheckDef("eq1.5", 7, lambda p, c: check_bernoulli_forms(p, c)[1], _min_p(11)),
-        CheckDef("cor1.4-r2", 6, lambda p, c: check_tauraso(p, c)[0], _min_p(7)),
-        CheckDef("cor1.4-r3", 6, lambda p, c: check_tauraso(p, c)[1], _min_p(7)),
-        CheckDef("cor1.5-r1", 5, lambda p, c: check_mod_p5(p, c)[0], _min_p(7)),
-        CheckDef("cor1.5-r2", 5, lambda p, c: check_mod_p5(p, c)[1], _min_p(7)),
-        CheckDef("eq1.6-r2", 7, lambda p, c: check_wprime_conditional(p, c)[0], _is_wolstenholme),
-        CheckDef("eq1.6-r3", 7, lambda p, c: check_wprime_conditional(p, c)[1], _is_wolstenholme),
-        CheckDef("rem1.5-data", 6, _remark_data, _min_p(11), data_only=True),
-    ]
-    for n in range(1, 7):
-        defs.append(CheckDef(f"lemma2.1-n{n}", 2 if n % 2 else 1, _lemma21(n), _min_p(11)))
-    defs.append(CheckDef("lemma2.2-h3", 6, _lemma22_h3, _min_p(11)))
-    defs.append(CheckDef("lemma2.2-h4", 4, _lemma22_h4, _min_p(11)))
-    for r in range(1, 7):
-        defs.append(CheckDef(f"lemma2.3-r{r}", r + 1, _lemma23(r), _min_p(11)))
-    defs.append(CheckDef("lemma2.4-a", 4, _lemma24_a, _min_p(11)))
-    defs.append(CheckDef("lemma2.4-b", 4, _lemma24_b, _min_p(11)))
-    defs.append(CheckDef("chain2.8", 7, _chain28, _min_p(11)))
-    defs.append(CheckDef("chain2.9", 7, _chain29, _min_p(11)))
-    defs.append(CheckDef("chain2.12", 7, _chain212, _min_p(11)))
-    defs.append(CheckDef("chain2.13", 6, _chain213, _min_p(11)))
-    defs.append(CheckDef("chain2.14", 7, _chain214, _min_p(11)))
-    defs.append(CheckDef("chain2.15", 7, _chain215, _min_p(11)))
-    defs.append(CheckDef("chain2.16", 7, _chain216, _min_p(11)))
-    defs.append(CheckDef("hsum-h5", 2, _hsum_h5, _min_p(11)))
-    defs.append(CheckDef("hsum-h6", 1, _hsum_h6, _min_p(11)))
-    defs.append(CheckDef("lemma3.5i", 6, _lemma35i, _min_p(11)))
-    defs.append(CheckDef("lemma3.5ii", 5, _lemma35ii, _min_p(11)))
-    defs.append(CheckDef("lemma3.5iii", 5, _lemma35iii, _min_p(11)))
-    defs.append(CheckDef("kummer3.3", 2, _kummer33, _kummer33_applicable))
-    return {d.name: d for d in defs}
-
-
-REGISTRY = _build_registry()
+REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
+    CheckDef("eq1.1", 3, P5, lambda c, p, w, m: (c.binom(w), 1)),
+    # Glaisher's mod-p^4 forms.  The harmonic side takes the +2p sign, matching
+    # the mod-p^5 form it weakens to; with -2p the difference is 4p^2*H_2,
+    # which has valuation exactly 3 at a generic prime.
+    CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, w, m: (c.binom(w), 1 + 2 * p * c.R(1, w))),
+    CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, w, m: (
+        c.binom(w), 1 - 2 * inv_int(3, m) * p**3 * bn.bernoulli_mod(p - 3, p, 2).value)),
+    CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11,
+             report=lambda p, c: check_theorem_main(p, 7, c)),
+    CheckDef("eq1.3", 6, P11, _eq13),
+    CheckDef("eq1.5", 7, P11, _eq15),
+    CheckDef("cor1.4-r2", 6, P7, _tauraso_r2),
+    CheckDef("cor1.4-r3", 6, P7, _tauraso_r3),
+    CheckDef("cor1.5-r1", 5, P7, lambda c, p, w, m: (c.binom(w), 1 + 2 * p * c.R(1, w))),
+    CheckDef("cor1.5-r2", 5, P7, lambda c, p, w, m: (c.binom(w), 1 - p * p * c.R(2, w))),
+    # Tauraso's two forms hold one level higher at Wolstenholme primes
+    CheckDef("eq1.6-r2", 7, _is_wolstenholme, _tauraso_r2),
+    CheckDef("eq1.6-r3", 7, _is_wolstenholme, _tauraso_r3),
+    # 2R_1 - p*R_1^2 + p*R_2 + (p^2/3)*R_3 against 0, recorded for inspection
+    # only: no prime is expected to satisfy it short of being a Wolstenholme
+    # prime, and the converse is open.
+    CheckDef("rem1.5-data", 6, P11, lambda c, p, w, m: (
+        2 * c.R(1, w) - p * c.R(1, w) ** 2 + p * c.R(2, w) + inv_int(3, m) * p * p * c.R(3, w), 0),
+        data_only=True),
+    *[CheckDef(f"lemma2.1-n{n}", 2 if n % 2 else 1, P11, lambda c, p, w, m, n=n: (c.R(n, w), 0))
+      for n in range(1, 7)],
+    CheckDef("lemma2.2-h3", 6, P11, lambda c, p, w, m: (
+        c.H(3, w), inv_int(3, m) * c.R(3, w) - inv_int(2, m) * c.R(1, w) * c.R(2, w))),
+    CheckDef("lemma2.2-h4", 4, P11, lambda c, p, w, m: (
+        c.H(4, w), -inv_int(4, m) * c.R(4, w) + inv_int(8, m) * c.R(2, w) ** 2)),
+    # 2*R_1 = -sum_{i=1}^{r} p^i * R_{i+1}  (mod p^(r+1))
+    *[CheckDef(f"lemma2.3-r{r}", r + 1, P11, lambda c, p, w, m, r=r: (
+        2 * c.R(1, w), -sum(p**i * c.R(i + 1, w) for i in range(1, r + 1)))) for r in range(1, 7)],
+    CheckDef("lemma2.4-a", 4, P11, lambda c, p, w, m: (2 * c.R(1, w), -p * c.R(2, w))),
+    CheckDef("lemma2.4-b", 4, P11, lambda c, p, w, m: (2 * c.R(3, w), -3 * p * c.R(4, w))),
+    CheckDef("chain2.8", 7, P11, lambda c, p, w, m: (c.binom(w), 1 + sum(p**k * c.H(k, w) for k in range(1, 5)))),
+    CheckDef("chain2.9", 7, P11, _chain29),
+    CheckDef("chain2.12", 7, P11, _chain212),
+    CheckDef("chain2.13", 6, P11, lambda c, p, w, m: (
+        2 * c.R(1, w), -p * c.R(2, w) - p**2 * c.R(3, w) - p**3 * c.R(4, w))),
+    CheckDef("chain2.14", 7, P11, lambda c, p, w, m: (p**3 * c.R(3, w), -6 * p * c.R(1, w) - 3 * p * p * c.R(2, w))),
+    CheckDef("chain2.15", 7, P11, lambda c, p, w, m: (c.binom(w), (
+        1 - 2 * p * c.R(1, w) - 2 * p * p * c.R(2, w)
+        + inv_int(4, m) * p * p * c.R(1, w) * (2 * c.R(1, w) - 3 * p * c.R(2, w))))),
+    CheckDef("chain2.16", 7, P11, lambda c, p, w, m: (
+        c.binom(w), 1 - 2 * p * c.R(1, w) + 2 * p * p * (c.R(1, w) ** 2 - c.R(2, w)))),
+    CheckDef("hsum-h5", 2, P11, lambda c, p, w, m: (c.H(5, w), 0)),
+    CheckDef("hsum-h6", 1, P11, lambda c, p, w, m: (c.H(6, w), 0)),
+    CheckDef("lemma3.5i", 6, P11, _lemma35i),
+    CheckDef("lemma3.5ii", 5, P11, lambda c, p, w, m: (
+        c.R(1, w) ** 2, inv_int(9, m) * p**4 * _bmod(p - 3, p, 2) ** 2)),
+    CheckDef("lemma3.5iii", 5, P11, _lemma35iii),
+    CheckDef("kummer3.3", 2, lambda p, c: 7 <= p and 4 + 2 * (p - 1) <= bn.DEFAULT_EXACT_CAP,
+             report=lambda p, c: replace(bn.kummer_alternating_check(4, p, 2), name="kummer3.3")),
+]}
 
 GROUP_ALIASES = {
     "eq1.2": ["eq1.2-harmonic", "eq1.2-bernoulli"],
@@ -629,6 +386,10 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
         d = REGISTRY[name]
         if not d.applicable(p, ctx):
             out.append(not_applicable(name, p, d.required))
+        elif d.report is not None:
+            out.append(d.report(p, ctx))
         else:
-            out.append(d.run(p, ctx))
+            w = d.required + 1
+            lhs, rhs = d.sides(ctx, p, w, p**w)
+            out.append(make_report(name, p, d.required, lhs, rhs, w, data_only=d.data_only))
     return out

@@ -52,10 +52,6 @@ class InvalidInput(WlabError):
     """Operation preconditions violated."""
 
 
-class NotWolstenholme(WlabError):
-    """Prime fails the Wolstenholme-prime precondition."""
-
-
 class UnknownCheckName(WlabError):
     """Check name not present in the registry."""
 

@@ -1,9 +1,10 @@
-"""Exact arithmetic in Z/p^e: rings, residues, batch inversion, truncated series.
+"""Exact arithmetic in Z/p^e: primality, rings, residues, batch inversion.
 
-Every other module builds on the primitives here.  Two layers are exposed:
-an object API (``PrimePowerRing`` / ``Residue``) used at interface
-boundaries, and plain-int kernels (``range_inverses``, ``batch_inv_ints``,
-...) used inside performance-sensitive loops.
+Every other module builds on the primitives here.  The computation runs on
+plain-int kernels (``range_inverses``, ``batch_inv_ints``,
+``symmetric_coeffs_ints``, ...); a thin object API (``ring_new``, ``inv``,
+``Residue`` with its ``valuation``) labels results with their ring at the
+library's interface.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def residual_valuation(x: int, p: int, e: int) -> int:
 
 @dataclass(frozen=True)
 class PrimePowerRing:
-    """The modulus p^e with p prime, plus derived constants."""
+    """The modulus p^e with p prime."""
 
     p: int
     e: int
@@ -142,21 +143,8 @@ class PrimePowerRing:
         if self.modulus != self.p**self.e:
             raise InvalidInput("modulus must equal p**e")
 
-    @property
-    def phi(self) -> int:
-        """Euler totient p^(e-1) * (p-1)."""
-        return self.p ** (self.e - 1) * (self.p - 1)
-
     def residue(self, x: int) -> "Residue":
         return Residue(x % self.modulus, self)
-
-    @property
-    def zero(self) -> "Residue":
-        return Residue(0, self)
-
-    @property
-    def one(self) -> "Residue":
-        return Residue(1 % self.modulus, self)
 
     def __repr__(self) -> str:
         return f"Z/{self.p}^{self.e}"
@@ -179,55 +167,6 @@ class Residue:
     def __post_init__(self):
         if not 0 <= self.value < self.ring.modulus:
             raise InvalidInput(f"residue {self.value} outside [0, {self.ring.modulus})")
-
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, Residue):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{self.ring} vs {other.ring}")
-            return other
-        if isinstance(other, int):
-            return self.ring.residue(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue((self.value + other.value) % self.ring.modulus, self.ring)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue((self.value - other.value) % self.ring.modulus, self.ring)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value % self.ring.modulus, self.ring)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value % self.ring.modulus, self.ring)
-
-    def __pow__(self, n: int):
-        return pow_mod(self.ring, self, n)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def inv(self) -> "Residue":
-        return inv(self.ring, self)
 
     def valuation(self) -> int:
         """v_p of this residue, saturated at the ring exponent."""
@@ -289,96 +228,6 @@ def range_inverses(p: int, m: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# object-level operations
-# ---------------------------------------------------------------------------
-
-def inv(ring: PrimePowerRing, a: Residue | int) -> Residue:
-    if isinstance(a, Residue):
-        if a.ring != ring:
-            raise RingMismatch(f"{ring} vs {a.ring}")
-        a = a.value
-    if a % ring.p == 0:
-        raise NotInvertible(f"{a} divisible by {ring.p} in {ring}")
-    return Residue(inv_int(a % ring.modulus, ring.modulus), ring)
-
-
-def batch_inv(ring: PrimePowerRing, items: Sequence[Residue]) -> list[Residue]:
-    vals = []
-    for i, item in enumerate(items):
-        if isinstance(item, Residue):
-            if item.ring != ring:
-                raise RingMismatch(f"item {i}: {ring} vs {item.ring}")
-            vals.append(item.value)
-        else:
-            vals.append(item % ring.modulus)
-    out = batch_inv_ints(vals, ring.modulus, ring.p)
-    return [Residue(v, ring) for v in out]
-
-
-def pow_mod(ring: PrimePowerRing, a: Residue | int, n: int) -> Residue:
-    """a^n mod p^e by square-and-multiply on the full-width exponent."""
-    if n < 0:
-        raise InvalidInput("exponent must be non-negative")
-    if isinstance(a, Residue):
-        if a.ring != ring:
-            raise RingMismatch(f"{ring} vs {a.ring}")
-        a = a.value
-    return Residue(pow(a, n, ring.modulus), ring)
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Polynomial mod x^(d+1) with Residue coefficients in one ring."""
-
-    ring: PrimePowerRing
-    coeffs: tuple[Residue, ...]
-
-    def __post_init__(self):
-        for c in self.coeffs:
-            if c.ring != self.ring:
-                raise RingMismatch("series coefficients must share one ring")
-
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> Residue:
-        return self.coeffs[k] if k < len(self.coeffs) else self.ring.zero
-
-    def evaluate(self, x: int) -> Residue:
-        """Horner evaluation at an integer point."""
-        m = self.ring.modulus
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c.value) % m
-        return Residue(acc, self.ring)
-
-    @classmethod
-    def from_ints(cls, ring: PrimePowerRing, coeffs: Sequence[int]) -> "TruncatedSeries":
-        return cls(ring, tuple(ring.residue(c) for c in coeffs))
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries, d: int) -> TruncatedSeries:
-    """Product truncated at degree d; terms above d are discarded."""
-    if a.ring != b.ring:
-        raise RingMismatch(f"{a.ring} vs {b.ring}")
-    m = a.ring.modulus
-    out = [0] * (d + 1)
-    for i, ca in enumerate(a.coeffs):
-        if i > d:
-            break
-        va = ca.value
-        if va == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            k = i + j
-            if k > d:
-                break
-            out[k] = (out[k] + va * cb.value) % m
-    return TruncatedSeries.from_ints(a.ring, out)
-
-
 def symmetric_coeffs_ints(p: int, m: int, d: int) -> list[int]:
     """Coefficients of prod_{i=1}^{p-1} (1 + x/i) mod (m, x^(d+1)).
 
@@ -398,9 +247,15 @@ def symmetric_coeffs_ints(p: int, m: int, d: int) -> list[int]:
     return c
 
 
-def symmetric_product(ring: PrimePowerRing, d: int) -> TruncatedSeries:
-    """Truncated product of (1 + x/i) over i=1..p-1; coefficient k is H_k."""
-    if not 1 <= d <= 8:
-        raise InvalidInput(f"degree bound must be in 1..8, got {d}")
-    coeffs = symmetric_coeffs_ints(ring.p, ring.modulus, d)
-    return TruncatedSeries.from_ints(ring, coeffs)
+# ---------------------------------------------------------------------------
+# object-level operations
+# ---------------------------------------------------------------------------
+
+def inv(ring: PrimePowerRing, a: Residue | int) -> Residue:
+    if isinstance(a, Residue):
+        if a.ring != ring:
+            raise RingMismatch(f"{ring} vs {a.ring}")
+        a = a.value
+    if a % ring.p == 0:
+        raise NotInvertible(f"{a} divisible by {ring.p} in {ring}")
+    return Residue(inv_int(a % ring.modulus, ring.modulus), ring)

@@ -22,13 +22,16 @@ hit lists are a pure function of (kind, lo, hi).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import multiprocessing
 import os
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 from .congruence import CheckContext, binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch
@@ -307,8 +310,9 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None) -
     Work is partitioned into chunks of ``task.chunk`` primes; with
     ``workers > 1`` chunks run in separate processes, but results are merged
     in range order so output never depends on scheduling.  A checkpoint (if
-    configured) is rewritten after each completed chunk and flushed once
-    more on KeyboardInterrupt.  ``on_hit`` is called once per hit, in
+    configured) is rewritten after each merged chunk and flushed once more,
+    up to the last merged chunk, when an exception (KeyboardInterrupt
+    included) stops the scan.  ``on_hit`` is called once per hit, in
     ascending order, as soon as the hit's chunk is merged.
     """
     return _execute(task, workers, progress, on_hit, resume_from=None)
@@ -337,14 +341,41 @@ def resume(checkpoint_path: str, task: SearchTask | None = None, workers: int = 
     return _execute(merged, workers, progress, on_hit, resume_from=cp)
 
 
-def _execute(task: SearchTask, workers: int, progress, on_hit,
-             resume_from: Checkpoint | None) -> list[SearchHit]:
+def ordered_map(fn: Callable, items: Sequence, workers: int, chunksize: int = 1) -> Iterator:
+    """Lazily apply ``fn`` to each item; results come in submission order.
+
+    With ``workers == 1`` (or fewer than two items) the calls run in this
+    process, otherwise in a pool of ``workers`` spawned processes.  A worker
+    count below 1 is rejected here, before any call runs.  An exception
+    inside the pool, or closing the iterator early, cancels the calls still
+    queued.
+    """
     if workers < 1:
         raise InvalidInput("workers must be >= 1")
+    if workers == 1 or len(items) < 2:
+        return (fn(item) for item in items)
+    return _pool_map(fn, items, workers, chunksize)
+
+
+def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> Iterator:
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield from pool.map(fn, items, chunksize=chunksize)
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown(wait=True)
+
+
+def _execute(task: SearchTask, workers: int, progress, on_hit,
+             resume_from: Checkpoint | None) -> list[SearchHit]:
     lo = max(task.lo, KIND_MIN[task.kind])
-    primes = primes_in(lo, task.hi)
+    # floor for interrupt flushes; never regress a resume
+    base_last = lo - 1 if resume_from is None else resume_from.last_completed_prime
+    primes = primes_in(max(lo, base_last + 1), task.hi)
+    chunks = [primes[i : i + task.chunk] for i in range(0, len(primes), task.chunk)]
+    results = ordered_map(functools.partial(_scan_chunk, task.kind), chunks, workers)
     hits: list[SearchHit] = []
-    base_last = lo - 1  # floor for interrupt flushes; never regress a resume
 
     def absorb(found: list[SearchHit]) -> None:
         hits.extend(found)
@@ -359,54 +390,25 @@ def _execute(task: SearchTask, workers: int, progress, on_hit,
                 raise CheckpointCorrupt(f"checkpoint hit p={h['p']} fails re-verification")
             carried.append(SearchHit(p=h["p"], kind=task.kind, witness=h["witness"]))
         absorb(carried)
-        primes = [q for q in primes if q > resume_from.last_completed_prime]
-        base_last = resume_from.last_completed_prime
-        if not primes:
+        if not chunks:
             return hits
-    chunks = [primes[i : i + task.chunk] for i in range(0, len(primes), task.chunk)]
-    total = len(chunks)
-    done = 0
-
-    def record(chunk_idx: int, found: list[dict]) -> None:
-        nonlocal done
-        absorb([SearchHit(p=h["p"], kind=task.kind, witness=h["witness"]) for h in found])
-        done += 1
-        last = chunks[chunk_idx][-1] if done < total else task.hi
-        _flush(task, last, hits)
-        if progress is not None:
-            progress(done, total, last)
-
-    if not chunks:
+    elif not chunks:
         _flush(task, task.hi, hits)
         return hits
 
-    if workers == 1:
-        try:
-            for idx, chunk in enumerate(chunks):
-                record(idx, _scan_chunk(task.kind, chunk))
-        except KeyboardInterrupt:
-            _flush(task, chunks[done - 1][-1] if done else base_last, hits)
-            raise
-        return hits
-
-    pending: dict = {}
-    buffered: dict[int, list[dict]] = {}
-    next_idx = 0
-    pool = ProcessPoolExecutor(max_workers=workers)
+    merged = base_last
     try:
-        for idx, chunk in enumerate(chunks):
-            fut = pool.submit(_scan_chunk, task.kind, chunk)
-            pending[fut] = idx
-        while pending:
-            ready, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-            for fut in ready:
-                buffered[pending.pop(fut)] = fut.result()
-            while next_idx in buffered:
-                record(next_idx, buffered.pop(next_idx))
-                next_idx += 1
-        pool.shutdown(wait=True)
+        for done, found in enumerate(results, 1):
+            new = [SearchHit(p=h["p"], kind=task.kind, witness=h["witness"]) for h in found]
+            last = chunks[done - 1][-1] if done < len(chunks) else task.hi
+            _flush(task, last, hits + new)
+            merged = last
+            absorb(new)
+            if progress is not None:
+                progress(done, len(chunks), last)
     except BaseException:
-        _flush(task, chunks[next_idx - 1][-1] if next_idx else base_last, hits)
-        pool.shutdown(wait=False, cancel_futures=True)
+        _flush(task, merged, hits)
         raise
+    finally:
+        results.close()
     return hits

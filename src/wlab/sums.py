@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InternalInconsistency, InvalidInput, NotInvertible
-from .modring import (
-    PrimePowerRing,
-    Residue,
-    inv_int,
-    range_inverses,
-    ring_new,
-    symmetric_coeffs_ints,
-)
+from .modring import Residue, inv_int, range_inverses, ring_new, symmetric_coeffs_ints
 
 # ---------------------------------------------------------------------------
 # int-level kernels
@@ -65,59 +58,6 @@ def newton_elementary_ints(power: Mapping[int, int], k_max: int, m: int, p: int)
         h[k] = acc * inv_int(k, m) % m
     del h[0]
     return h
-
-
-# ---------------------------------------------------------------------------
-# operations on rings
-# ---------------------------------------------------------------------------
-
-def inverse_power_sum(ring: PrimePowerRing, n: int) -> Residue:
-    """R_n(p) in the given ring."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
-    if ring.p < 3:
-        raise InvalidInput("base prime must be >= 3")
-    m = ring.modulus
-    invs = range_inverses(ring.p, m)
-    total = 0
-    if n == 1:
-        total = sum(invs[1:])
-    else:
-        for k in range(1, ring.p):
-            total += pow(invs[k], n, m)
-    return ring.residue(total)
-
-
-def power_sum(ring: PrimePowerRing, n: int) -> Residue:
-    """P_n(p) in the given ring; n may be astronomically large."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
-    return ring.residue(power_sum_int(ring.p, ring.e, n))
-
-
-def symmetric_sums(ring: PrimePowerRing, k_max: int) -> dict[int, Residue]:
-    """H_1..H_{k_max} as truncated-product coefficients.
-
-    Indices above p-1 come out zero (elementary symmetric sums of p-1
-    values vanish beyond degree p-1).
-    """
-    if not 1 <= k_max <= 8:
-        raise InvalidInput("k_max must be in 1..8")
-    if ring.p < 3:
-        raise InvalidInput("base prime must be >= 3")
-    coeffs = symmetric_coeffs_ints(ring.p, ring.modulus, k_max)
-    return {k: ring.residue(coeffs[k]) for k in range(1, k_max + 1)}
-
-
-def newton_symmetric(r_sums: Mapping[int, Residue], k_max: int) -> dict[int, Residue]:
-    """H_1..H_{k_max} rebuilt from power sums alone (independent of
-    symmetric_sums)."""
-    if k_max < 1:
-        raise InvalidInput("k_max must be >= 1")
-    ring = r_sums[1].ring
-    power = {n: r_sums[n].value for n in range(1, k_max + 1)}
-    h = newton_elementary_ints(power, k_max, ring.modulus, ring.p)
-    return {k: ring.residue(v) for k, v in h.items()}
 
 
 @dataclass(frozen=True)

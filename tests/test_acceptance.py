@@ -18,13 +18,7 @@ from wlab.congruence import (
     CheckContext,
     binom_central,
     binom_exact_oracle,
-    check_bernoulli_forms,
-    check_glaisher,
-    check_mod_p5,
-    check_tauraso,
     check_theorem_main,
-    check_wolstenholme,
-    check_wprime_conditional,
     run_suite,
 )
 from wlab.search import SearchTask, primes_in, resume, run_search
@@ -95,10 +89,10 @@ def test_criterion_05_corollary_chain(sweep_contexts):
     bad = []
     ctx7 = CheckContext(7, 8)
     for p, ctx in [(7, ctx7)] + list(sweep_contexts.items()):
-        cor14 = check_tauraso(p, ctx)
-        cor15 = check_mod_p5(p, ctx)
-        eq12h = check_glaisher(p, ctx)[0]
-        eq11 = check_wolstenholme(p, ctx)
+        cor14 = run_suite(p, ["cor1.4"], ctx)
+        cor15 = run_suite(p, ["cor1.5"], ctx)
+        (eq12h,) = run_suite(p, ["eq1.2-harmonic"], ctx)
+        (eq11,) = run_suite(p, ["eq1.1"], ctx)
         if not all(r.holds for r in (*cor14, *cor15, eq12h, eq11)):
             bad.append(p)
             continue
@@ -117,7 +111,7 @@ def test_criterion_06_bernoulli_forms():
     t0 = time.perf_counter()
     bad = []
     for p in primes_in(11, 200):
-        eq13, eq15 = check_bernoulli_forms(p)
+        eq13, eq15 = run_suite(p, ["eq1.3", "eq1.5"])
         if not (eq13.holds and eq15.holds):
             bad.append((p, eq13.residual_valuation, eq15.residual_valuation))
     ok = not bad
@@ -179,7 +173,7 @@ def test_criterion_10_wolstenholme_prime_facts():
     t0 = time.perf_counter()
     p = 16843
     ctx = CheckContext(p, 9)
-    pair = check_wprime_conditional(p, ctx)
+    pair = run_suite(p, ["eq1.6"], ctx)
     at8 = check_theorem_main(p, 8, ctx)
     ok = (
         all(r.holds and r.residual_valuation >= 7 for r in pair)

@@ -88,9 +88,16 @@ class TestVerify:
         assert streams[0] == streams[1]
 
     def test_list_checks(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--p", "11", "--list-checks")
-        assert code == 0
-        assert "thm1.1" in out.split()
+        for argv in (["verify", "--p", "11", "--list-checks"], ["verify", "--list-checks"]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            names = out.split()
+            assert len(names) == 42 and "thm1.1" in names
+
+    def test_p_required_without_list_checks(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--check", "eq1.1")
+        assert code == 1 and out == ""
+        assert err == "error: verify needs --p (or --list-checks)\n"
 
 
 class TestSearchCommand:
@@ -129,6 +136,18 @@ class TestSearchCommand:
         code, out, _ = run_cli(capsys, "search", "wolstenholme", "--min", "16843", "--max", "16843")
         assert code == 0
         assert [json.loads(line)["p"] for line in out.splitlines()] == [16843]
+
+    def test_resume_bounds_must_match_checkpoint(self, capsys, tmp_path):
+        ck = str(tmp_path / "ck.json")
+        assert run_cli(capsys, "search", "wolstenholme", "--max", "300", "--checkpoint", ck)[0] == 0
+        for bound in (["--min", "100"], ["--max", "400"]):
+            code, out, err = run_cli(capsys, "search", "wolstenholme", "--resume", ck, *bound)
+            assert code == 1 and out == ""
+            assert err.startswith("error: checkpoint is for wolstenholme [5, 300]")
+        code, _, err = run_cli(capsys, "search", "mod-p8", "--resume", ck)
+        assert code == 1 and err.startswith("error: checkpoint is for wolstenholme")
+        for bound in ([], ["--min", "5"], ["--max", "300"]):
+            assert run_cli(capsys, "search", "wolstenholme", "--resume", ck, *bound)[0] == 0
 
     def test_env_checkpoint_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("WLAB_CHECKPOINT_DIR", str(tmp_path))
@@ -206,6 +225,14 @@ class TestUsage:
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == ""
             assert "usage:" in err and "Traceback" not in err
+
+    def test_workers_below_one_rejected(self, capsys):
+        for workers in ("0", "-3"):
+            for argv in (["verify", "--p", "11", "--check", "eq1.1"],
+                         ["search", "wolstenholme", "--max", "100"]):
+                code, out, err = run_cli(capsys, "--workers", workers, *argv)
+                assert code == 1 and out == ""
+                assert err == "error: workers must be >= 1\n"
 
     def test_p2_reports_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p", "2", "--check", "eq1.1")

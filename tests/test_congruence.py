@@ -10,18 +10,12 @@ from wlab.congruence import (
     binom_central,
     binom_central_int,
     binom_exact_oracle,
-    check_bernoulli_forms,
-    check_glaisher,
-    check_mod_p5,
-    check_tauraso,
     check_theorem_main,
-    check_wolstenholme,
-    check_wprime_conditional,
     expand_selection,
     registry_names,
     run_suite,
 )
-from wlab.errors import CapExceeded, NotWolstenholme, UnknownCheckName
+from wlab.errors import CapExceeded, UnknownCheckName
 from wlab.search import primes_in
 
 
@@ -47,25 +41,25 @@ class TestBinomCentral:
 
 class TestWolstenholme:
     def test_p5_holds(self):
-        r = check_wolstenholme(5)
+        (r,) = run_suite(5, ["eq1.1"])
         assert r.holds and r.residual_valuation >= 3
 
     def test_p13_holds(self):
-        assert check_wolstenholme(13).holds
+        assert run_suite(13, ["eq1.1"])[0].holds
 
     def test_wolstenholme_prime_reaches_4(self):
-        assert check_wolstenholme(16843).residual_valuation >= 4
+        assert run_suite(16843, ["eq1.1"])[0].residual_valuation >= 4
 
 
 class TestGlaisher:
     @pytest.mark.parametrize("p", [7, 11, 13, 101])
     def test_both_forms_hold(self, p):
-        harmonic, bernoulli = check_glaisher(p)
+        harmonic, bernoulli = run_suite(p, ["eq1.2"])
         assert harmonic.holds, p
         assert bernoulli.holds, p
 
     def test_wolstenholme_prime_bernoulli_term_vanishes(self):
-        harmonic, bernoulli = check_glaisher(16843)
+        harmonic, bernoulli = run_suite(16843, ["eq1.2"])
         m4 = 16843**4
         assert bernoulli.rhs % m4 == 1  # B_{p-3} = 0 mod p wipes the correction
         assert bernoulli.holds and harmonic.holds
@@ -94,17 +88,17 @@ class TestTheoremMain:
 class TestCorollaries:
     @pytest.mark.parametrize("p", [7, 11, 101])
     def test_tauraso_pair(self, p):
-        a, b = check_tauraso(p)
+        a, b = run_suite(p, ["cor1.4"])
         assert a.holds and b.holds, p
 
     @pytest.mark.parametrize("p", [7, 11, 101])
     def test_mod_p5_pair(self, p):
-        a, b = check_mod_p5(p)
+        a, b = run_suite(p, ["cor1.5"])
         assert a.holds and b.holds, p
 
     @pytest.mark.parametrize("p", [11, 13, 97])
     def test_bernoulli_forms(self, p):
-        eq13, eq15 = check_bernoulli_forms(p)
+        eq13, eq15 = run_suite(p, ["eq1.3", "eq1.5"])
         assert eq13.holds and eq13.residual_valuation >= 6, p
         assert eq15.holds and eq15.residual_valuation >= 7, p
 
@@ -112,7 +106,7 @@ class TestCorollaries:
 class TestWprimeConditional:
     def test_16843(self):
         ctx = CheckContext(16843, 9)
-        a, b = check_wprime_conditional(16843, ctx)
+        a, b = run_suite(16843, ["eq1.6"], ctx)
         assert a.holds and a.residual_valuation >= 7
         assert b.holds and b.residual_valuation >= 7
         # the same prime fails one exponent higher
@@ -120,8 +114,7 @@ class TestWprimeConditional:
         assert not r8.holds and r8.residual_valuation == 7
 
     def test_ordinary_prime_rejected(self):
-        with pytest.raises(NotWolstenholme):
-            check_wprime_conditional(13)
+        assert [r.status for r in run_suite(13, ["eq1.6"])] == ["n/a", "n/a"]
 
 
 class TestChainImplications:
@@ -129,10 +122,10 @@ class TestChainImplications:
     def test_descending_chain(self, p):
         ctx = CheckContext(p, 9)
         thm = check_theorem_main(p, 7, ctx)
-        cor14 = check_tauraso(p, ctx)
-        cor15 = check_mod_p5(p, ctx)
-        eq12, _ = check_glaisher(p, ctx)
-        eq11 = check_wolstenholme(p, ctx)
+        cor14 = run_suite(p, ["cor1.4"], ctx)
+        cor15 = run_suite(p, ["cor1.5"], ctx)
+        eq12, _ = run_suite(p, ["eq1.2"], ctx)
+        (eq11,) = run_suite(p, ["eq1.1"], ctx)
         chain = [thm.holds, all(r.holds for r in cor14), all(r.holds for r in cor15), eq12.holds, eq11.holds]
         # implication: once a level holds, every weaker level must hold
         for stronger, weaker in zip(chain, chain[1:]):
@@ -193,7 +186,7 @@ class TestDeepInvariantSweep:
 
 class TestReportSerialization:
     def test_json_fields(self):
-        r = check_wolstenholme(11)
+        (r,) = run_suite(11, ["eq1.1"])
         d = r.to_json_dict()
         assert set(d) == {"check", "p", "required_exp", "residual_valuation", "holds", "lhs", "rhs", "status"}
         assert d["check"] == "eq1.1" and d["p"] == 11
@@ -203,7 +196,7 @@ class TestReportSerialization:
 
     def test_working_exponent_above_required(self):
         for p in (5, 11):
-            r = check_wolstenholme(p)
+            (r,) = run_suite(p, ["eq1.1"])
             assert r.working_exponent >= r.required_exponent + 1
 
     def test_residuals_never_exaggerate(self):

@@ -1,4 +1,4 @@
-"""Ring construction, inversion, powering, truncated series."""
+"""Primality, ring construction, inversion and the plain-int kernels."""
 
 import math
 import random
@@ -6,26 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from wlab.errors import (
-    CompositeModulusBase,
-    ExponentOutOfRange,
-    InvalidInput,
-    NotInvertible,
-    RingMismatch,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wlab.errors import CompositeModulusBase, ExponentOutOfRange, InvalidInput, NotInvertible, RingMismatch
 from wlab.modring import (
-    TruncatedSeries,
-    batch_inv,
     batch_inv_ints,
     inv,
     is_prime,
-    pow_mod,
     range_inverses,
     residual_valuation,
     ring_new,
-    series_mul,
-    symmetric_product,
+    symmetric_coeffs_ints,
 )
+from wlab.search import primes_in
+from wlab.sums import build_sum_table, inverse_power_sums_ints, newton_elementary_ints
 
 
 def trial_division(n: int) -> bool:
@@ -68,6 +63,11 @@ class TestPrimality:
         for n in (4, 25, 16843**2, (10**9 + 7) ** 2):
             assert not is_prime(n)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10**7), st.integers(0, 2000))
+    def test_agrees_with_sieve(self, lo, width):
+        assert [n for n in range(lo, lo + width + 1) if is_prime(n)] == primes_in(lo, lo + width)
+
 
 class TestRingNew:
     def test_seven_to_the_seventh(self):
@@ -97,7 +97,7 @@ class TestInv:
 
     def test_identity(self):
         for ring in (ring_new(3, 2), ring_new(7, 7), ring_new(16843, 2)):
-            assert inv(ring, ring.one).value == 1
+            assert inv(ring, ring.residue(1)).value == 1
 
     def test_three_mod_25(self):
         assert inv(ring_new(5, 2), 3).value == 17
@@ -115,39 +115,35 @@ class TestInv:
                 continue
             r = ring.residue(a)
             assert inv(ring, inv(ring, r)) == r
-            assert (r * inv(ring, r)).value == 1
+            assert r.value * inv(ring, r).value % ring.modulus == 1
 
 
 class TestBatchInv:
     def test_small_vector_against_xgcd(self):
-        ring = ring_new(5, 2)
-        out = batch_inv(ring, [ring.residue(v) for v in (1, 2, 3, 4)])
-        assert [r.value for r in out] == [1, 13, 17, 19]
+        assert batch_inv_ints([1, 2, 3, 4], 25, 5) == [1, 13, 17, 19]
         assert [xgcd_inv(v, 25) for v in (1, 2, 3, 4)] == [1, 13, 17, 19]
 
     def test_empty(self):
-        assert batch_inv(ring_new(5, 2), []) == []
+        assert batch_inv_ints([], 25, 5) == []
 
     def test_singleton_identity(self):
-        ring = ring_new(7, 7)
-        assert [r.value for r in batch_inv(ring, [ring.one])] == [1]
+        assert batch_inv_ints([1], 7**7, 7) == [1]
 
     def test_matches_map_inv_random(self):
         rng = random.Random(1)
-        ring = ring_new(11, 4)
+        m = 11**4
         for size in (1, 2, 7, 40):
             vals = []
             while len(vals) < size:
-                a = rng.randrange(1, ring.modulus)
+                a = rng.randrange(1, m)
                 if a % 11:
                     vals.append(a)
-            got = batch_inv_ints(vals, ring.modulus, 11)
-            assert got == [xgcd_inv(v, ring.modulus) for v in vals]
+            got = batch_inv_ints(vals, m, 11)
+            assert got == [xgcd_inv(v, m) for v in vals]
 
     def test_offending_index_reported(self):
-        ring = ring_new(5, 3)
         with pytest.raises(NotInvertible) as exc:
-            batch_inv(ring, [ring.residue(v) for v in (1, 2, 25, 3)])
+            batch_inv_ints([1, 2, 25, 3], 5**3, 5)
         assert exc.value.index == 2
 
     def test_range_inverses(self):
@@ -156,110 +152,78 @@ class TestBatchInv:
         for k in range(1, 13):
             assert out[k] * k % m == 1
 
-
-class TestPowMod:
-    def test_zero_exponent(self):
-        ring = ring_new(11, 2)
-        assert pow_mod(ring, ring.residue(2), 0).value == 1
-
-    def test_euler_theorem(self):
-        ring = ring_new(5, 2)
-        assert pow_mod(ring, ring.residue(3), 20).value == 1
-
-    def test_huge_exponent_reduction(self):
-        # 13308 = 8 mod 10, so 2^13308 = 2^8 = 256 = 3 mod 11
-        ring = ring_new(11, 1)
-        assert pow_mod(ring, ring.residue(2), 13308).value == 3
-
-    def test_against_naive_powers(self):
-        rng = random.Random(2)
-        ring = ring_new(7, 5)
-        for _ in range(50):
-            a = rng.randrange(ring.modulus)
-            n = rng.randrange(1024)
-            acc = 1
-            for _ in range(n):
-                acc = acc * a % ring.modulus
-            assert pow_mod(ring, ring.residue(a), n).value == acc
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13, 101]), st.integers(1, 8), st.data())
+    def test_property_against_pow(self, p, e, data):
+        m = p**e
+        vals = data.draw(st.lists(st.integers(1, m - 1).filter(lambda a: a % p), max_size=30))
+        assert batch_inv_ints(vals, m, p) == [pow(a, -1, m) for a in vals]
+        assert range_inverses(p, m)[1:] == [pow(k, -1, m) for k in range(1, p)]
 
 
 class TestResidueArithmetic:
     def test_cross_ring_rejected(self):
         a = ring_new(5, 2).residue(3)
-        b = ring_new(5, 3).residue(3)
         with pytest.raises(RingMismatch):
-            _ = a + b
+            inv(ring_new(5, 3), a)
 
     def test_int_coercion(self):
         ring = ring_new(7, 2)
-        assert (ring.residue(40) + 10).value == 1
-        assert (3 * ring.residue(20)).value == 11
-        assert (1 - ring.residue(2)).value == 48
+        assert ring.residue(40 + 10).value == 1
+        assert ring.residue(3 * 20).value == 11
+        assert ring.residue(1 - 2).value == 48
 
     def test_valuation(self):
         ring = ring_new(5, 4)
         assert ring.residue(50).valuation() == 2
-        assert ring.zero.valuation() == 4
+        assert ring.residue(0).valuation() == 4
         assert residual_valuation(-25, 5, 4) == 2
 
 
 class TestSeries:
     def test_truncation_drops_high_terms(self):
-        ring = ring_new(5, 2)
-        one_plus_x = TruncatedSeries.from_ints(ring, [1, 1])
-        sq = series_mul(one_plus_x, one_plus_x, 1)
-        assert [c.value for c in sq.coeffs] == [1, 2]
-
-    def test_identity(self):
-        ring = ring_new(7, 3)
-        a = TruncatedSeries.from_ints(ring, [3, 1, 4])
-        one = TruncatedSeries.from_ints(ring, [1])
-        assert series_mul(a, one, 2) == a
-
-    def test_difference_of_squares(self):
-        ring = ring_new(5, 2)
-        a = TruncatedSeries.from_ints(ring, [1, 1])
-        b = TruncatedSeries.from_ints(ring, [1, -1])
-        prod = series_mul(a, b, 2)
-        assert [c.value for c in prod.coeffs] == [1, 0, 24]
-
-    def test_ring_mismatch(self):
-        a = TruncatedSeries.from_ints(ring_new(5, 2), [1, 1])
-        b = TruncatedSeries.from_ints(ring_new(7, 2), [1, 1])
-        with pytest.raises(RingMismatch):
-            series_mul(a, b, 1)
+        # the product kernel truncated at degree d keeps the low coefficients exactly
+        for p in (5, 11, 13):
+            m = p**4
+            assert symmetric_coeffs_ints(p, m, 2) == symmetric_coeffs_ints(p, m, 6)[:3]
 
 
 class TestSymmetricProduct:
     def test_constant_coefficient_is_one(self):
         for p in (3, 5, 11, 97):
-            s = symmetric_product(ring_new(p, 3), 2)
-            assert s.coeffs[0].value == 1
+            assert symmetric_coeffs_ints(p, p**3, 2)[0] == 1
 
     def test_p3_first_coefficient(self):
-        s = symmetric_product(ring_new(3, 2), 1)
-        assert s.coeffs[1].value == 6  # 1 + inv(2) = 1 + 5 mod 9
+        assert symmetric_coeffs_ints(3, 9, 1)[1] == 6  # 1 + inv(2) = 1 + 5 mod 9
 
     def test_shuffle_relation_p5(self):
         # 2*H_2 = R_1^2 - R_2 with both sides derived from exact rationals
-        ring = ring_new(5, 7)
-        s = symmetric_product(ring, 2)
+        m = 5**7
+        c = symmetric_coeffs_ints(5, m, 2)
         r1 = Fraction(25, 12)
         r2 = Fraction(205, 144)
         h2 = (r1 * r1 - r2) / 2
         assert h2 == Fraction(35, 24)
-        m = ring.modulus
-        assert s.coeffs[1].value == r1.numerator * pow(r1.denominator, -1, m) % m
-        assert s.coeffs[2].value == h2.numerator * pow(h2.denominator, -1, m) % m
+        assert c[1] == r1.numerator * pow(r1.denominator, -1, m) % m
+        assert c[2] == h2.numerator * pow(h2.denominator, -1, m) % m
 
     def test_degree_bound_validated(self):
+        # the product route is reached through build_sum_table, which bounds the degree
         with pytest.raises(InvalidInput):
-            symmetric_product(ring_new(11, 2), 9)
+            build_sum_table(11, 2, 9)
 
     def test_evaluation_at_p_recovers_binomial(self):
         # sum_k p^k H_k from the truncated product matches C(2p-1, p-1)
         for p, e in ((11, 5), (13, 5), (97, 5)):
-            ring = ring_new(p, e)
-            series = symmetric_product(ring, min(e + 2, 8))
-            got = series.evaluate(p).value
-            assert got == math.comb(2 * p - 1, p - 1) % ring.modulus
+            m = p**e
+            got = 0
+            for c in reversed(symmetric_coeffs_ints(p, m, min(e + 2, 8))):
+                got = (got * p + c) % m
+            assert got == math.comb(2 * p - 1, p - 1) % m
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97]), st.integers(1, 8), st.integers(1, 8))
+    def test_agrees_with_newton_route(self, p, e, d):
+        m = p**e
+        newton = newton_elementary_ints(inverse_power_sums_ints(p, m, d), d, m, p)
+        assert symmetric_coeffs_ints(p, m, d)[1:] == [newton[k] for k in range(1, d + 1)]

@@ -5,6 +5,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlab.errors import CheckpointCorrupt, InvalidInput, TaskMismatch
 from wlab.modring import batch_inv_ints
@@ -248,7 +250,37 @@ def write_checkpoint(tmp_path, **fields) -> str:
     return str(path)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=12,
+)
+# near-valid checkpoints, so that the semantic checks behind the schema are reached
+NEAR_CHECKPOINTS = st.fixed_dictionaries({
+    "schema_version": st.just(1) | JSON_VALUES,
+    "kind": st.sampled_from(["wolstenholme", "mod_p8"]) | JSON_VALUES,
+    "lo": st.integers(-10, 20000) | JSON_VALUES,
+    "hi": st.integers(-10, 20000) | JSON_VALUES,
+    "last_completed_prime": st.integers(-10, 20000) | JSON_VALUES,
+    "hits": st.lists(st.fixed_dictionaries({"p": st.integers(-10, 20000) | JSON_VALUES,
+                                            "witness": JSON_VALUES})) | JSON_VALUES,
+    "updated_at": st.text() | JSON_VALUES,
+})
+
+
 class TestCheckpointSemantics:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(JSON_VALUES, NEAR_CHECKPOINTS))
+    def test_arbitrary_json_raises_only_checkpoint_corrupt(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("ck") / "ck.json"
+        path.write_text(json.dumps(raw))
+        try:
+            cp = load_checkpoint(str(path))
+        except CheckpointCorrupt:
+            return
+        assert cp.lo - 1 <= cp.last_completed_prime <= cp.hi
+
+
     @pytest.mark.parametrize("last", [15998, 17001])
     def test_last_completed_prime_outside_range(self, tmp_path, last):
         with pytest.raises(CheckpointCorrupt, match="last_completed_prime"):
@@ -362,6 +394,33 @@ class TestKillAndResume:
         after = load_checkpoint(path)
         assert after.last_completed_prime == first
         assert [h["p"] for h in after.hits] == [16843]
+
+    def test_interrupt_with_two_workers(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        task = SearchTask("wolstenholme", 16000, 17500, chunk=40, checkpoint_path=path)
+
+        def bomb(done, total, last):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_search(task, workers=2, progress=bomb)
+        first_chunk = primes_in(16000, 17500)[:40]
+        assert load_checkpoint(path).last_completed_prime == first_chunk[-1]
+
+        resumed = resume(path, workers=2)
+        uninterrupted = run_search(SearchTask("wolstenholme", 16000, 17500, chunk=40))
+        assert [h.p for h in resumed] == [h.p for h in uninterrupted] == [16843]
+
+    def test_workers_below_one_rejected_before_any_work(self, tmp_path):
+        path = tmp_path / "ck.json"
+        with pytest.raises(InvalidInput, match="workers"):
+            run_search(SearchTask("wolstenholme", 24, 28, checkpoint_path=str(path)), workers=0)
+        assert not path.exists()  # an empty range is not even flushed
+        run_search(SearchTask("wolstenholme", 16800, 16900, checkpoint_path=str(path)))
+        seen = []
+        with pytest.raises(InvalidInput, match="workers"):
+            resume(str(path), workers=-3, on_hit=seen.append)  # nothing left to scan
+        assert seen == []
 
     def test_resume_does_not_rescan_completed_prefix(self, tmp_path):
         path = str(tmp_path / "ck.json")

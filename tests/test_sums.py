@@ -5,16 +5,13 @@ from fractions import Fraction
 import pytest
 
 from wlab.errors import InvalidInput, NotInvertible
-from wlab.modring import ring_new
+from wlab.modring import symmetric_coeffs_ints
 from wlab.sums import (
     SumTable,
     build_sum_table,
-    inverse_power_sum,
     inverse_power_sums_ints,
-    newton_symmetric,
-    power_sum,
+    newton_elementary_ints,
     power_sum_int,
-    symmetric_sums,
 )
 
 
@@ -26,23 +23,27 @@ def exact_r(p: int, n: int) -> Fraction:
     return sum(Fraction(1, k**n) for k in range(1, p))
 
 
+def r_sum(p: int, e: int, n: int) -> int:
+    """R_n(p) mod p^e through the batch kernel."""
+    return inverse_power_sums_ints(p, p**e, n)[n]
+
+
 class TestInversePowerSum:
     def test_p5_vanishes_mod_25(self):
-        assert inverse_power_sum(ring_new(5, 2), 1).value == 0
+        assert r_sum(5, 2, 1) == 0
 
     def test_p7_vanishes_mod_49(self):
         # hand inversion table mod 49: 1+25+33+37+10+41 = 147 = 3*49
-        assert inverse_power_sum(ring_new(7, 2), 1).value == 0
+        assert r_sum(7, 2, 1) == 0
 
     def test_p3_squares(self):
-        assert inverse_power_sum(ring_new(3, 1), 2).value == 2
+        assert r_sum(3, 1, 2) == 2
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_against_exact_rationals(self, p, n):
         for e in (1, 3, 5):
-            ring = ring_new(p, e)
-            assert inverse_power_sum(ring, n).value == frac_mod(exact_r(p, n), ring.modulus)
+            assert r_sum(p, e, n) == frac_mod(exact_r(p, n), p**e)
 
     def test_batch_kernel_matches(self):
         sums = inverse_power_sums_ints(13, 13**5, 6)
@@ -52,10 +53,10 @@ class TestInversePowerSum:
 
 class TestPowerSum:
     def test_exponent_multiple_of_p_minus_one(self):
-        assert power_sum(ring_new(5, 1), 4).value == 4  # 354 mod 5
+        assert power_sum_int(5, 1, 4) == 4  # 354 mod 5
 
     def test_linear(self):
-        assert power_sum(ring_new(5, 1), 1).value == 0
+        assert power_sum_int(5, 1, 1) == 0
 
     def test_exact_small(self):
         for p in (5, 7, 11):
@@ -64,40 +65,34 @@ class TestPowerSum:
 
     def test_euler_pairing_with_inverse_sum(self):
         # phi(11^6) - 1-type exponent pairs P_n with R_1
-        ring = ring_new(11, 2)
         n = 11**5 * 10 - 1
-        assert power_sum(ring, n).value == inverse_power_sum(ring, 1).value
+        assert power_sum_int(11, 2, n) == r_sum(11, 2, 1)
 
     def test_huge_exponent(self):
-        ring = ring_new(13, 4)
         n = 13**9 * 12 + 2
-        assert power_sum(ring, n).value == power_sum(ring, 2).value
+        assert power_sum_int(13, 4, n) == power_sum_int(13, 4, 2)
 
 
 class TestSymmetricSums:
     def test_p5_h2_is_35_over_24(self):
-        ring = ring_new(5, 7)
-        h = symmetric_sums(ring, 2)
-        assert h[2].value == frac_mod(Fraction(35, 24), ring.modulus)
+        m = 5**7
+        assert symmetric_coeffs_ints(5, m, 2)[2] == frac_mod(Fraction(35, 24), m)
 
     def test_p3_single_pair(self):
         # only one pair (1, 2), so H_2(3) = 1/2
         for e in (1, 2, 4):
-            ring = ring_new(3, e)
-            h = symmetric_sums(ring, 2)
-            assert h[2].value == frac_mod(Fraction(1, 2), ring.modulus)
+            assert symmetric_coeffs_ints(3, 3**e, 2)[2] == frac_mod(Fraction(1, 2), 3**e)
 
     def test_h1_is_r1(self):
         for p in (11, 31, 97):
-            ring = ring_new(p, 4)
-            assert symmetric_sums(ring, 1)[1] == inverse_power_sum(ring, 1)
+            assert symmetric_coeffs_ints(p, p**4, 1)[1] == r_sum(p, 4, 1)
 
     def test_exact_elementary_sums_p7(self):
         # brute-force elementary symmetric sums of {1, 1/2, ..., 1/6}
         from itertools import combinations
 
-        ring = ring_new(7, 5)
-        h = symmetric_sums(ring, 4)
+        m = 7**5
+        h = symmetric_coeffs_ints(7, m, 4)
         invs = [Fraction(1, k) for k in range(1, 7)]
         for k in range(1, 5):
             exact = Fraction(0)
@@ -106,36 +101,31 @@ class TestSymmetricSums:
                 for f in combo:
                     term *= f
                 exact += term
-            assert h[k].value == frac_mod(exact, ring.modulus)
+            assert h[k] == frac_mod(exact, m)
 
 
 class TestNewtonSymmetric:
     @pytest.mark.parametrize("p", [11, 13, 101])
     def test_agrees_with_product_route(self, p):
-        ring = ring_new(p, 7)
-        r = {n: inverse_power_sum(ring, n) for n in range(1, 7)}
-        newton = newton_symmetric(r, 6)
-        product = symmetric_sums(ring, 6)
-        assert newton == product
+        m = p**7
+        newton = newton_elementary_ints(inverse_power_sums_ints(p, m, 6), 6, m, p)
+        product = symmetric_coeffs_ints(p, m, 6)
+        assert newton == {k: product[k] for k in range(1, 7)}
 
     def test_k1_is_r1(self):
-        ring = ring_new(11, 3)
-        r = {1: inverse_power_sum(ring, 1)}
-        assert newton_symmetric(r, 1)[1] == r[1]
+        r = inverse_power_sums_ints(11, 11**3, 1)
+        assert newton_elementary_ints(r, 1, 11**3, 11)[1] == r[1]
 
     def test_k2_shuffle(self):
-        ring = ring_new(13, 5)
-        r = {n: inverse_power_sum(ring, n) for n in (1, 2)}
-        h2 = newton_symmetric(r, 2)[2]
-        m = ring.modulus
-        expected = (r[1].value ** 2 - r[2].value) * pow(2, -1, m) % m
-        assert h2.value == expected
+        m = 13**5
+        r = inverse_power_sums_ints(13, m, 2)
+        h2 = newton_elementary_ints(r, 2, m, 13)[2]
+        assert h2 == (r[1] ** 2 - r[2]) * pow(2, -1, m) % m
 
     def test_small_p_rejected(self):
-        ring = ring_new(5, 2)
-        r = {n: inverse_power_sum(ring, n) for n in range(1, 7)}
+        r = inverse_power_sums_ints(5, 25, 6)
         with pytest.raises(NotInvertible):
-            newton_symmetric(r, 6)
+            newton_elementary_ints(r, 6, 25, 5)
 
 
 class TestSumTable:
