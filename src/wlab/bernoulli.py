@@ -264,33 +264,6 @@ def bernoulli_mod_small(n: int, p: int, r: int) -> BernoulliResidue:
     return BernoulliResidue(index=n, p=p, r=r, value=val)
 
 
-def bernoulli_mod_small_two_term(n: int, p: int, r: int) -> BernoulliResidue:
-    """Cross-check path: B_n mod p^r from the two-term expansion
-    P_n = p*B_n + p^3/6 * n(n-1) * B_{n-2} (valid mod p^5), r <= 3."""
-    if not 1 <= r <= 3:
-        raise PrecisionUnderflow("two-term cross-check path supports r <= 3")
-    if p < 11 or not is_prime(p):
-        raise InvalidInput("extraction requires a prime p >= 11")
-    if n < 4 or n % 2:
-        raise InvalidInput("index must be even and >= 4")
-    if n % (p - 1) == 0:
-        raise KummerInapplicable(f"B_{n} is not p-integral for p={p}")
-    w = r + 1
-    m = p**w
-    total = power_sum_int(p, w, n)
-    if r >= 3 and (n - 2) % (p - 1) != 0:
-        b2 = _extract(n - 2, p, r - 2, {})
-        coef = n % m * ((n - 1) % m) % m * inv_int(6, m) % m
-        total = (total - coef * pow(p, 3, m) % m * b2) % m
-    elif (n - 2) % (p - 1) == 0:
-        t = _extract_times_p(n - 2, p, r - 1, {})
-        coef = n % m * ((n - 1) % m) % m * inv_int(6, m) % m
-        total = (total - coef * pow(p, 2, m) % m * t) % m
-    if total % p:
-        raise InternalInconsistency(f"P_n not divisible by p at n={n}, p={p}")
-    return BernoulliResidue(index=n, p=p, r=r, value=(total // p) % p**r)
-
-
 def bernoulli_mod(
     index: int, p: int, r: int, *, use_exact_oracle: bool = True
 ) -> BernoulliResidue:

@@ -5,7 +5,12 @@ applicability test and a ``sides`` function giving two independently
 computed sides.  run_suite walks the rows in a fixed order and judges each
 in Z/p^w at the working exponent w = required + 1, so every report can tell
 "holds exactly at the required level" apart from "holds one level higher".
-A per-prime CheckContext caches the sums and products the rows share.
+A per-prime CheckContext caches the sums and products the rows share.  For
+p >= 11 it fills them from ``sums.half_range_moments``: one pass over
+k <= (p-1)/2 gives C(2p-1, p-1) and the moments S_1, S_2, enough for the
+binomial, R_1, R_2 and H_2; a row that reads R_3 or beyond costs one more pass
+for S_1..S_7, and each R_n follows from the S_j by Dickson's identity.  No row
+reads above w = 8, so run_suite builds its context at p^8.
 
 The two routes to the central binomial coefficient:
 
@@ -26,7 +31,11 @@ from . import bernoulli as bn
 from .errors import CapExceeded, InternalInconsistency, InvalidInput, UnknownCheckName
 from .modring import Residue, inv_int, is_prime, range_inverses, residual_valuation, ring_new
 from .report import CongruenceReport, make_report, not_applicable
-from .sums import inverse_power_sums_ints, newton_elementary_ints
+from .sums import half_range_moments, inverse_power_sum_from_moments, inverse_power_sums_ints, newton_elementary_ints
+
+# The benchmark's traced spans (bench/child.py SPANS) patch range_inverses and
+# inverse_power_sums_ints in this namespace.  No check calls them any more;
+# they stay importable here so those spans install and count 0 calls.
 
 BINOM_ORACLE_CAP = 10**4
 
@@ -71,7 +80,8 @@ class CheckContext:
         self.w_max = w_max
         self.m = p**w_max
         self.exact = p < 11
-        self._binom: int | None = None
+        self._binom = 0
+        self._s: list[int] = []
         self._r: dict[int, int] = {}
         self._h: dict[int, int] = {}
         self._fr_r: dict[int, Fraction] = {}
@@ -79,37 +89,25 @@ class CheckContext:
 
     # -- modular core ------------------------------------------------------
 
-    def _ensure_core(self) -> None:
-        if self._binom is not None or self.exact:
+    def _ensure_s(self, j: int) -> None:
+        """The binomial and S_1..S_j from one half-range pass.  The first
+        pass takes S_1, S_2 (all that binom, R_1, R_2 and H_2 need); a
+        request beyond that takes every moment R_1..R_7 need in one more."""
+        if len(self._s) > j:
             return
-        p, m = self.p, self.m
-        invs = range_inverses(p, m)
-        acc = 1
-        r1 = r2 = r3 = 0
-        for k in range(1, p):
-            v = invs[k]
-            acc = acc * (1 + p * v) % m
-            v2 = v * v % m
-            r1 += v
-            r2 += v2
-            r3 += v2 * v % m
-        self._binom = acc
-        self._r[1] = r1 % m
-        self._r[2] = r2 % m
-        self._r[3] = r3 % m
+        j_max = 2 if j <= 2 else max(j, 7)
+        self._binom, self._s = half_range_moments(self.p, self.m, j_max)
 
     def _ensure_r(self, n_max: int) -> None:
-        if self.exact or all(n in self._r for n in range(1, n_max + 1)):
-            return
-        self._ensure_core()
-        if n_max <= 3:
-            return
-        self._r.update(inverse_power_sums_ints(self.p, self.m, n_max))
+        self._ensure_s(n_max)
+        for n in range(1, n_max + 1):
+            if n not in self._r:
+                self._r[n] = inverse_power_sum_from_moments(self._s, self.p, self.m, n)
 
     def _ensure_h(self, k_max: int) -> None:
-        if self.exact or all(k in self._h for k in range(1, k_max + 1)):
+        if all(k in self._h for k in range(1, k_max + 1)):
             return
-        self._ensure_r(max(k_max, 3))
+        self._ensure_r(k_max)
         self._h = newton_elementary_ints(self._r, k_max, self.m, self.p)
 
     # -- exact-rational path for tiny primes --------------------------------
@@ -142,7 +140,7 @@ class CheckContext:
         mw = self._check_w(w)
         if self.exact:
             return math.comb(2 * self.p - 1, self.p - 1) % mw
-        self._ensure_core()
+        self._ensure_s(2)
         return self._binom % mw
 
     def R(self, n: int, w: int) -> int:
@@ -157,7 +155,7 @@ class CheckContext:
         if self.exact:
             return bn.fraction_mod(self._frac_h(k), mw)
         if k == 2 and 2 not in self._h:
-            self._ensure_core()
+            self._ensure_r(2)
             r1, r2 = self._r[1], self._r[2]
             return (r1 * r1 - r2) * inv_int(2, self.m) % self.m % mw
         self._ensure_h(k)
@@ -380,7 +378,7 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
     """
     names = expand_selection(selection)
     if ctx is None:
-        ctx = CheckContext(p, 9)
+        ctx = CheckContext(p)
     out = []
     for name in names:
         d = REGISTRY[name]

@@ -9,11 +9,13 @@ Two search kinds:
   a hit is exactly S(p) = 0.  That is p/6 steps mod p per prime.  At p = 5
   the range is empty and 15 = 0 mod 5, so 5 is excluded explicitly (it is
   not a Wolstenholme prime).  Every filter hit is re-verified at full
-  precision, through v_p(R_1) from the half-range sum
-  T = sum_{k <= (p-1)/2} 1/(k(p-k)) mod p^3 (R_1 = p*T exactly) and
+  precision, through v_p(R_1) from the half-range moment
+  S_1 = sum_{k <= (p-1)/2} 1/(k(p-k)) mod p^3 (R_1 = p*S_1 exactly) and
   against the binomial product.
 * ``mod_p8``: primes whose central-binomial congruence residual reaches
-  exponent 8 (one above the proven level).
+  exponent 8 (one above the proven level).  Each prime costs one pass of
+  ``sums.half_range_moments`` over (p-1)/2 terms mod p^9, which gives
+  C(2p-1, p-1) and the moments S_1, S_2 that R_1 and H_2 are built from.
 
 Scans are embarrassingly parallel over primes; a coordinator merges chunk
 results in ascending order and checkpoints after each completed chunk, so
@@ -35,7 +37,8 @@ from typing import Callable, Iterator, Sequence
 
 from .congruence import CheckContext, binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch
-from .modring import inv_int, is_prime, residual_valuation
+from .modring import is_prime, residual_valuation
+from .sums import half_range_moments
 
 SCHEMA_VERSION = 1
 KIND_MIN = {"wolstenholme": 5, "mod_p8": 7}
@@ -83,20 +86,6 @@ def primes_in(lo: int, hi: int, segment: int = 1 << 17) -> list[int]:
     return out
 
 
-def _half_sum_parts(p: int, m: int) -> tuple[int, int]:
-    """Running numerator/denominator of T = sum 1/(k(p-k)), k=1..(p-1)/2, mod m.
-
-    R_1(p) = p*T exactly, and the denominator is a unit mod p, so
-    divisibility of T by powers of p can be read off the numerator alone.
-    """
-    num, den = 0, 1
-    for k in range(1, (p - 1) // 2 + 1):
-        a = k * (p - k)
-        num = (num * a + den) % m
-        den = den * a % m
-    return num, den
-
-
 def lehmer_cube_sum(p: int) -> int:
     """S(p) = sum_{k <= p/6} 1/k^3 mod p, as a running fraction.
 
@@ -112,11 +101,6 @@ def lehmer_cube_sum(p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
-def _half_sum(p: int, m: int) -> int:
-    num, den = _half_sum_parts(p, m)
-    return num * inv_int(den, m) % m
-
-
 # ---------------------------------------------------------------------------
 # indicators
 # ---------------------------------------------------------------------------
@@ -125,8 +109,8 @@ def wolstenholme_indicator(p: int) -> int:
     """v_p(R_1(p)) seen in Z/p^4, saturated at 4; a hit means >= 3."""
     if p < 5:
         raise InvalidInput("requires p >= 5")
-    t = _half_sum(p, p**3)
-    return 1 + residual_valuation(t, p, 3)
+    _, s = half_range_moments(p, p**3, 1)
+    return 1 + residual_valuation(s[1], p, 3)
 
 
 def mod_p8_indicator(p: int) -> int:

@@ -4,10 +4,18 @@ R_n(p) = sum of 1/k^n over k=1..p-1, H_k(p) = k-th elementary symmetric sum
 of the inverses, both taken in Z/p^e.  H_1 = R_1 by convention.  Two
 independent routes to H are provided (truncated-product coefficients and
 Newton's identities from the R_n) and cross-checked when tables are built.
+
+The fast path pairs k with p-k.  With u_k = 1/(k(p-k)), 1/k + 1/(p-k) = p*u_k
+and 1/k * 1/(p-k) = u_k, so every R_n is a polynomial in the half-range
+moments S_j = sum of u_k^j over k=1..(p-1)/2 (``half_range_moments``,
+``inverse_power_sum_from_moments``), and (1 + p/k)(1 + p/(p-k)) = 1 + 2p^2*u_k
+puts C(2p-1, p-1) on the same (p-1)/2 terms.  ``inverse_power_sums_ints``
+walks all p-1 terms and stays as the slow oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,6 +38,77 @@ def inverse_power_sums_ints(p: int, m: int, n_max: int) -> dict[int, int]:
             w = w * v % m
             sums[n] += w
     return {n: sums[n] % m for n in range(1, n_max + 1)}
+
+
+def half_range_moments(p: int, m: int, j_max: int) -> tuple[int, list[int]]:
+    """C(2p-1, p-1) and S_1..S_{j_max} mod m from one pass over k <= (p-1)/2.
+
+    m is a power of the odd prime p.  The binomial is
+    prod (k(p-k) + 2p^2) / prod k(p-k); for j_max >= 2 the prefix products of
+    the denominator are kept, so its single inversion also yields every
+    u_k = 1/(k(p-k)) on the way back down.  Returns (binom, s) with s[j] = S_j
+    and s[0] unused.
+    """
+    if j_max < 1:
+        raise InvalidInput("j_max must be >= 1")
+    h = (p - 1) // 2
+    two_p2 = 2 * p * p
+    den = num = 1
+    if j_max == 1:
+        # S_1 alone needs no table: a running fraction over the same denominator
+        s1 = 0
+        for k in range(1, h + 1):
+            a = k * (p - k)
+            s1 = (s1 * a + den) % m
+            den = den * a % m
+            num = num * (a + two_p2) % m
+        inv = inv_int(den, m)
+        return num * inv % m, [0, s1 * inv % m]
+    prefix = [0] * (h + 1)
+    for k in range(1, h + 1):
+        a = k * (p - k)
+        prefix[k] = den
+        den = den * a % m
+        num = num * (a + two_p2) % m
+    inv = inv_int(den, m)
+    binom = num * inv % m
+    if j_max == 2:
+        # the mod-p^8 scan's loop: the inner power loop below costs about a
+        # quarter more when only S_1 and S_2 are wanted
+        s1 = s2 = 0
+        for k in range(h, 0, -1):
+            u = prefix[k] * inv % m
+            inv = inv * (k * (p - k)) % m
+            s1 += u
+            s2 += u * u
+        s = [0, s1, s2]
+    else:
+        s = [0] * (j_max + 1)
+        powers = range(2, j_max + 1)
+        for k in range(h, 0, -1):
+            u = prefix[k] * inv % m
+            inv = inv * (k * (p - k)) % m
+            s[1] += u
+            w = u
+            for j in powers:
+                w = w * u % m
+                s[j] += w
+    return binom, [v % m for v in s]
+
+
+def inverse_power_sum_from_moments(s: list[int], p: int, m: int, n: int) -> int:
+    """R_n mod m from the half-range moments, by Dickson's identity
+
+        R_n = sum_i (-1)^i * n/(n-i) * C(n-i, i) * p^(n-2i) * S_(n-i),  i <= n/2,
+
+    so R_1 = p*S_1, R_2 = p^2*S_2 - 2*S_1, R_3 = p^3*S_3 - 3p*S_2.  Needs
+    s[1..n]; every coefficient is an integer, so nothing is divided mod m.
+    """
+    total = 0
+    for i in range(n // 2 + 1):
+        term = n * math.comb(n - i, i) // (n - i) * p ** (n - 2 * i) * s[n - i]
+        total += -term if i % 2 else term
+    return total % m
 
 
 def power_sum_int(p: int, e: int, n: int) -> int:

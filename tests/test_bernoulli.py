@@ -7,9 +7,10 @@ import pytest
 
 from wlab.bernoulli import (
     DEFAULT_EXACT_CAP,
+    _extract,
+    _extract_times_p,
     bernoulli_mod,
     bernoulli_mod_small,
-    bernoulli_mod_small_two_term,
     exact_bernoulli,
     fraction_mod,
     kummer_alternating_check,
@@ -25,6 +26,22 @@ from wlab.errors import (
 )
 from wlab.modring import inv_int
 from wlab.search import primes_in
+from wlab.sums import power_sum_int
+
+
+def bernoulli_mod_small_two_term(n: int, p: int, r: int) -> int:
+    """Cross-check oracle: B_n mod p^r (r <= 3, even n >= 4, p >= 11) from the
+    two-term expansion P_n = p*B_n + p^3/6 * n(n-1) * B_{n-2} (valid mod p^5)."""
+    m = p ** (r + 1)
+    total = power_sum_int(p, r + 1, n)
+    coef = n * (n - 1) * inv_int(6, m) % m
+    if (n - 2) % (p - 1) == 0:
+        total -= coef * p * p * _extract_times_p(n - 2, p, r - 1, {})
+    elif r >= 3:
+        total -= coef * p**3 * _extract(n - 2, p, r - 2, {})
+    total %= m
+    assert total % p == 0, (n, p)
+    return total // p % p**r
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +155,7 @@ class TestExtraction:
                     continue
                 for r in (1, 2, 3):
                     assert (
-                        bernoulli_mod_small_two_term(n, p, r).value
+                        bernoulli_mod_small_two_term(n, p, r)
                         == bernoulli_mod_small(n, p, r).value
                     ), (p, n, r)
 

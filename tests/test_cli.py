@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wlab.cli import main, parse_index_expr
 from wlab.errors import WlabError
@@ -28,6 +30,28 @@ class TestIndexExpr:
         for bad in ("p**3", "3p", "q-3", "p^", ""):
             with pytest.raises(WlabError):
                 parse_index_expr(bad, 11)
+
+    # a term is an integer, "p" (exponent None) or "p^k"
+    _terms = st.lists(st.tuples(
+        st.sampled_from(["+", "-"]),
+        st.one_of(st.integers(0, 10**30), st.none(), st.integers(0, 12).map(lambda k: ("p", k))),
+        st.sampled_from(["", " ", "  "]),
+    ), min_size=1, max_size=8)
+
+    @given(p=st.sampled_from([3, 11, 13, 16843, 2124679]), terms=_terms, lead_sign=st.booleans())
+    def test_round_trip(self, p, terms, lead_sign):
+        parts, want = [], 0
+        for i, (sign, term, pad) in enumerate(terms):
+            if term is None:
+                text, value = "p", p
+            elif isinstance(term, tuple):
+                text, value = f"p^{term[1]}", p ** term[1]
+            else:
+                text, value = str(term), term
+            shown = sign if i or lead_sign or sign == "-" else ""
+            parts.append(f"{shown}{pad}{text}{pad}")
+            want += -value if sign == "-" else value
+        assert parse_index_expr("".join(parts), p) == want
 
 
 class TestVerify:

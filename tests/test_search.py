@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlab.congruence import binom_central_int
 from wlab.errors import CheckpointCorrupt, InvalidInput, TaskMismatch
-from wlab.modring import batch_inv_ints
+from wlab.modring import batch_inv_ints, residual_valuation
 from wlab.search import (
     Checkpoint,
     SearchTask,
-    _half_sum_parts,
     lehmer_cube_sum,
     load_checkpoint,
     mod_p8_indicator,
@@ -23,6 +23,7 @@ from wlab.search import (
     save_checkpoint,
     wolstenholme_indicator,
 )
+from wlab.sums import half_range_moments, inverse_power_sums_ints, newton_elementary_ints
 
 
 EXTENDED = os.environ.get("WLAB_EXTENDED") == "1"
@@ -115,6 +116,23 @@ class TestIndicators:
             assert harmonic_hit == binom_hit, p
 
 
+def slow_mod_p8_residual(p: int) -> int:
+    """Residual valuation of C(2p-1, p-1) - (1 - 2p*H_1 + 4p^2*H_2) in Z/p^9,
+    from the full-range oracles: the binomial product, R_1 and R_2 over all
+    p-1 terms, and H_2 by Newton's identities."""
+    m = p**9
+    r = inverse_power_sums_ints(p, m, 2)
+    h2 = newton_elementary_ints(r, 2, m, p)[2]
+    return residual_valuation(binom_central_int(p, m) - (1 - 2 * p * r[1] + 4 * p * p * h2), p, 9)
+
+
+class TestModP8Differential:
+    def test_every_prime_7_to_6000(self):
+        # covers the benchmark's mod-p8 window near 5000
+        for p in primes_in(7, 6000):
+            assert mod_p8_indicator(p) == slow_mod_p8_residual(p), p
+
+
 def assert_lehmer_matches_oracles(lo: int, hi: int) -> None:
     """At every prime in [lo, hi]: S(p) = 15 * (half-range cube sum) mod p,
     and S(p) = 0 exactly where the half-range filter mod p^2 fires."""
@@ -122,7 +140,7 @@ def assert_lehmer_matches_oracles(lo: int, hi: int) -> None:
         half = sum(x * x * x for x in batch_inv_ints(range(1, (p - 1) // 2 + 1), p, p)) % p
         s = lehmer_cube_sum(p)
         assert s == 15 * half % p, p
-        assert (s == 0) == (_half_sum_parts(p, p * p)[0] == 0), p
+        assert (s == 0) == (half_range_moments(p, p * p, 1)[1][1] == 0), p
 
 
 class TestLehmerFilter:

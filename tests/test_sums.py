@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from wlab.congruence import binom_central_int
 from wlab.errors import InvalidInput, NotInvertible
 from wlab.modring import symmetric_coeffs_ints
+from wlab.search import primes_in
 from wlab.sums import (
     SumTable,
     build_sum_table,
+    half_range_moments,
+    inverse_power_sum_from_moments,
     inverse_power_sums_ints,
     newton_elementary_ints,
     power_sum_int,
@@ -49,6 +53,36 @@ class TestInversePowerSum:
         sums = inverse_power_sums_ints(13, 13**5, 6)
         for n in range(1, 7):
             assert sums[n] == frac_mod(exact_r(13, n), 13**5)
+
+
+class TestHalfRangeMoments:
+    def test_moments_against_exact_rationals(self):
+        p, e = 13, 4
+        _, s = half_range_moments(p, p**e, 4)
+        for j in range(1, 5):
+            exact = sum(Fraction(1, (k * (p - k)) ** j) for k in range(1, (p - 1) // 2 + 1))
+            assert s[j] == frac_mod(exact, p**e), j
+
+    def test_short_loops_match_general_loop(self):
+        for p in (3, 5, 7, 11, 101, 16843):
+            m = p**9
+            binom, s = half_range_moments(p, m, 7)
+            assert half_range_moments(p, m, 2) == (binom, s[:3])
+            assert half_range_moments(p, m, 1) == (binom, s[:2])
+
+    def test_j_max_validated(self):
+        with pytest.raises(InvalidInput):
+            half_range_moments(11, 11**3, 0)
+
+    def test_differential_every_prime_11_to_3000(self):
+        # binom and R_1..R_7 mod p^9 against the full-range oracles, at every prime
+        for p in primes_in(11, 3000):
+            m = p**9
+            binom, s = half_range_moments(p, m, 7)
+            assert binom == binom_central_int(p, m), p
+            r = inverse_power_sums_ints(p, m, 7)
+            for n in range(1, 8):
+                assert inverse_power_sum_from_moments(s, p, m, n) == r[n], (p, n)
 
 
 class TestPowerSum:
