@@ -6,8 +6,6 @@ searches (Wolstenholme primes; residuals reaching exponent 8).
 """
 
 from .bernoulli import (
-    BernoulliResidue,
-    ExactBernoulli,
     bernoulli_mod,
     bernoulli_mod_small,
     exact_bernoulli,
@@ -17,13 +15,12 @@ from .bernoulli import (
 )
 from .congruence import (
     CheckContext,
-    binom_central,
-    binom_exact_oracle,
+    binom_central_int,
     check_theorem_main,
     registry_names,
     run_suite,
 )
-from .modring import PrimePowerRing, Residue, inv, is_prime, ring_new
+from .modring import is_prime
 from .report import CongruenceReport
 from .search import (
     Checkpoint,
@@ -35,6 +32,6 @@ from .search import (
     run_search,
     wolstenholme_indicator,
 )
-from .sums import SumTable, build_sum_table
+from .sums import half_range_moments
 
 __version__ = "0.1.0"

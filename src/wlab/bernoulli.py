@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -42,21 +41,6 @@ from .report import CongruenceReport, make_report
 from .sums import power_sum_int
 
 DEFAULT_EXACT_CAP = 2000
-
-
-@dataclass(frozen=True)
-class ExactBernoulli:
-    index: int
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class BernoulliResidue:
-    index: int
-    p: int
-    r: int
-    value: int
-
 
 # ---------------------------------------------------------------------------
 # exact values via tangent numbers
@@ -110,13 +94,13 @@ def _bern(n: int) -> Fraction:
     return _bern_cache[n]
 
 
-def exact_bernoulli(n: int, cap: int = DEFAULT_EXACT_CAP) -> ExactBernoulli:
+def exact_bernoulli(n: int, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
     """Exact rational B_n; memoized; indices above the cap are refused."""
     if n < 0:
         raise InvalidInput("index must be non-negative")
     if n > cap:
         raise CapExceeded(f"index {n} above exact cap {cap}")
-    return ExactBernoulli(index=n, value=_bern(n))
+    return _bern(n)
 
 
 def vsc_denominator(n: int) -> int:
@@ -238,7 +222,7 @@ def _tail_terms(n: int, p: int, w: int, m: int, memo: dict) -> int:
     return total
 
 
-def bernoulli_mod_small(n: int, p: int, r: int) -> BernoulliResidue:
+def bernoulli_mod_small(n: int, p: int, r: int) -> int:
     """B_n mod p^r extracted from power sums; p >= 11, r <= 5.
 
     Whenever n is within the exact cap the result is verified against the
@@ -261,12 +245,10 @@ def bernoulli_mod_small(n: int, p: int, r: int) -> BernoulliResidue:
             raise InternalInconsistency(
                 f"extraction B_{n} mod {p}^{r} = {val}, exact oracle gives {expected}"
             )
-    return BernoulliResidue(index=n, p=p, r=r, value=val)
+    return val
 
 
-def bernoulli_mod(
-    index: int, p: int, r: int, *, use_exact_oracle: bool = True
-) -> BernoulliResidue:
+def bernoulli_mod(index: int, p: int, r: int, *, use_exact_oracle: bool = True) -> int:
     """B_index mod p^r for an arbitrarily large even index.
 
     Reduces the index to a representative n, extracts B_n mod p^r, then
@@ -284,24 +266,23 @@ def bernoulli_mod(
         raise IndexDivisible(f"index = 0 mod (p-1) for p={p}")
     mr = p**r
     if use_exact_oracle and index <= DEFAULT_EXACT_CAP:
-        return BernoulliResidue(index=index, p=p, r=r, value=fraction_mod(_bern(index), mr))
+        return fraction_mod(_bern(index), mr)
     n = kummer_reduce(index, p, r)
     if use_exact_oracle and n <= DEFAULT_EXACT_CAP:
         bn = fraction_mod(_bern(n), mr)
     elif r <= 5 and p >= 11:
-        bn = bernoulli_mod_small(n, p, r).value
+        bn = bernoulli_mod_small(n, p, r)
     else:
         raise KummerInapplicable(
             f"modular extraction needs p >= 11 and r <= 5 (got p={p}, r={r})"
         )
     if n == index:
-        return BernoulliResidue(index=index, p=p, r=r, value=bn)
+        return bn
     if n % p == 0:
         raise KummerInapplicable(
             f"representative {n} shares a factor with p={p}; cannot rescale"
         )
-    value = index % mr * inv_int(n % mr, mr) % mr * bn % mr
-    return BernoulliResidue(index=index, p=p, r=r, value=value)
+    return index % mr * inv_int(n % mr, mr) % mr * bn % mr
 
 
 # ---------------------------------------------------------------------------

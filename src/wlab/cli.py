@@ -1,7 +1,8 @@
 """Command-line front end: verify, search, bernoulli, report.
 
-Exit codes: 0 success, 1 usage or runtime error, 2 at least one violated
-congruence (a mathematical event worth a loud failure), 130 on Ctrl-C.
+Exit codes: 0 success, 1 usage or runtime error (a reader that closes the
+output pipe early included), 2 at least one violated congruence (a
+mathematical event worth a loud failure), 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def cmd_bernoulli(args) -> int:
     elif index % 2 == 1:
         value = 0
     else:
-        value = bernoulli_mod(index, p, args.prec).value
+        value = bernoulli_mod(index, p, args.prec)
     print(value)
     return 0
 
@@ -289,15 +290,30 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "search":
-            return cmd_search(args)
-        if args.command == "bernoulli":
-            return cmd_bernoulli(args)
-        return cmd_report(args)
+            code = cmd_verify(args)
+        elif args.command == "search":
+            code = cmd_search(args)
+        elif args.command == "bernoulli":
+            code = cmd_bernoulli(args)
+        else:
+            code = cmd_report(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # The reader is gone (`wlab ... | head`); a search has already flushed
+        # its checkpoint.  Point fd 1 at /dev/null so the interpreter's own
+        # flush of what is still buffered cannot raise again at exit.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return 1  # stdout has no file descriptor (replaced in-process)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except WlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,18 +5,18 @@ applicability test and a ``sides`` function giving two independently
 computed sides.  run_suite walks the rows in a fixed order and judges each
 in Z/p^w at the working exponent w = required + 1, so every report can tell
 "holds exactly at the required level" apart from "holds one level higher".
-A per-prime CheckContext caches the sums and products the rows share.  For
-p >= 11 it fills them from ``sums.half_range_moments``: one pass over
-k <= (p-1)/2 gives C(2p-1, p-1) and the moments S_1, S_2, enough for the
-binomial, R_1, R_2 and H_2; a row that reads R_3 or beyond costs one more pass
-for S_1..S_7, and each R_n follows from the S_j by Dickson's identity.  No row
-reads above w = 8, so run_suite builds its context at p^8.
+A per-prime CheckContext caches the sums and products the rows share, as
+plain ints mod p^w_max, for every odd prime.  It fills them from
+``sums.half_range_moments``: one pass over k <= (p-1)/2 gives C(2p-1, p-1)
+and the moments S_1, S_2, enough for the binomial, R_1, R_2 and H_2; a row
+that reads R_3 or beyond costs one more pass for S_1..S_7, and each R_n
+follows from the S_j by Dickson's identity.  H_k follows from the R_n by
+Newton's identities.  No row reads above w = 8, so run_suite builds its
+context at p^8.
 
-The two routes to the central binomial coefficient:
-
-* ``binom_central``: the unit product (1 + p/1)(1 + p/2)...(1 + p/(p-1))
-  taken in Z/p^e with one deferred inversion, O(p) multiplications;
-* ``binom_exact_oracle``: the exact integer binomial, reduced.
+``binom_central_int`` (the unit product (1 + p/1)...(1 + p/(p-1)) over all
+p-1 terms, one deferred inversion) is the full-range route to the binomial
+that the search re-verifies hits with and the tests compare the kernel to.
 """
 
 from __future__ import annotations
@@ -28,16 +28,14 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import bernoulli as bn
-from .errors import CapExceeded, InternalInconsistency, InvalidInput, UnknownCheckName
-from .modring import Residue, inv_int, is_prime, range_inverses, residual_valuation, ring_new
+from .errors import InternalInconsistency, InvalidInput, UnknownCheckName
+from .modring import inv_int, is_prime, range_inverses, residual_valuation
 from .report import CongruenceReport, make_report, not_applicable
 from .sums import half_range_moments, inverse_power_sum_from_moments, inverse_power_sums_ints, newton_elementary_ints
 
 # The benchmark's traced spans (bench/child.py SPANS) patch range_inverses and
 # inverse_power_sums_ints in this namespace.  No check calls them any more;
 # they stay importable here so those spans install and count 0 calls.
-
-BINOM_ORACLE_CAP = 10**4
 
 
 def binom_central_int(p: int, m: int) -> int:
@@ -51,26 +49,14 @@ def binom_central_int(p: int, m: int) -> int:
     return num * inv_int(den, m) % m
 
 
-def binom_central(p: int, e: int) -> Residue:
-    """C(2p-1, p-1) mod p^e via the unit product; O(p) time."""
-    ring = ring_new(p, e)
-    return ring.residue(binom_central_int(p, ring.modulus))
-
-
-def binom_exact_oracle(p: int, e: int, cap: int = BINOM_ORACLE_CAP) -> Residue:
-    """C(2p-1, p-1) as an exact big integer, reduced mod p^e."""
-    if p > cap:
-        raise CapExceeded(f"p={p} above oracle cap {cap}")
-    ring = ring_new(p, e)
-    return ring.residue(math.comb(2 * p - 1, p - 1))
-
-
 class CheckContext:
     """Per-prime cache of the sums and products the checks share.
 
-    For p >= 11 everything is computed modularly at a single ceiling
-    exponent and reduced per check.  For p < 11 the harmonic quantities are
-    exact rationals (no division hazards at tiny primes), reduced on demand.
+    Everything is computed once, mod p^w_max, from the half-range kernel and
+    reduced to p^w per check; asking for w above w_max raises.  The same path
+    serves every odd prime: the binomial and the R_n are p-integral at any p,
+    and Newton's identities divide by 1..k_max, so H_3..H_6 need p >= 7 (no
+    row reads them below p = 11).
     """
 
     def __init__(self, p: int, w_max: int = 8):
@@ -79,15 +65,10 @@ class CheckContext:
         self.p = p
         self.w_max = w_max
         self.m = p**w_max
-        self.exact = p < 11
         self._binom = 0
         self._s: list[int] = []
         self._r: dict[int, int] = {}
         self._h: dict[int, int] = {}
-        self._fr_r: dict[int, Fraction] = {}
-        self._fr_h: dict[int, Fraction] = {}
-
-    # -- modular core ------------------------------------------------------
 
     def _ensure_s(self, j: int) -> None:
         """The binomial and S_1..S_j from one half-range pass.  The first
@@ -104,60 +85,33 @@ class CheckContext:
             if n not in self._r:
                 self._r[n] = inverse_power_sum_from_moments(self._s, self.p, self.m, n)
 
-    def _ensure_h(self, k_max: int) -> None:
-        if all(k in self._h for k in range(1, k_max + 1)):
+    def _ensure_h(self, k: int) -> None:
+        """H_1..H_k by Newton's identities, in the same two steps as the
+        moments: H_1, H_2 first (the main congruence's), then every H a row
+        reads, H_1..H_6, in one more run."""
+        if k in self._h:
             return
+        k_max = 2 if k <= 2 else max(k, 6)
         self._ensure_r(k_max)
         self._h = newton_elementary_ints(self._r, k_max, self.m, self.p)
 
-    # -- exact-rational path for tiny primes --------------------------------
-
-    def _frac_r(self, n: int) -> Fraction:
-        if n not in self._fr_r:
-            self._fr_r[n] = sum(Fraction(1, k**n) for k in range(1, self.p))
-        return self._fr_r[n]
-
-    def _frac_h(self, k: int) -> Fraction:
-        if not self._fr_h:
-            coeffs = [Fraction(1)]
-            for i in range(1, self.p):
-                nxt = coeffs + [Fraction(0)]
-                for j in range(len(coeffs), 0, -1):
-                    nxt[j] += coeffs[j - 1] / i
-                coeffs = nxt
-            for j, c in enumerate(coeffs):
-                self._fr_h[j] = c
-        return self._fr_h.get(k, Fraction(0))
-
-    # -- accessors -----------------------------------------------------------
-
     def _check_w(self, w: int) -> int:
-        if not self.exact and w > self.w_max:
+        if w > self.w_max:
             raise InvalidInput(f"context built at exponent {self.w_max}, asked for {w}")
         return self.p**w
 
     def binom(self, w: int) -> int:
         mw = self._check_w(w)
-        if self.exact:
-            return math.comb(2 * self.p - 1, self.p - 1) % mw
         self._ensure_s(2)
         return self._binom % mw
 
     def R(self, n: int, w: int) -> int:
         mw = self._check_w(w)
-        if self.exact:
-            return bn.fraction_mod(self._frac_r(n), mw)
         self._ensure_r(n)
         return self._r[n] % mw
 
     def H(self, k: int, w: int) -> int:
         mw = self._check_w(w)
-        if self.exact:
-            return bn.fraction_mod(self._frac_h(k), mw)
-        if k == 2 and 2 not in self._h:
-            self._ensure_r(2)
-            r1, r2 = self._r[1], self._r[2]
-            return (r1 * r1 - r2) * inv_int(2, self.m) % self.m % mw
         self._ensure_h(k)
         return self._h[k] % mw
 
@@ -181,7 +135,10 @@ def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> C
         ctx = CheckContext(p, max(w, 8))
     if p in (3, 5):
         lhs = math.comb(2 * p - 1, p - 1)
-        rhs_fr = 1 - 2 * p * ctx._frac_h(1) + 4 * p * p * ctx._frac_h(2)
+        invs = [Fraction(1, k) for k in range(1, p)]
+        h1 = sum(invs)
+        h2 = (h1 * h1 - sum(x * x for x in invs)) / 2
+        rhs_fr = 1 - 2 * p * h1 + 4 * p * p * h2
         if rhs_fr.denominator != 1 or rhs_fr != lhs:
             raise InternalInconsistency(f"identity case failed at p={p}: {rhs_fr} vs {lhs}")
         return make_report("thm1.1", p, e, lhs % p**w, int(rhs_fr) % p**w, w, identity=True)
@@ -192,7 +149,7 @@ def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> C
 @functools.lru_cache(maxsize=4096)
 def _bmod(index: int, p: int, r: int) -> int:
     """Bernoulli residue through the reduction + extraction pipeline."""
-    return bn.bernoulli_mod(index, p, r, use_exact_oracle=False).value
+    return bn.bernoulli_mod(index, p, r, use_exact_oracle=False)
 
 
 def _eq13(c: CheckContext, p: int, w: int, m: int) -> tuple[int, int]:
@@ -284,7 +241,7 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
     # which has valuation exactly 3 at a generic prime.
     CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, w, m: (c.binom(w), 1 + 2 * p * c.R(1, w))),
     CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, w, m: (
-        c.binom(w), 1 - 2 * inv_int(3, m) * p**3 * bn.bernoulli_mod(p - 3, p, 2).value)),
+        c.binom(w), 1 - 2 * inv_int(3, m) * p**3 * bn.bernoulli_mod(p - 3, p, 2))),
     CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11,
              report=lambda p, c: check_theorem_main(p, 7, c)),
     CheckDef("eq1.3", 6, P11, _eq13),

@@ -5,14 +5,6 @@ class WlabError(Exception):
     """Base class for all package errors."""
 
 
-class CompositeModulusBase(WlabError):
-    """Ring base failed the primality test."""
-
-
-class ExponentOutOfRange(WlabError):
-    """Ring exponent outside the supported range."""
-
-
 class NotInvertible(WlabError):
     """Value shares a factor with the ring's prime.
 
@@ -22,10 +14,6 @@ class NotInvertible(WlabError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-class RingMismatch(WlabError):
-    """Arithmetic attempted between residues of different rings."""
 
 
 class InternalInconsistency(WlabError):

@@ -1,25 +1,17 @@
-"""Exact arithmetic in Z/p^e: primality, rings, residues, batch inversion.
+"""Exact arithmetic in Z/p^e: primality, valuations, batch inversion.
 
-Every other module builds on the primitives here.  The computation runs on
-plain-int kernels (``range_inverses``, ``batch_inv_ints``,
-``symmetric_coeffs_ints``, ...); a thin object API (``ring_new``, ``inv``,
-``Residue`` with its ``valuation``) labels results with their ring at the
-library's interface.
+Every other module builds on the primitives here.  Residues are plain ints
+in [0, p^e) and the modulus travels beside them as an int: the kernels
+(``range_inverses``, ``batch_inv_ints``, ``symmetric_coeffs_ints``, ...)
+take it as an argument, and ``residual_valuation`` reads v_p of a residue.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    CompositeModulusBase,
-    ExponentOutOfRange,
-    InvalidInput,
-    NotInvertible,
-    RingMismatch,
-)
+from .errors import NotInvertible
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -127,54 +119,8 @@ def residual_valuation(x: int, p: int, e: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PrimePowerRing:
-    """The modulus p^e with p prime."""
-
-    p: int
-    e: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.e < 1:
-            raise ExponentOutOfRange(f"exponent must be >= 1, got {self.e}")
-        if self.p < 2 or not is_prime(self.p):
-            raise CompositeModulusBase(f"{self.p} is not prime")
-        if self.modulus != self.p**self.e:
-            raise InvalidInput("modulus must equal p**e")
-
-    def residue(self, x: int) -> "Residue":
-        return Residue(x % self.modulus, self)
-
-    def __repr__(self) -> str:
-        return f"Z/{self.p}^{self.e}"
-
-
-def ring_new(p: int, e: int) -> PrimePowerRing:
-    """Construct Z/p^e, rejecting composite p and e < 1."""
-    if e < 1:
-        raise ExponentOutOfRange(f"exponent must be >= 1, got {e}")
-    return PrimePowerRing(p, e, p**e)
-
-
-@dataclass(frozen=True)
-class Residue:
-    """Canonical least non-negative representative of a class in Z/p^e."""
-
-    value: int
-    ring: PrimePowerRing
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.ring.modulus:
-            raise InvalidInput(f"residue {self.value} outside [0, {self.ring.modulus})")
-
-    def valuation(self) -> int:
-        """v_p of this residue, saturated at the ring exponent."""
-        return residual_valuation(self.value, self.ring.p, self.ring.e)
-
-
 # ---------------------------------------------------------------------------
-# int-level kernels
+# inversion kernels
 # ---------------------------------------------------------------------------
 
 def inv_int(a: int, m: int) -> int:
@@ -246,16 +192,3 @@ def symmetric_coeffs_ints(p: int, m: int, d: int) -> list[int]:
             c[j] = (c[j] + c[j - 1] * v) % m
     return c
 
-
-# ---------------------------------------------------------------------------
-# object-level operations
-# ---------------------------------------------------------------------------
-
-def inv(ring: PrimePowerRing, a: Residue | int) -> Residue:
-    if isinstance(a, Residue):
-        if a.ring != ring:
-            raise RingMismatch(f"{ring} vs {a.ring}")
-        a = a.value
-    if a % ring.p == 0:
-        raise NotInvertible(f"{a} divisible by {ring.p} in {ring}")
-    return Residue(inv_int(a % ring.modulus, ring.modulus), ring)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .modring import residual_valuation
@@ -42,14 +41,6 @@ class CongruenceReport:
             "rhs": None if self.rhs is None else str(self.rhs),
             "status": self.status,
         }
-
-    def json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
-
-    @property
-    def gates(self) -> bool:
-        """True when a failure of this report should fail a verification run."""
-        return self.status in (STATUS_PASS, STATUS_FAIL)
 
 
 def make_report(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .congruence import CheckContext, binom_central_int, check_theorem_main
-from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch
+from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
 from .modring import is_prime, residual_valuation
 from .sums import half_range_moments
 
@@ -175,7 +175,11 @@ _CHECKPOINT_FIELDS = {
 
 
 def save_checkpoint(path: str, cp: Checkpoint) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+    """Atomic write: temp file in the same directory, then rename.
+
+    A path that cannot be written (a missing directory, say) raises
+    ``WlabError`` naming it.
+    """
     payload = {
         "schema_version": cp.schema_version,
         "kind": cp.kind,
@@ -186,15 +190,18 @@ def save_checkpoint(path: str, cp: Checkpoint) -> None:
         "updated_at": cp.updated_at,
     }
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh, indent=1)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise WlabError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
 def load_checkpoint(path: str) -> Checkpoint:

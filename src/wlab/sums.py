@@ -1,9 +1,11 @@
 """Inverse power sums R_n, power sums P_n, and elementary symmetric sums H_k.
 
 R_n(p) = sum of 1/k^n over k=1..p-1, H_k(p) = k-th elementary symmetric sum
-of the inverses, both taken in Z/p^e.  H_1 = R_1 by convention.  Two
-independent routes to H are provided (truncated-product coefficients and
-Newton's identities from the R_n) and cross-checked when tables are built.
+of the inverses, both taken in Z/p^e as plain ints.  H_1 = R_1 by
+convention.  H_k follows from the R_n by Newton's identities
+(``newton_elementary_ints``); the truncated product
+``modring.symmetric_coeffs_ints`` is the independent route the tests
+compare it against.
 
 The fast path pairs k with p-k.  With u_k = 1/(k(p-k)), 1/k + 1/(p-k) = p*u_k
 and 1/k * 1/(p-k) = u_k, so every R_n is a polynomial in the half-range
@@ -16,15 +18,11 @@ walks all p-1 terms and stays as the slow oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InternalInconsistency, InvalidInput, NotInvertible
-from .modring import Residue, inv_int, range_inverses, ring_new, symmetric_coeffs_ints
+from .errors import InvalidInput, NotInvertible
+from .modring import inv_int, range_inverses
 
-# ---------------------------------------------------------------------------
-# int-level kernels
-# ---------------------------------------------------------------------------
 
 def inverse_power_sums_ints(p: int, m: int, n_max: int) -> dict[int, int]:
     """R_1..R_{n_max} mod m from one batch inversion of 1..p-1."""
@@ -138,44 +136,3 @@ def newton_elementary_ints(power: Mapping[int, int], k_max: int, m: int, p: int)
     del h[0]
     return h
 
-
-@dataclass(frozen=True)
-class SumTable:
-    """Per-prime bundle of R_n and H_k at a working exponent."""
-
-    p: int
-    e: int
-    R: dict[int, Residue]
-    H: dict[int, Residue]
-
-    def r_valuation(self, n: int) -> int:
-        return self.R[n].valuation()
-
-    def h_valuation(self, k: int) -> int:
-        return self.H[k].valuation()
-
-
-def build_sum_table(p: int, e: int = 7, n_max: int = 6) -> SumTable:
-    """Populate R_1..R_{n_max} and H_1..H_{n_max}, cross-checking both H routes.
-
-    A disagreement between the truncated-product and Newton routes indicates
-    an implementation bug, not bad input.
-    """
-    if not 1 <= n_max <= 8:
-        raise InvalidInput("n_max must be in 1..8")
-    if p < n_max + 2:
-        raise InvalidInput(f"need p >= n_max + 2, got p={p}")
-    ring = ring_new(p, e)
-    m = ring.modulus
-    r_ints = inverse_power_sums_ints(p, m, n_max)
-    h_product = symmetric_coeffs_ints(p, m, n_max)
-    h_newton = newton_elementary_ints(r_ints, n_max, m, p)
-    for k in range(1, n_max + 1):
-        if h_product[k] != h_newton[k]:
-            raise InternalInconsistency(
-                f"H_{k}({p}) mod {p}^{e}: product route {h_product[k]} "
-                f"!= Newton route {h_newton[k]}"
-            )
-    R = {n: ring.residue(v) for n, v in r_ints.items()}
-    H = {k: ring.residue(h_product[k]) for k in range(1, n_max + 1)}
-    return SumTable(p=p, e=e, R=R, H=H)

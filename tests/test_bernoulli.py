@@ -59,21 +59,21 @@ def recurrence_bernoulli(n: int) -> Fraction:
 
 class TestExactBernoulli:
     def test_textbook_values(self):
-        assert exact_bernoulli(0).value == 1
-        assert exact_bernoulli(1).value == Fraction(-1, 2)
-        assert exact_bernoulli(2).value == Fraction(1, 6)
-        assert exact_bernoulli(3).value == 0
-        assert exact_bernoulli(8).value == Fraction(-1, 30)
-        assert exact_bernoulli(12).value == Fraction(-691, 2730)
-        assert exact_bernoulli(16).value == Fraction(-3617, 510)
+        assert exact_bernoulli(0) == 1
+        assert exact_bernoulli(1) == Fraction(-1, 2)
+        assert exact_bernoulli(2) == Fraction(1, 6)
+        assert exact_bernoulli(3) == 0
+        assert exact_bernoulli(8) == Fraction(-1, 30)
+        assert exact_bernoulli(12) == Fraction(-691, 2730)
+        assert exact_bernoulli(16) == Fraction(-3617, 510)
 
     def test_odd_indices_vanish(self):
         for n in range(3, 31, 2):
-            assert exact_bernoulli(n).value == 0
+            assert exact_bernoulli(n) == 0
 
     def test_against_defining_recurrence(self):
         for n in range(61):
-            assert exact_bernoulli(n).value == recurrence_bernoulli(n), n
+            assert exact_bernoulli(n) == recurrence_bernoulli(n), n
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -88,7 +88,7 @@ class TestVscDenominator:
 
     def test_matches_exact_denominators(self):
         for n in range(2, 61, 2):
-            assert vsc_denominator(n) == exact_bernoulli(n).value.denominator, n
+            assert vsc_denominator(n) == exact_bernoulli(n).denominator, n
 
     def test_odd_rejected(self):
         with pytest.raises(InvalidInput):
@@ -120,10 +120,10 @@ class TestKummerReduce:
 class TestExtraction:
     def test_b10_mod_13(self):
         # B_10 = 5/66 and 66 = 1 mod 13
-        assert bernoulli_mod_small(10, 13, 1).value == 5
+        assert bernoulli_mod_small(10, 13, 1) == 5
 
     def test_b2_mod_11(self):
-        assert bernoulli_mod_small(2, 11, 1).value == inv_int(6, 11)
+        assert bernoulli_mod_small(2, 11, 1) == inv_int(6, 11)
 
     def test_oracle_equivalence_sweep(self):
         # even n <= 60, primes 11..97, r <= 3
@@ -132,8 +132,8 @@ class TestExtraction:
                 if n % (p - 1) == 0:
                     continue
                 for r in (1, 2, 3):
-                    got = bernoulli_mod_small(n, p, r).value
-                    want = fraction_mod(exact_bernoulli(n).value, p**r)
+                    got = bernoulli_mod_small(n, p, r)
+                    want = fraction_mod(exact_bernoulli(n), p**r)
                     assert got == want, (n, p, r)
 
     def test_oracle_equivalence_high_precision(self):
@@ -144,8 +144,8 @@ class TestExtraction:
                 if n % (p - 1) == 0:
                     continue
                 for r in (4, 5):
-                    got = bernoulli_mod_small(n, p, r).value
-                    want = fraction_mod(exact_bernoulli(n).value, p**r)
+                    got = bernoulli_mod_small(n, p, r)
+                    want = fraction_mod(exact_bernoulli(n), p**r)
                     assert got == want, (n, p, r)
 
     def test_two_term_path_agrees(self):
@@ -156,7 +156,7 @@ class TestExtraction:
                 for r in (1, 2, 3):
                     assert (
                         bernoulli_mod_small_two_term(n, p, r)
-                        == bernoulli_mod_small(n, p, r).value
+                        == bernoulli_mod_small(n, p, r)
                     ), (p, n, r)
 
     def test_non_integral_index_rejected(self):
@@ -175,25 +175,25 @@ class TestExtraction:
 class TestBernoulliMod:
     def test_huge_index_reduces_to_two_thirds_b_p_minus_3(self):
         for p in (11, 13, 37, 97):
-            got = bernoulli_mod(p**4 - p**3 - 2, p, 1).value
-            want = fraction_mod(Fraction(2, 3) * exact_bernoulli(p - 3).value, p)
+            got = bernoulli_mod(p**4 - p**3 - 2, p, 1)
+            want = fraction_mod(Fraction(2, 3) * exact_bernoulli(p - 3), p)
             assert got == want, p
 
     def test_p2_p_4_reduces_to_four_fifths_b_p_minus_5(self):
         p = 13
-        got = bernoulli_mod(p**2 - p - 4, p, 1).value
-        want = fraction_mod(Fraction(4, 5) * exact_bernoulli(p - 5).value, p)
+        got = bernoulli_mod(p**2 - p - 4, p, 1)
+        want = fraction_mod(Fraction(4, 5) * exact_bernoulli(p - 5), p)
         assert got == want
 
     def test_small_index_direct(self):
-        assert bernoulli_mod(10, 13, 1).value == 5
+        assert bernoulli_mod(10, 13, 1) == 5
 
     def test_extraction_path_matches_exact_path(self):
         for p in (11, 13, 97, 199):
             for expr in (p**4 - p**3 - 2, p**4 - p**3 - 4, p**3 - p**2 - 2, p**2 - p - 4):
                 for r in (1, 2):
-                    exact = bernoulli_mod(expr, p, r, use_exact_oracle=True).value
-                    extracted = bernoulli_mod(expr, p, r, use_exact_oracle=False).value
+                    exact = bernoulli_mod(expr, p, r, use_exact_oracle=True)
+                    extracted = bernoulli_mod(expr, p, r, use_exact_oracle=False)
                     assert exact == extracted, (p, expr, r)
 
     def test_kummer_invariance_property(self):
@@ -207,8 +207,8 @@ class TestBernoulliMod:
                 if n > DEFAULT_EXACT_CAP:
                     continue
                 mr = p**r
-                bm = bernoulli_mod(m, p, r).value
-                bn = bernoulli_mod(n, p, r).value
+                bm = bernoulli_mod(m, p, r)
+                bn = bernoulli_mod(n, p, r)
                 assert bm * inv_int(m, mr) % mr == bn * inv_int(n % mr, mr) % mr, (p, r, m)
 
     def test_divisible_index(self):

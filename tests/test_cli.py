@@ -1,6 +1,11 @@
 """CLI behavior: parsing, exit codes, formats, determinism."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given
@@ -8,6 +13,9 @@ from hypothesis import strategies as st
 
 from wlab.cli import main, parse_index_expr
 from wlab.errors import WlabError
+from wlab.search import primes_in
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +181,12 @@ class TestSearchCommand:
         for bound in ([], ["--min", "5"], ["--max", "300"]):
             assert run_cli(capsys, "search", "wolstenholme", "--resume", ck, *bound)[0] == 0
 
+    def test_checkpoint_in_missing_directory(self, capsys, tmp_path):
+        ck = str(tmp_path / "missing" / "x.json")
+        code, out, err = run_cli(capsys, "search", "wolstenholme", "--max", "100", "--checkpoint", ck)
+        assert code == 1 and out == ""
+        assert err == f"error: cannot write checkpoint {ck}: No such file or directory\n"
+
     def test_env_checkpoint_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("WLAB_CHECKPOINT_DIR", str(tmp_path))
         code, _, _ = run_cli(capsys, "search", "wolstenholme", "--max", "200")
@@ -194,7 +208,7 @@ class TestBernoulliCommand:
         assert code == 0
         from wlab.bernoulli import bernoulli_mod
 
-        assert out.strip() == str(bernoulli_mod(13308, 11, 1).value)
+        assert out.strip() == str(bernoulli_mod(13308, 11, 1))
 
     def test_non_prime_p(self, capsys):
         code, _, err = run_cli(capsys, "bernoulli", "--p", "12", "--index", "2", "--prec", "1")
@@ -261,6 +275,56 @@ class TestUsage:
     def test_p2_reports_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p", "2", "--check", "eq1.1")
         assert code == 1 and "odd prime" in err
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    def test_verify(self, capsys):
+        with redirect_stdout(ClosedPipe()):
+            code = main(["verify", "--p", "11..50", "--check", "all"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_search_keeps_checkpoint(self, capsys, tmp_path):
+        # the hit's chunk is merged and checkpointed before the hit is written
+        ck = str(tmp_path / "ck.json")
+        argv = ["search", "wolstenholme", "--min", "16000", "--max", "17000", "--chunk", "16"]
+        with redirect_stdout(ClosedPipe()):
+            code = main(argv + ["--checkpoint", ck])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        primes = primes_in(16000, 17000)
+        i = primes.index(16843)
+        data = json.loads(open(ck).read())
+        assert data["last_completed_prime"] == primes[min(i // 16 * 16 + 15, len(primes) - 1)]
+        assert [h["p"] for h in data["hits"]] == [16843]
+        code, out, _ = run_cli(capsys, *argv, "--resume", ck)
+        assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [16843]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--p", "5..200", "--check", "all"],
+        ["--format", "csv", "search", "wolstenholme", "--max", "100"],  # header only, still buffered
+    ], ids=["verify", "search-csv"])
+    def test_real_process(self, argv):
+        # stdout is a pipe whose reader has already closed; stdout is block
+        # buffered, as by default, so unflushed bytes would fail at exit
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "wlab.cli", *argv], stdout=w,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
 
 
 class TestConsoleScript:

@@ -5,38 +5,33 @@ import math
 
 import pytest
 
+from wlab.cli import main
 from wlab.congruence import (
     CheckContext,
-    binom_central,
     binom_central_int,
-    binom_exact_oracle,
     check_theorem_main,
     expand_selection,
     registry_names,
     run_suite,
 )
-from wlab.errors import CapExceeded, UnknownCheckName
+from wlab.errors import UnknownCheckName
 from wlab.search import primes_in
 
 
 class TestBinomCentral:
     def test_p5_mod_125(self):
-        assert binom_central(5, 3).value == 1  # 126 = 125 + 1
+        assert binom_central_int(5, 5**3) == 1  # 126 = 125 + 1
 
     def test_p3_mod_9(self):
-        assert binom_central(3, 2).value == 1  # C(5,2) = 10
+        assert binom_central_int(3, 3**2) == 1  # C(5,2) = 10
 
     def test_p7_exact(self):
-        assert binom_central(7, 7).value == 1716  # C(13,6)
+        assert binom_central_int(7, 7**7) == 1716  # C(13,6)
 
     def test_oracle_equivalence_sample(self):
         for p in primes_in(3, 300):
             for e in (1, 4, 8):
-                assert binom_central(p, e) == binom_exact_oracle(p, e), (p, e)
-
-    def test_oracle_cap(self):
-        with pytest.raises(CapExceeded):
-            binom_exact_oracle(10007, 3)
+                assert binom_central_int(p, p**e) == math.comb(2 * p - 1, p - 1) % p**e, (p, e)
 
 
 class TestWolstenholme:
@@ -165,10 +160,13 @@ class TestRunSuite:
         reports = {r.name: r for r in run_suite(11, ["eq1.6"])}
         assert reports["eq1.6-r2"].status == "n/a"
 
-    def test_data_check_never_gates(self):
+    def test_data_check_never_gates(self, capsys):
         (r,) = run_suite(11, ["rem1.5-data"])
         assert r.status == "data"
-        assert not r.gates
+        # a data row that does not hold still leaves the exit code at 0
+        assert not r.holds
+        assert main(["verify", "--p", "11", "--check", "rem1.5-data"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "data"
 
 
 class TestDeepInvariantSweep:
@@ -191,8 +189,6 @@ class TestReportSerialization:
         assert set(d) == {"check", "p", "required_exp", "residual_valuation", "holds", "lhs", "rhs", "status"}
         assert d["check"] == "eq1.1" and d["p"] == 11
         assert isinstance(d["lhs"], str) and isinstance(d["rhs"], str)
-        parsed = json.loads(r.json_line())
-        assert parsed == d
 
     def test_working_exponent_above_required(self):
         for p in (5, 11):

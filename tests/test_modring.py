@@ -1,4 +1,4 @@
-"""Primality, ring construction, inversion and the plain-int kernels."""
+"""Primality, input validation, inversion and the plain-int kernels."""
 
 import math
 import random
@@ -9,18 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlab.errors import CompositeModulusBase, ExponentOutOfRange, InvalidInput, NotInvertible, RingMismatch
+from wlab.congruence import CheckContext, check_theorem_main
+from wlab.errors import InvalidInput, NotInvertible
 from wlab.modring import (
     batch_inv_ints,
-    inv,
+    inv_int,
     is_prime,
     range_inverses,
     residual_valuation,
-    ring_new,
     symmetric_coeffs_ints,
 )
 from wlab.search import primes_in
-from wlab.sums import build_sum_table, inverse_power_sums_ints, newton_elementary_ints
+from wlab.sums import inverse_power_sums_ints, newton_elementary_ints
 
 
 def trial_division(n: int) -> bool:
@@ -70,52 +70,42 @@ class TestPrimality:
 
 
 class TestRingNew:
-    def test_seven_to_the_seventh(self):
-        ring = ring_new(7, 7)
-        assert ring.modulus == 823543
+    """The modulus p^e where the library takes one: a prime base, e >= 1."""
 
     def test_composite_base_rejected(self):
-        with pytest.raises(CompositeModulusBase):
-            ring_new(4, 2)
-
-    def test_big_power_matches_repeated_multiplication(self):
-        ring = ring_new(16843, 4)
-        expected = 1
-        for _ in range(4):
-            expected *= 16843
-        assert ring.modulus == expected
+        for n in (4, 9, 561):
+            with pytest.raises(InvalidInput):
+                CheckContext(n, 2)
 
     def test_exponent_out_of_range(self):
-        with pytest.raises(ExponentOutOfRange):
-            ring_new(7, 0)
+        with pytest.raises(InvalidInput):
+            check_theorem_main(7, 0)
 
 
 class TestInv:
     def test_two_in_seven_seven(self):
-        ring = ring_new(7, 7)
-        assert inv(ring, ring.residue(2)).value == 411772
+        assert inv_int(2, 7**7) == 411772
 
     def test_identity(self):
-        for ring in (ring_new(3, 2), ring_new(7, 7), ring_new(16843, 2)):
-            assert inv(ring, ring.residue(1)).value == 1
+        for m in (3**2, 7**7, 16843**2):
+            assert inv_int(1, m) == 1
 
     def test_three_mod_25(self):
-        assert inv(ring_new(5, 2), 3).value == 17
+        assert inv_int(3, 25) == 17
 
     def test_not_invertible(self):
         with pytest.raises(NotInvertible):
-            inv(ring_new(5, 2), 10)
+            inv_int(10, 25)
 
     def test_involution_property(self):
         rng = random.Random(0)
-        ring = ring_new(13, 5)
+        m = 13**5
         for _ in range(200):
-            a = rng.randrange(1, ring.modulus)
+            a = rng.randrange(1, m)
             if a % 13 == 0:
                 continue
-            r = ring.residue(a)
-            assert inv(ring, inv(ring, r)) == r
-            assert r.value * inv(ring, r).value % ring.modulus == 1
+            assert inv_int(inv_int(a, m), m) == a
+            assert a * inv_int(a, m) % m == 1
 
 
 class TestBatchInv:
@@ -162,21 +152,10 @@ class TestBatchInv:
 
 
 class TestResidueArithmetic:
-    def test_cross_ring_rejected(self):
-        a = ring_new(5, 2).residue(3)
-        with pytest.raises(RingMismatch):
-            inv(ring_new(5, 3), a)
-
-    def test_int_coercion(self):
-        ring = ring_new(7, 2)
-        assert ring.residue(40 + 10).value == 1
-        assert ring.residue(3 * 20).value == 11
-        assert ring.residue(1 - 2).value == 48
-
     def test_valuation(self):
-        ring = ring_new(5, 4)
-        assert ring.residue(50).valuation() == 2
-        assert ring.residue(0).valuation() == 4
+        assert residual_valuation(50, 5, 4) == 2
+        assert residual_valuation(0, 5, 4) == 4
+        assert residual_valuation(5**4, 5, 4) == 4
         assert residual_valuation(-25, 5, 4) == 2
 
 
@@ -206,11 +185,6 @@ class TestSymmetricProduct:
         assert h2 == Fraction(35, 24)
         assert c[1] == r1.numerator * pow(r1.denominator, -1, m) % m
         assert c[2] == h2.numerator * pow(h2.denominator, -1, m) % m
-
-    def test_degree_bound_validated(self):
-        # the product route is reached through build_sum_table, which bounds the degree
-        with pytest.raises(InvalidInput):
-            build_sum_table(11, 2, 9)
 
     def test_evaluation_at_p_recovers_binomial(self):
         # sum_k p^k H_k from the truncated product matches C(2p-1, p-1)

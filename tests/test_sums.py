@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from wlab.congruence import binom_central_int
+from wlab.congruence import CheckContext, binom_central_int
 from wlab.errors import InvalidInput, NotInvertible
-from wlab.modring import symmetric_coeffs_ints
+from wlab.modring import residual_valuation, symmetric_coeffs_ints
 from wlab.search import primes_in
 from wlab.sums import (
-    SumTable,
-    build_sum_table,
     half_range_moments,
     inverse_power_sum_from_moments,
     inverse_power_sums_ints,
@@ -74,9 +72,10 @@ class TestHalfRangeMoments:
         with pytest.raises(InvalidInput):
             half_range_moments(11, 11**3, 0)
 
-    def test_differential_every_prime_11_to_3000(self):
-        # binom and R_1..R_7 mod p^9 against the full-range oracles, at every prime
-        for p in primes_in(11, 3000):
+    def test_differential_every_prime_5_to_3000(self):
+        # binom and R_1..R_7 mod p^9 against the full-range oracles, at every
+        # prime; p = 5 and 7 take the same kernel in CheckContext as the rest
+        for p in primes_in(5, 3000):
             m = p**9
             binom, s = half_range_moments(p, m, 7)
             assert binom == binom_central_int(p, m), p
@@ -163,38 +162,39 @@ class TestNewtonSymmetric:
 
 
 class TestSumTable:
+    """Valuation floors of the per-prime sums: R_n from the full-range kernel,
+    H_k from the truncated product, read with residual_valuation."""
+
+    @staticmethod
+    def r_valuation(p: int, e: int, n: int) -> int:
+        return residual_valuation(r_sum(p, e, n), p, e)
+
+    @staticmethod
+    def h_valuation(p: int, e: int, k: int) -> int:
+        return residual_valuation(symmetric_coeffs_ints(p, p**e, k)[k], p, e)
+
     def test_p11_wolstenholme_floor(self):
-        table = build_sum_table(11, 7)
-        assert table.r_valuation(1) >= 2
+        assert self.r_valuation(11, 7, 1) >= 2
 
     def test_p13_h3_valuation(self):
-        table = build_sum_table(13, 7)
-        assert table.h_valuation(3) >= 2
+        assert self.h_valuation(13, 7, 3) >= 2
 
     def test_wolstenholme_prime_r1(self):
-        table = build_sum_table(16843, 4)
-        assert table.r_valuation(1) >= 3
+        assert self.r_valuation(16843, 4, 1) >= 3
 
     def test_lemma_21_floors(self):
         for p in (11, 37, 101):
-            table = build_sum_table(p, 7)
             for n in (1, 3, 5):
-                assert table.r_valuation(n) >= 2, (p, n)
+                assert self.r_valuation(p, 7, n) >= 2, (p, n)
             for n in (2, 4, 6):
-                assert table.r_valuation(n) >= 1, (p, n)
+                assert self.r_valuation(p, 7, n) >= 1, (p, n)
 
     def test_h5_h6_floors(self):
         for p in (11, 37, 101):
-            table = build_sum_table(p, 7)
-            assert table.h_valuation(5) >= 2
-            assert table.h_valuation(6) >= 1
+            assert self.h_valuation(p, 7, 5) >= 2
+            assert self.h_valuation(p, 7, 6) >= 1
 
     def test_small_p_rejected(self):
-        with pytest.raises(InvalidInput):
-            build_sum_table(5, 7)
-
-    def test_is_frozen_record(self):
-        table = build_sum_table(11, 4)
-        assert isinstance(table, SumTable)
-        assert table.p == 11 and table.e == 4
-        assert set(table.R) == set(table.H) == set(range(1, 7))
+        # Newton's identities divide by 1..6, so the context refuses H_3..H_6 at p = 5
+        with pytest.raises(NotInvertible):
+            CheckContext(5).H(3, 4)
