@@ -1,25 +1,28 @@
 """Segmented prime generation and checkpointed, parallel range searches.
 
-Two search kinds:
+Both search kinds filter each prime with the Lehmer interval sum
+``lehmer_sum(p, n, p//4, p//3)``, about p/12 steps mod p (D. H. Lehmer,
+Ann. of Math. 1938).  Only a zero of the filter, or a prime where the filter
+degenerates, goes on to the full check; a filter zero that fails it raises
+``InternalInconsistency``.
 
 * ``wolstenholme``: primes with C(2p-1, p-1) = 1 mod p^4, equivalently
-  p | B_{p-3}.  The scan filters each prime with Lehmer's cube sum
-  S(p) = sum_{k <= p/6} 1/k^3 mod p: S(p) = 15 * sum_{k <= (p-1)/2} 1/k^3
-  = -30 * B_{p-3} (mod p) (D. H. Lehmer, Ann. of Math. 1938), so for p >= 7
-  a hit is exactly S(p) = 0.  That is p/6 steps mod p per prime.  At p = 5
-  the range is empty and 15 = 0 mod 5, so 5 is excluded explicitly (it is
-  not a Wolstenholme prime).  Every filter hit is re-verified at full
-  precision, through v_p(R_1) from the half-range moment
-  S_1 = sum_{k <= (p-1)/2} 1/(k(p-k)) mod p^3 (R_1 = p*S_1 exactly) and
+  p | B_{p-3}.  With n = 3 the sum is 5 * B_{p-3} (mod p), so for p >= 7 a
+  hit is exactly a filter zero; 5 (where 5 = 0 mod p) skips the filter.
+  The full check is v_p(R_1) from the half-range moment
+  S_1 = sum_{k <= (p-1)/2} 1/(k(p-k)) mod p^3 (R_1 = p*S_1 exactly),
   against the binomial product.
 * ``mod_p8``: primes whose central-binomial congruence residual reaches
-  exponent 8 (one above the proven level).  Each prime costs one pass of
-  ``sums.half_range_moments`` over (p-1)/2 terms mod p^9, which gives
-  C(2p-1, p-1) and the moments S_1, S_2 that R_1 and H_2 are built from.
+  exponent 8 (one above the proven level).  That residual is
+  -(8/7) * p^7 * B_{p-7} mod p^8, and with n = 7 the sum is
+  1005 * B_{p-7} (mod p); 7 (the 8/7) and 67 (67 | 1005) skip the filter.
+  The full check is one pass of ``sums.half_range_moments`` over (p-1)/2
+  terms mod p^9, which gives C(2p-1, p-1) and the moments S_1, S_2 that
+  R_1 and H_2 are built from.
 
 Scans are embarrassingly parallel over primes; a coordinator merges chunk
-results in ascending order and checkpoints after each completed chunk, so
-hit lists are a pure function of (kind, lo, hi).
+results in ascending order and checkpoints before the first chunk and after
+each completed one, so hit lists are a pure function of (kind, lo, hi).
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from .sums import half_range_moments
 
 SCHEMA_VERSION = 1
 KIND_MIN = {"wolstenholme": 5, "mod_p8": 7}
+# per kind: the filter's exponent n, and the primes where the filter's multiple
+# of B_{p-n} degenerates mod p, which skip the filter
+FILTERS = {"wolstenholme": (3, (5,)), "mod_p8": (7, (7, 67))}
 DEFAULT_CHUNK = 256
 
 
@@ -86,16 +92,16 @@ def primes_in(lo: int, hi: int, segment: int = 1 << 17) -> list[int]:
     return out
 
 
-def lehmer_cube_sum(p: int) -> int:
-    """S(p) = sum_{k <= p/6} 1/k^3 mod p, as a running fraction.
+def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
+    """sum_{lo < k <= hi} 1/k^n mod p, as a running fraction in O(1) memory.
 
-    For p >= 7, S(p) = 15 * sum_{k <= (p-1)/2} 1/k^3 = -30 * B_{p-3} (mod p),
-    so S(p) = 0 exactly when p is a Wolstenholme prime.  At p = 5 the sum
-    is empty and the congruence degenerates (15 = 0 mod 5).
+    Needs 0 <= lo and hi < p, so that no k is a multiple of p.  The search
+    filters take the interval p/4 < k <= p/3, where the sum is
+    5 * B_{p-3} (n = 3, p >= 7) and 1005 * B_{p-7} (n = 7, p >= 11) mod p.
     """
     num, den = 0, 1
-    for k in range(1, p // 6 + 1):
-        c = k * k * k % p
+    for k in range(lo + 1, hi + 1):
+        c = pow(k, n, p)
         num = (num * c + den) % p
         den = den * c % p
     return num * pow(den, -1, p) % p
@@ -267,17 +273,18 @@ def _confirm(kind: str, p: int) -> dict | None:
 
 
 def _scan_chunk(kind: str, primes: list[int]) -> list[dict]:
-    """Evaluate the indicator over a chunk; returns hit dicts only."""
+    """Filter a chunk and confirm what passes; returns hit dicts only."""
+    n, unfiltered = FILTERS[kind]
     out: list[dict] = []
     for p in primes:
-        # the Lehmer filter; p = 5 is no Wolstenholme prime, and its sum is empty
-        if kind == "wolstenholme" and (p == 5 or lehmer_cube_sum(p) != 0):
+        filtered = p not in unfiltered
+        if filtered and lehmer_sum(p, n, p // 4, p // 3) != 0:
             continue
         hit = _confirm(kind, p)
         if hit is not None:
             out.append(hit)
-        elif kind == "wolstenholme":
-            raise InternalInconsistency(f"filter hit at p={p} fails full re-verification")
+        elif filtered:
+            raise InternalInconsistency(f"filter zero at p={p} fails full re-verification")
     return out
 
 
@@ -301,10 +308,10 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None) -
     Work is partitioned into chunks of ``task.chunk`` primes; with
     ``workers > 1`` chunks run in separate processes, but results are merged
     in range order so output never depends on scheduling.  A checkpoint (if
-    configured) is rewritten after each merged chunk and flushed once more,
-    up to the last merged chunk, when an exception (KeyboardInterrupt
-    included) stops the scan.  ``on_hit`` is called once per hit, in
-    ascending order, as soon as the hit's chunk is merged.
+    configured) is written before the first chunk and rewritten after each
+    merged chunk, so an exception (KeyboardInterrupt included) that stops the
+    scan leaves it at the last merged chunk.  ``on_hit`` is called once per
+    hit, in ascending order, as soon as the hit's chunk is merged.
     """
     return _execute(task, workers, progress, on_hit, resume_from=None)
 
@@ -361,7 +368,7 @@ def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> It
 def _execute(task: SearchTask, workers: int, progress, on_hit,
              resume_from: Checkpoint | None) -> list[SearchHit]:
     lo = max(task.lo, KIND_MIN[task.kind])
-    # floor for interrupt flushes; never regress a resume
+    # the last prime already covered; a resume never regresses its checkpoint
     base_last = lo - 1 if resume_from is None else resume_from.last_completed_prime
     primes = primes_in(max(lo, base_last + 1), task.hi)
     chunks = [primes[i : i + task.chunk] for i in range(0, len(primes), task.chunk)]
@@ -387,19 +394,17 @@ def _execute(task: SearchTask, workers: int, progress, on_hit,
         _flush(task, task.hi, hits)
         return hits
 
-    merged = base_last
     try:
+        # written before the first chunk, so an unwritable path costs no scan; each
+        # later write covers every merged chunk, so an exception needs no final write
+        _flush(task, base_last, hits)
         for done, found in enumerate(results, 1):
             new = [SearchHit(p=h["p"], kind=task.kind, witness=h["witness"]) for h in found]
             last = chunks[done - 1][-1] if done < len(chunks) else task.hi
             _flush(task, last, hits + new)
-            merged = last
             absorb(new)
             if progress is not None:
                 progress(done, len(chunks), last)
-    except BaseException:
-        _flush(task, merged, hits)
-        raise
     finally:
         results.close()
     return hits

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wlab.search as search_mod
+from wlab.bernoulli import bernoulli_mod
 from wlab.congruence import binom_central_int
-from wlab.errors import CheckpointCorrupt, InvalidInput, TaskMismatch
+from wlab.errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
 from wlab.modring import batch_inv_ints, residual_valuation
 from wlab.search import (
     Checkpoint,
     SearchTask,
-    lehmer_cube_sum,
+    lehmer_sum,
     load_checkpoint,
     mod_p8_indicator,
     primes_in,
@@ -126,20 +128,43 @@ def slow_mod_p8_residual(p: int) -> int:
     return residual_valuation(binom_central_int(p, m) - (1 - 2 * p * r[1] + 4 * p * p * h2), p, 9)
 
 
+def assert_mod_p8_matches_oracles(lo: int, hi: int) -> None:
+    """At every prime in [lo, hi]: the indicator equals the slow residual and,
+    for p >= 11, never falls below the proven exponent 7 (the scan checks that
+    only where the filter sends a prime on); the filter sum is 1005 * B_{p-7}
+    mod p for p >= 11, and is 0 exactly where the indicator reaches 8.  At 67,
+    a divisor of 1005, the sum is 0 but the indicator is 7, so the scan routes
+    67 round the filter."""
+    for p in primes_in(lo, hi):
+        v = mod_p8_indicator(p)
+        assert v == slow_mod_p8_residual(p), p
+        s = lehmer_sum(p, 7, p // 4, p // 3)
+        if p != 67:
+            assert (s == 0) == (v >= 8), p
+        if p >= 11:
+            assert v >= 7, p
+            assert s == 1005 * bernoulli_mod(p - 7, p, 1) % p, p
+
+
 class TestModP8Differential:
     def test_every_prime_7_to_6000(self):
         # covers the benchmark's mod-p8 window near 5000
-        for p in primes_in(7, 6000):
-            assert mod_p8_indicator(p) == slow_mod_p8_residual(p), p
+        assert_mod_p8_matches_oracles(7, 6000)
+
+    @pytest.mark.extended
+    @pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for the 6000..5e4 sweep")
+    def test_every_prime_6000_to_5e4(self):
+        assert_mod_p8_matches_oracles(6000, 50_000)
 
 
 def assert_lehmer_matches_oracles(lo: int, hi: int) -> None:
-    """At every prime in [lo, hi]: S(p) = 15 * (half-range cube sum) mod p,
-    and S(p) = 0 exactly where the half-range filter mod p^2 fires."""
+    """At every prime in [lo, hi]: the filter sum over p/4 < k <= p/3 is
+    -5/2 * (half-range cube sum) mod p, and it is 0 exactly where the
+    half-range filter mod p^2 fires."""
     for p in primes_in(lo, hi):
         half = sum(x * x * x for x in batch_inv_ints(range(1, (p - 1) // 2 + 1), p, p)) % p
-        s = lehmer_cube_sum(p)
-        assert s == 15 * half % p, p
+        s = lehmer_sum(p, 3, p // 4, p // 3)
+        assert 2 * s % p == -5 * half % p, p
         assert (s == 0) == (half_range_moments(p, p * p, 1)[1][1] == 0), p
 
 
@@ -154,8 +179,28 @@ class TestLehmerFilter:
 
     def test_p5_is_no_hit(self):
         # the Lehmer sum is empty at p = 5, so the scan must not treat it as a zero
-        assert lehmer_cube_sum(5) == 0
+        assert lehmer_sum(5, 3, 5 // 4, 5 // 3) == 0
         assert run_search(SearchTask("wolstenholme", 5, 5)) == []
+
+    def test_p67_is_no_hit(self):
+        # 67 | 1005, so the mod-p8 filter sum vanishes at 67 whatever B_60 is
+        assert lehmer_sum(67, 7, 67 // 4, 67 // 3) == 0
+        assert run_search(SearchTask("mod_p8", 67, 67)) == []
+
+    @pytest.mark.parametrize("kind, routed", [("wolstenholme", [5]), ("mod_p8", [7, 67])])
+    def test_only_degenerate_primes_reach_confirmation(self, monkeypatch, kind, routed):
+        # no hit below 2000, so the filter passes no other prime on
+        seen = []
+        confirm = search_mod._confirm
+        monkeypatch.setattr(search_mod, "_confirm", lambda kind, p: seen.append(p) or confirm(kind, p))
+        assert run_search(SearchTask(kind, 5, 2000)) == []
+        assert seen == routed
+
+    @pytest.mark.parametrize("kind", ["wolstenholme", "mod_p8"])
+    def test_filter_zero_failing_confirmation_raises(self, monkeypatch, kind):
+        monkeypatch.setattr(search_mod, "lehmer_sum", lambda p, n, lo, hi: 0)
+        with pytest.raises(InternalInconsistency, match="p=101 "):
+            run_search(SearchTask(kind, 101, 101))
 
     def test_second_wolstenholme_prime_through_the_scan(self):
         hits = run_search(SearchTask("wolstenholme", 2124600, 2124700))
@@ -206,6 +251,17 @@ class TestCheckpointing:
         save_checkpoint(path, cp)
         back = load_checkpoint(path)
         assert back == cp
+
+    def test_unwritable_path_fails_before_any_chunk(self, tmp_path, monkeypatch):
+        scanned, writes = [], []
+        monkeypatch.setattr(search_mod, "_scan_chunk", lambda kind, primes: scanned.append(primes) or [])
+        save = search_mod.save_checkpoint
+        monkeypatch.setattr(search_mod, "save_checkpoint", lambda path, cp: writes.append(path) or save(path, cp))
+        path = str(tmp_path / "missing" / "ck.json")
+        with pytest.raises(WlabError, match="cannot write checkpoint"):
+            run_search(SearchTask("mod_p8", 20000, 40000, checkpoint_path=path))
+        assert scanned == []
+        assert writes == [path]
 
     def test_written_during_run(self, tmp_path):
         path = str(tmp_path / "ck.json")
