@@ -11,7 +11,6 @@ from .bernoulli import (
     exact_bernoulli,
     kummer_alternating_check,
     kummer_reduce,
-    vsc_denominator,
 )
 from .congruence import (
     CheckContext,

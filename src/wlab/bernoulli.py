@@ -1,10 +1,9 @@
 """Bernoulli-number arithmetic.
 
-Four layers:
+Three layers:
 
 * exact rationals for small indices (the oracle all modular paths are
   checked against),
-* von Staudt-Clausen denominators,
 * index reduction modulo p^(r-1)*(p-1), which shrinks astronomically
   large indices to workable representatives while preserving B_n/n mod p^r,
 * extraction of B_n mod p^r from the power sums P_n(p), valid for p >= 11
@@ -15,10 +14,10 @@ Extraction rests on the expansion of P_n(p) in Bernoulli numbers
     P_n(p) = sum over s >= 1 of  C(n, s-1)/s * p^s * B_{n+1-s},
 
 truncatable at s = 6 when working mod p^6 with p >= 11.  The s = 1 term is
-p*B_n; subtracting the s >= 2 tail and dividing by p yields B_n.  When a
-tail index lands on a multiple of p-1 its Bernoulli number has p in the
-denominator (exactly once, by von Staudt-Clausen), so the code extracts
-the p-integral product p*B instead of B for those terms.
+p*B_n; subtracting the s >= 2 tail and dividing by p yields B_n.  When an
+index is a multiple of p-1 its Bernoulli number has p in the denominator
+(exactly once, by von Staudt-Clausen), so one recursion, ``_extract``,
+returns the p-integral p^d*B_n, with d = 1 at those indices and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -84,41 +83,17 @@ def _fill_bernoulli(n_max: int) -> None:
         _tangent_upto = half
 
 
-def _bern(n: int) -> Fraction:
+def exact_bernoulli(n: int) -> Fraction:
+    """Exact rational B_n; memoized; even indices above the cap are refused."""
     if n < 0:
-        raise InvalidInput("Bernoulli index must be non-negative")
+        raise InvalidInput("index must be non-negative")
     if n % 2 == 1:
         return Fraction(0) if n > 1 else Fraction(-1, 2)
+    if n > DEFAULT_EXACT_CAP:
+        raise CapExceeded(f"index {n} above exact cap {DEFAULT_EXACT_CAP}")
     if n not in _bern_cache:
         _fill_bernoulli(n)
     return _bern_cache[n]
-
-
-def exact_bernoulli(n: int, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
-    """Exact rational B_n; memoized; indices above the cap are refused."""
-    if n < 0:
-        raise InvalidInput("index must be non-negative")
-    if n > cap:
-        raise CapExceeded(f"index {n} above exact cap {cap}")
-    return _bern(n)
-
-
-def vsc_denominator(n: int) -> int:
-    """Denominator of B_n for even n: the product of primes q with (q-1) | n."""
-    if n < 2 or n % 2:
-        raise InvalidInput("n must be even and >= 2")
-    qs = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for cand in (d + 1, n // d + 1):
-                if is_prime(cand):
-                    qs.add(cand)
-        d += 1
-    out = 1
-    for q in sorted(qs):
-        out *= q
-    return out
 
 
 def fraction_mod(fr: Fraction, m: int) -> int:
@@ -145,7 +120,7 @@ def kummer_reduce(index: int, p: int, r: int) -> int:
     if index < 2 or index % 2:
         raise InvalidInput("index must be even and >= 2")
     if index % (p - 1) == 0:
-        raise IndexDivisible(f"index = 0 mod (p-1) for p={p}; reduction inapplicable")
+        raise IndexDivisible(f"index = 0 mod (p-1) for p={p}")
     period = p ** (r - 1) * (p - 1)
     n = index % period
     while n < r + 1:
@@ -166,37 +141,26 @@ def _comb_mod(n: int, k: int, m: int) -> int:
 
 
 def _extract(n: int, p: int, j: int, memo: dict) -> int:
-    """B_n mod p^j for even n with (p-1) not dividing n; p >= 11, j <= 5."""
+    """p^d * B_n mod p^j for even n, with d = 1 if (p-1) | n and d = 0 otherwise.
+
+    Needs p >= 11 and j + 1 - d <= 6, the precision the truncated expansion
+    of P_n(p) is valid to.
+    """
     if j <= 0:
         return 0
-    key = ("b", n, j)
-    if key in memo:
-        return memo[key]
-    w = j + 1
+    if (n, j) in memo:
+        return memo[n, j]
+    d = 1 if n % (p - 1) == 0 else 0
+    w = j + 1 - d
     if w > 6:
-        raise PrecisionUnderflow(f"extraction valid only to p^5, asked for p^{j}")
+        raise PrecisionUnderflow(f"extraction valid only mod p^6, asked for p^{w}")
     m = p**w
-    total = power_sum_int(p, w, n)
-    total = (total - _tail_terms(n, p, w, m, memo)) % m
-    if total % p:
-        raise InternalInconsistency(f"P_n tail not divisible by p at n={n}, p={p}")
-    val = (total // p) % p**j
-    memo[key] = val
-    return val
-
-
-def _extract_times_p(n: int, p: int, j: int, memo: dict) -> int:
-    """p*B_n mod p^j for even n with (p-1) | n (B_n has denominator p)."""
-    if j <= 0:
-        return 0
-    key = ("pb", n, j)
-    if key in memo:
-        return memo[key]
-    if j > 6:
-        raise PrecisionUnderflow(f"extraction valid only mod p^6, asked for p^{j}")
-    m = p**j
-    total = (power_sum_int(p, j, n) - _tail_terms(n, p, j, m, memo)) % m
-    memo[key] = total
+    total = (power_sum_int(p, w, n) - _tail_terms(n, p, w, m, memo)) % m
+    if d == 0:
+        if total % p:
+            raise InternalInconsistency(f"P_n tail not divisible by p at n={n}, p={p}")
+        total //= p
+    memo[n, j] = total
     return total
 
 
@@ -205,19 +169,14 @@ def _tail_terms(n: int, p: int, w: int, m: int, memo: dict) -> int:
     total = 0
     for s in range(2, min(n + 1, w) + 1):
         idx = n + 1 - s
-        coef = _comb_mod(n, s - 1, m) * inv_int(s, m) % m
-        if idx == 0:
-            term = coef * pow(p, s, m) % m
-        elif idx == 1:
-            term = coef * pow(p, s, m) % m * (m - inv_int(2, m)) % m
-        elif idx % 2 == 1:
+        if idx > 1 and idx % 2:
             continue
-        elif idx % (p - 1) == 0:
-            t = _extract_times_p(idx, p, w - s + 1, memo)
-            term = coef * pow(p, s - 1, m) % m * t % m
+        coef = _comb_mod(n, s - 1, m) * inv_int(s, m) % m
+        if idx <= 1:
+            term = coef * pow(p, s, m) * fraction_mod(exact_bernoulli(idx), m)
         else:
-            b = _extract(idx, p, w - s, memo)
-            term = coef * pow(p, s, m) % m * b % m
+            d = 1 if idx % (p - 1) == 0 else 0
+            term = coef * pow(p, s - d, m) * _extract(idx, p, w - s + d, memo)
         total = (total + term) % m
     return total
 
@@ -240,7 +199,7 @@ def bernoulli_mod_small(n: int, p: int, r: int) -> int:
         raise KummerInapplicable(f"B_{n} is not p-integral for p={p}")
     val = _extract(n, p, r, {})
     if n <= DEFAULT_EXACT_CAP:
-        expected = fraction_mod(_bern(n), p**r)
+        expected = fraction_mod(exact_bernoulli(n), p**r)
         if expected != val:
             raise InternalInconsistency(
                 f"extraction B_{n} mod {p}^{r} = {val}, exact oracle gives {expected}"
@@ -256,20 +215,12 @@ def bernoulli_mod(index: int, p: int, r: int, *, use_exact_oracle: bool = True) 
     ``use_exact_oracle`` (default) indices within the exact cap skip the
     modular pipeline; pass False to force extraction end to end.
     """
-    if r < 1:
-        raise InvalidInput("precision r must be >= 1")
-    if p < 3 or not is_prime(p):
-        raise InvalidInput(f"{p} is not an odd prime")
-    if index < 2 or index % 2:
-        raise InvalidInput("index must be even and >= 2")
-    if index % (p - 1) == 0:
-        raise IndexDivisible(f"index = 0 mod (p-1) for p={p}")
+    n = kummer_reduce(index, p, r)
     mr = p**r
     if use_exact_oracle and index <= DEFAULT_EXACT_CAP:
-        return fraction_mod(_bern(index), mr)
-    n = kummer_reduce(index, p, r)
+        return fraction_mod(exact_bernoulli(index), mr)
     if use_exact_oracle and n <= DEFAULT_EXACT_CAP:
-        bn = fraction_mod(_bern(n), mr)
+        bn = fraction_mod(exact_bernoulli(n), mr)
     elif r <= 5 and p >= 11:
         bn = bernoulli_mod_small(n, p, r)
     else:
@@ -293,7 +244,7 @@ def kummer_alternating_check(m: int, p: int, r: int) -> CongruenceReport:
     """Check sum_{k=0}^{r} (-1)^k C(r,k) B_{m+k(p-1)}/(m+k(p-1)) = 0 mod p^r.
 
     The r-th finite difference of B_n/n along the progression n = m + k(p-1);
-    evaluated with exact rationals (indices must stay within the exact cap),
+    evaluated with exact rationals (indices above the exact cap raise),
     reporting the p-adic valuation of the residual.
     """
     if m < 2 or m % 2:
@@ -304,13 +255,10 @@ def kummer_alternating_check(m: int, p: int, r: int) -> CongruenceReport:
         raise InvalidInput(f"{p} is not an odd prime")
     if m % (p - 1) == 0:
         raise InvalidInput("m must not be divisible by p-1")
-    top = m + r * (p - 1)
-    if top > DEFAULT_EXACT_CAP:
-        raise CapExceeded(f"index {top} above exact cap {DEFAULT_EXACT_CAP}")
     total = Fraction(0)
     for k in range(r + 1):
         idx = m + k * (p - 1)
-        term = Fraction(math.comb(r, k)) * _bern(idx) / idx
+        term = Fraction(math.comb(r, k)) * exact_bernoulli(idx) / idx
         total += term if k % 2 == 0 else -term
     working = r + 1
     name = f"kummer-alt-m{m}"

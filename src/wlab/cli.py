@@ -14,16 +14,17 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import congruence, search
-from .bernoulli import bernoulli_mod, fraction_mod
+from .bernoulli import bernoulli_mod, exact_bernoulli, fraction_mod
 from .errors import TaskMismatch, WlabError
 from .modring import is_prime
 
 FORMATS = ("jsonl", "csv", "human")
 REPORT_COLUMNS = ("check", "p", "required_exp", "residual_valuation", "holds", "status", "lhs", "rhs")
 REPORT_KEYS = ("check", "p", "required_exp", "status")  # the keys the human table reads
+# the fields the human table pads to a width, with the types that accept it
+PADDED_FIELDS = {"check": str, "p": int, "residual_valuation": (int, type(None))}
 
 
 def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -236,13 +237,8 @@ def cmd_bernoulli(args) -> int:
     if index < 0:
         print(f"error: index {index} is negative", file=sys.stderr)
         return 1
-    mr = p**args.prec
-    if index == 0:
-        value = 1 % mr
-    elif index == 1:
-        value = fraction_mod(Fraction(-1, 2), mr)
-    elif index % 2 == 1:
-        value = 0
+    if index < 2 or index % 2:
+        value = fraction_mod(exact_bernoulli(index), p**args.prec)
     else:
         value = bernoulli_mod(index, p, args.prec)
     print(value)
@@ -261,6 +257,9 @@ def _read_reports(fh, name: str) -> list[dict]:
         missing = [k for k in REPORT_KEYS if not isinstance(row, dict) or k not in row]
         if missing:
             raise WlabError(f"{name}:{lineno}: not a report row (missing {', '.join(missing)})")
+        for key, types in PADDED_FIELDS.items():
+            if not isinstance(row.get(key), types):
+                raise WlabError(f"{name}:{lineno}: field {key!r} has wrong type ({type(row.get(key)).__name__})")
         rows.append(row)
     return rows
 
@@ -316,6 +315,10 @@ def main(argv=None) -> int:
         return 1
     except WlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # a sieve or table too large for this machine (a huge --max or --p range)
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -21,7 +21,7 @@ class InternalInconsistency(WlabError):
 
 
 class CapExceeded(WlabError):
-    """Requested index beyond the configured exact-computation cap."""
+    """Requested index beyond the exact-computation cap."""
 
 
 class IndexDivisible(WlabError):

@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 from .congruence import CheckContext, binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
-from .modring import is_prime, residual_valuation
+from .modring import PRIME_BOUND, is_prime, residual_valuation
 from .sums import half_range_moments
 
 SCHEMA_VERSION = 1
@@ -230,7 +230,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if raw["kind"] not in KIND_MIN:
         raise CheckpointCorrupt(f"unknown kind {raw['kind']!r}")
     lo, hi, last = raw["lo"], raw["hi"], raw["last_completed_prime"]
-    if not 5 <= lo <= hi:
+    if not 5 <= lo <= hi < PRIME_BOUND:
         raise CheckpointCorrupt(f"checkpoint range [{lo}, {hi}] is not a valid scan range")
     if not lo - 1 <= last <= hi:
         raise CheckpointCorrupt(f"last_completed_prime {last} outside [{lo - 1}, {hi}]")

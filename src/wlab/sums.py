@@ -3,9 +3,8 @@
 R_n(p) = sum of 1/k^n over k=1..p-1, H_k(p) = k-th elementary symmetric sum
 of the inverses, both taken in Z/p^e as plain ints.  H_1 = R_1 by
 convention.  H_k follows from the R_n by Newton's identities
-(``newton_elementary_ints``); the truncated product
-``modring.symmetric_coeffs_ints`` is the independent route the tests
-compare it against.
+(``newton_elementary_ints``); the tests compare it against the truncated
+product of (1 + x/k) over k = 1..p-1 (``tests/oracles.py``).
 
 The fast path pairs k with p-k.  With u_k = 1/(k(p-k)), 1/k + 1/(p-k) = p*u_k
 and 1/k * 1/(p-k) = u_k, so every R_n is a polynomial in the half-range

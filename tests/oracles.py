@@ -1,0 +1,58 @@
+"""Slow reference kernels that only the tests use.
+
+Each one computes a quantity the package computes faster another way, so
+the tests can compare the two at every prime of a range.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from wlab.errors import NotInvertible
+from wlab.modring import inv_int, range_inverses
+
+
+def batch_inv_ints(vals: Sequence[int], m: int, p: int) -> list[int]:
+    """Invert every element with one extended gcd and 3(n-1) multiplications.
+
+    Prefix products: pref[i] = v_0 * ... * v_i.  One inversion of the full
+    product, then a backward sweep peels off individual inverses.  Output
+    order matches input order.
+    """
+    n = len(vals)
+    if n == 0:
+        return []
+    for i, v in enumerate(vals):
+        if v % p == 0:
+            raise NotInvertible(f"element {v} at index {i} divisible by {p}", index=i)
+    pref = [0] * n
+    acc = 1
+    for i, v in enumerate(vals):
+        acc = acc * v % m
+        pref[i] = acc
+    running = inv_int(acc, m)
+    out = [0] * n
+    for i in range(n - 1, 0, -1):
+        out[i] = running * pref[i - 1] % m
+        running = running * vals[i] % m
+    out[0] = running
+    return out
+
+
+def symmetric_coeffs_ints(p: int, m: int, d: int) -> list[int]:
+    """Coefficients of prod_{i=1}^{p-1} (1 + x/i) mod (m, x^(d+1)).
+
+    Slot k is the k-th elementary symmetric sum of the inverses of 1..p-1.
+    Runs in O(p*d) multiplications on top of one batch inversion.
+    """
+    invs = range_inverses(p, m)
+    c = [0] * (d + 1)
+    c[0] = 1
+    top = 0
+    for k in range(1, p):
+        v = invs[k]
+        if top < d:
+            top += 1
+        for j in range(top, 0, -1):
+            c[j] = (c[j] + c[j - 1] * v) % m
+    return c

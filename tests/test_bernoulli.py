@@ -8,14 +8,12 @@ import pytest
 from wlab.bernoulli import (
     DEFAULT_EXACT_CAP,
     _extract,
-    _extract_times_p,
     bernoulli_mod,
     bernoulli_mod_small,
     exact_bernoulli,
     fraction_mod,
     kummer_alternating_check,
     kummer_reduce,
-    vsc_denominator,
 )
 from wlab.errors import (
     CapExceeded,
@@ -36,7 +34,7 @@ def bernoulli_mod_small_two_term(n: int, p: int, r: int) -> int:
     total = power_sum_int(p, r + 1, n)
     coef = n * (n - 1) * inv_int(6, m) % m
     if (n - 2) % (p - 1) == 0:
-        total -= coef * p * p * _extract_times_p(n - 2, p, r - 1, {})
+        total -= coef * p * p * _extract(n - 2, p, r - 1, {})
     elif r >= 3:
         total -= coef * p**3 * _extract(n - 2, p, r - 2, {})
     total %= m
@@ -78,21 +76,6 @@ class TestExactBernoulli:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             exact_bernoulli(DEFAULT_EXACT_CAP + 2)
-
-
-class TestVscDenominator:
-    def test_examples(self):
-        assert vsc_denominator(2) == 6
-        assert vsc_denominator(8) == 30
-        assert vsc_denominator(12) == 2730
-
-    def test_matches_exact_denominators(self):
-        for n in range(2, 61, 2):
-            assert vsc_denominator(n) == exact_bernoulli(n).denominator, n
-
-    def test_odd_rejected(self):
-        with pytest.raises(InvalidInput):
-            vsc_denominator(9)
 
 
 class TestKummerReduce:
@@ -158,6 +141,13 @@ class TestExtraction:
                         bernoulli_mod_small_two_term(n, p, r)
                         == bernoulli_mod_small(n, p, r)
                     ), (p, n, r)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_divisible_index_extracts_p_times_b(self, p):
+        # (p-1) | n: B_n has p once in its denominator, so _extract gives p*B_n
+        for n in (p - 1, 2 * (p - 1)):
+            for j in range(1, 7):
+                assert _extract(n, p, j, {}) == fraction_mod(p * exact_bernoulli(n), p**j), (n, j)
 
     def test_non_integral_index_rejected(self):
         with pytest.raises(KummerInapplicable):

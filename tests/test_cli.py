@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wlab.search as search_mod
 from wlab.cli import main, parse_index_expr
 from wlab.errors import WlabError
 from wlab.search import primes_in
@@ -214,6 +215,11 @@ class TestBernoulliCommand:
         code, _, err = run_cli(capsys, "bernoulli", "--p", "12", "--index", "2", "--prec", "1")
         assert code == 1
 
+    def test_p_above_primality_bound(self, capsys):
+        code, out, err = run_cli(capsys, "bernoulli", "--p", str(2**89 - 1), "--index", "2", "--prec", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_divisible_index_reported(self, capsys):
         code, _, err = run_cli(capsys, "bernoulli", "--p", "11", "--index", "30", "--prec", "2")
         assert code == 1 and "p-1" in err
@@ -249,6 +255,16 @@ class TestReportCommand:
         assert code == 1 and out == ""
         assert err == f"error: {path}:1: not a report row (missing p)\n"
 
+    @pytest.mark.parametrize("field, value", [("check", None), ("p", [11]), ("residual_valuation", {"v": 4})])
+    def test_wrong_typed_field(self, capsys, tmp_path, field, value):
+        row = {"check": "eq1.1", "p": 11, "required_exp": 3, "residual_valuation": 4, "status": "pass"}
+        row[field] = value
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}:1: field {field!r} has wrong type") and len(err.splitlines()) == 1
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -271,6 +287,20 @@ class TestUsage:
                 code, out, err = run_cli(capsys, "--workers", workers, *argv)
                 assert code == 1 and out == ""
                 assert err == "error: workers must be >= 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "wolstenholme", "--max", str(10**30)),
+        ("verify", "--p", f"11..{10**30}"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, argv):
+        # a real sieve to 10^15 may fill RAM under overcommit instead of failing
+        def no_memory(lo, hi):
+            raise MemoryError
+
+        monkeypatch.setattr(search_mod, "primes_in", no_memory)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: out of memory\n"
 
     def test_p2_reports_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p", "2", "--check", "eq1.1")

@@ -11,16 +11,11 @@ from hypothesis import strategies as st
 
 from wlab.congruence import CheckContext, check_theorem_main
 from wlab.errors import InvalidInput, NotInvertible
-from wlab.modring import (
-    batch_inv_ints,
-    inv_int,
-    is_prime,
-    range_inverses,
-    residual_valuation,
-    symmetric_coeffs_ints,
-)
+from wlab.modring import PRIME_BOUND, inv_int, is_prime, range_inverses, residual_valuation
 from wlab.search import primes_in
 from wlab.sums import inverse_power_sums_ints, newton_elementary_ints
+
+from oracles import batch_inv_ints, symmetric_coeffs_ints
 
 
 def trial_division(n: int) -> bool:
@@ -58,6 +53,12 @@ class TestPrimality:
     def test_strong_pseudoprimes_and_carmichael(self):
         for n in (561, 1105, 1729, 3215031751, 3825123056546413051):
             assert not is_prime(n)
+
+    def test_at_or_above_bound_refused(self):
+        # the bound itself is the least strong pseudoprime to the 12 bases
+        for n in (2**89 - 1, 3317044064679887385961981, PRIME_BOUND * 2):
+            with pytest.raises(InvalidInput):
+                is_prime(n)
 
     def test_perfect_squares(self):
         for n in (4, 25, 16843**2, (10**9 + 7) ** 2):

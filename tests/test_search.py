@@ -12,7 +12,7 @@ import wlab.search as search_mod
 from wlab.bernoulli import bernoulli_mod
 from wlab.congruence import binom_central_int
 from wlab.errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
-from wlab.modring import batch_inv_ints, residual_valuation
+from wlab.modring import PRIME_BOUND, residual_valuation
 from wlab.search import (
     Checkpoint,
     SearchTask,
@@ -26,6 +26,8 @@ from wlab.search import (
     wolstenholme_indicator,
 )
 from wlab.sums import half_range_moments, inverse_power_sums_ints, newton_elementary_ints
+
+from oracles import batch_inv_ints
 
 
 EXTENDED = os.environ.get("WLAB_EXTENDED") == "1"
@@ -367,6 +369,15 @@ class TestCheckpointSemantics:
     def test_invalid_range(self, tmp_path):
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(write_checkpoint(tmp_path, lo=17000, hi=16000, last_completed_prime=16500))
+
+    def test_range_at_or_above_primality_bound(self, tmp_path):
+        big = PRIME_BOUND
+        for fields in ({"hi": big, "last_completed_prime": 16900},  # no hit: the bound alone
+                       {"hi": big + 10, "last_completed_prime": big + 10,
+                        "hits": [{"p": big + 2, "witness": WITNESS_16843}]},
+                       {"lo": big, "hi": big + 10, "last_completed_prime": big - 1}):
+            with pytest.raises(CheckpointCorrupt):
+                load_checkpoint(write_checkpoint(tmp_path, **fields))
 
     def test_composite_hit(self, tmp_path):
         path = write_checkpoint(tmp_path, lo=5, hi=100, last_completed_prime=50,

@@ -6,7 +6,7 @@ import pytest
 
 from wlab.congruence import CheckContext, binom_central_int
 from wlab.errors import InvalidInput, NotInvertible
-from wlab.modring import residual_valuation, symmetric_coeffs_ints
+from wlab.modring import residual_valuation
 from wlab.search import primes_in
 from wlab.sums import (
     half_range_moments,
@@ -15,6 +15,8 @@ from wlab.sums import (
     newton_elementary_ints,
     power_sum_int,
 )
+
+from oracles import symmetric_coeffs_ints
 
 
 def frac_mod(fr: Fraction, m: int) -> int:
