@@ -2,8 +2,9 @@
 
 Three layers:
 
-* exact rationals for small indices (the oracle all modular paths are
-  checked against),
+* exact rationals B_n for n <= 2000, each index on its own from
+  |B_n| = 2*n!*zeta(n)/(2pi)^n (the oracle all modular paths are checked
+  against),
 * index reduction modulo p^(r-1)*(p-1), which shrinks astronomically
   large indices to workable representatives while preserving B_n/n mod p^r,
 * extraction of B_n mod p^r from the power sums P_n(p), valid for p >= 11
@@ -22,8 +23,8 @@ returns the p-integral p^d*B_n, with d = 1 at those indices and 0 elsewhere.
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from fractions import Fraction
 
 from .errors import (
@@ -42,58 +43,67 @@ from .sums import power_sum_int
 DEFAULT_EXACT_CAP = 2000
 
 # ---------------------------------------------------------------------------
-# exact values via tangent numbers
+# exact values, one index at a time
 # ---------------------------------------------------------------------------
 
-# The memo table is the only shared state in this module: lookups are
-# GIL-atomic, extensions take the lock (idempotent double-checked fill).
+# One entry per index asked for; a racing thread can only store a value twice.
 _bern_cache: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
-_bern_lock = threading.Lock()
-_tangent_upto = 0
+_pi = (0, 3)  # (bits, pi * 2^bits), computed on first use
 
 
-def _tangent_numbers(n: int) -> list[int]:
-    """T_1..T_n (tan x = sum T_k x^(2k-1)/(2k-1)!), integer triangle scheme."""
-    t = [0] * (n + 1)
-    acc = 1
-    t[1] = 1
-    for k in range(2, n + 1):
-        acc *= k - 1
-        t[k] = acc
-    for k in range(1, n):
-        for j in range(k + 1, n + 1):
-            t[j] = (j - k - 1) * t[j - 1] + (j - k + 1) * t[j]
-    return t
-
-
-def _fill_bernoulli(n_max: int) -> None:
-    """Populate the cache with B_0..B_{n_max} exactly."""
-    global _tangent_upto
-    with _bern_lock:
-        half = n_max // 2
-        if half <= _tangent_upto:
-            return
-        half = max(half, 2 * _tangent_upto, 32)
-        t = _tangent_numbers(half)
-        for k in range(1, half + 1):
-            num = 2 * k * t[k]
-            den = (1 << (2 * k)) * ((1 << (2 * k)) - 1)
-            b = Fraction(num, den)
-            _bern_cache[2 * k] = b if k % 2 == 1 else -b
-        _tangent_upto = half
+def _pi_fixed(bits: int) -> int:
+    """pi * 2^bits within 2 units, by Machin: pi = 16 atan(1/5) - 4 atan(1/239)."""
+    global _pi
+    if bits > _pi[0]:
+        w = 1 << (bits - 1).bit_length()  # powers of two: a rising n recomputes rarely
+        one, acc = 1 << (w + 32), 0
+        for c, x in ((16, 5), (-4, 239)):
+            term, k = one // x, 1
+            while term:
+                acc += c * (term // k)
+                c, term, k = -c, term // (x * x), k + 2
+        _pi = (w, acc >> 32)
+    return _pi[1] >> (_pi[0] - bits)
 
 
 def exact_bernoulli(n: int) -> Fraction:
-    """Exact rational B_n; memoized; even indices above the cap are refused."""
+    """Exact rational B_n; memoized; even indices above the cap are refused.
+
+    For even n >= 2, D_n = prod{q prime : (q-1) | n} is the denominator of B_n
+    (von Staudt-Clausen), and N_n = B_n*D_n = (-1)^(n/2+1)*2*n!*D_n*zeta(n)/(2pi)^n
+    is an integer with |N_n| < 2^(t-3), t read off bit lengths ((2pi)^n > 6^n).
+    The Euler product for zeta(n) stops at the first prime X with
+    X^(n-1)*(n-1) >= 2^(t+1); its tail, at most 2^-(t+1) relatively, is worth
+    under 1/16 in N_n.  All else runs in ints truncated to t + 64 bits and
+    adds below 2^-(t+40) relatively, so the estimate rounds to N_n.
+    """
     if n < 0:
         raise InvalidInput("index must be non-negative")
     if n % 2 == 1:
         return Fraction(0) if n > 1 else Fraction(-1, 2)
     if n > DEFAULT_EXACT_CAP:
         raise CapExceeded(f"index {n} above exact cap {DEFAULT_EXACT_CAP}")
-    if n not in _bern_cache:
-        _fill_bernoulli(n)
-    return _bern_cache[n]
+    if n in _bern_cache:
+        return _bern_cache[n]
+    d = math.prod(k + 1 for k in range(1, n + 1) if n % k == 0 and is_prime(k + 1))
+    a = 2 * math.factorial(n) * d
+    t = max((2 * a).bit_length() - (6**n).bit_length() + 1, 0) + 3
+    prec = t + 64
+    inv_zeta = 1 << prec  # 2^prec / zeta(n)
+    for q in filter(is_prime, itertools.count(2)):
+        inv_zeta -= inv_zeta // (qn := q**n)
+        if qn * (n - 1) >= q << (t + 1):
+            break
+    x = _pi_fixed(prec) << 1  # 2*pi * 2^prec, and (2*pi)^n ~ m * 2^e
+    m, e = x, -prec
+    for bit in bin(n)[3:]:
+        m, e = (m * m * x, 2 * e - prec) if bit == "1" else (m * m, 2 * e)
+        s = max(m.bit_length() - prec, 0)
+        m, e = m >> s, e + s
+    # |N_n| * 2^64 = a * 2^(prec + 64 - e) / (inv_zeta * m), rounded
+    num = ((a << (prec + 64 - e)) // (inv_zeta * m) + (1 << 63)) >> 64
+    _bern_cache[n] = b = Fraction(num if n % 4 == 2 else -num, d)
+    return b
 
 
 def fraction_mod(fr: Fraction, m: int) -> int:

@@ -56,3 +56,21 @@ def symmetric_coeffs_ints(p: int, m: int, d: int) -> list[int]:
         for j in range(top, 0, -1):
             c[j] = (c[j] + c[j - 1] * v) % m
     return c
+
+
+def tangent_numbers(n: int) -> list[int]:
+    """T_1..T_n (tan x = sum T_k x^(2k-1)/(2k-1)!), integer triangle scheme.
+
+    O(n^2) big-int operations (Brent and Harvey, 2013); B_2k follows as
+    (-1)^(k+1) * 2k * T_k / (4^k * (4^k - 1)).
+    """
+    t = [0] * (n + 1)
+    acc = 1
+    t[1] = 1
+    for k in range(2, n + 1):
+        acc *= k - 1
+        t[k] = acc
+    for k in range(1, n):
+        for j in range(k + 1, n + 1):
+            t[j] = (j - k - 1) * t[j - 1] + (j - k + 1) * t[j]
+    return t

@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import pytest
 
+from oracles import tangent_numbers
+from wlab import bernoulli
 from wlab.bernoulli import (
     DEFAULT_EXACT_CAP,
     _extract,
@@ -76,6 +78,21 @@ class TestExactBernoulli:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             exact_bernoulli(DEFAULT_EXACT_CAP + 2)
+
+    def test_tangent_oracle_on_whole_domain(self):
+        # every index the zeta formula serves, so its rounding bound is proven
+        t = tangent_numbers(DEFAULT_EXACT_CAP // 2)
+        want = {0: Fraction(1), 1: Fraction(-1, 2)}
+        for k in range(1, DEFAULT_EXACT_CAP // 2 + 1):
+            b = Fraction(2 * k * t[k], 4**k * (4**k - 1))
+            want[2 * k] = b if k % 2 else -b
+        for n in range(DEFAULT_EXACT_CAP + 1):
+            assert exact_bernoulli(n) == want.get(n, 0), n
+
+    def test_one_index_per_call(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_bern_cache", {0: Fraction(1), 1: Fraction(-1, 2)})
+        exact_bernoulli(1802)
+        assert sorted(bernoulli._bern_cache) == [0, 1, 1802]
 
 
 class TestKummerReduce:

@@ -1,8 +1,10 @@
-"""Byte-identical outputs: sha256 of four CLI streams, pinned.
+"""Byte-identical outputs: sha256 of five CLI streams, pinned.
 
 The first two digests were recorded before the half-range moment kernel
-replaced the full-range sums, the last two (p = 3..60 and p = 7 at e = 6)
-while p = 5 and 7 still took an exact-rational path of their own.  A change
+replaced the full-range sums, the next two (p = 3..60 and p = 7 at e = 6)
+while p = 5 and 7 still took an exact-rational path of their own, and the
+last (p = 503..1009, whose kummer3.3 indices reach 1996, near the exact cap)
+while exact B_n still came from the tangent-number table.  A change
 to any per-prime kernel that alters one byte of these reports or hit lists
 fails here.
 """
@@ -22,6 +24,9 @@ GOLDEN = {
         "a807b4b9b8723e4bdf7a4c7f0635affcd9f6ae8bf7538e977704f8fd403ef018",
     ("--format", "jsonl", "verify", "--p", "7", "--check", "thm1.1", "--exp", "6"):
         "10067a0a297b2cdf382f1b7549a4be601ffd80f0ad7b84e76104e86753df1f9a",
+    ("--format", "jsonl", "verify", "--p", "503..1009", "--check", "kummer3.3",
+     "--check", "eq1.2"):
+        "481c8025918280fe9d3b275c3fde3c6a7a4affca21abc44f800a859d948eae47",
 }
 
 
