@@ -254,8 +254,8 @@ def kummer_alternating_check(m: int, p: int, r: int) -> CongruenceReport:
     """Check sum_{k=0}^{r} (-1)^k C(r,k) B_{m+k(p-1)}/(m+k(p-1)) = 0 mod p^r.
 
     The r-th finite difference of B_n/n along the progression n = m + k(p-1);
-    evaluated with exact rationals (indices above the exact cap raise),
-    reporting the p-adic valuation of the residual.
+    evaluated with exact rationals (indices above the exact cap raise) and
+    judged by make_report.
     """
     if m < 2 or m % 2:
         raise InvalidInput("m must be even and >= 2")
@@ -270,33 +270,6 @@ def kummer_alternating_check(m: int, p: int, r: int) -> CongruenceReport:
         idx = m + k * (p - 1)
         term = Fraction(math.comb(r, k)) * exact_bernoulli(idx) / idx
         total += term if k % 2 == 0 else -term
-    working = r + 1
-    name = f"kummer-alt-m{m}"
-    if total != 0 and total.denominator % p == 0:
-        # A term index divisible by p leaked into the reduced denominator;
-        # judge the valuation directly on the exact rational.
-        v = _frac_valuation(total, p)
-        return CongruenceReport(
-            name=name,
-            p=p,
-            required_exponent=r,
-            working_exponent=working,
-            lhs=None,
-            rhs=0,
-            residual_valuation=v,
-            holds=v >= r,
-            status="pass" if v >= r else "fail",
-        )
-    lhs = fraction_mod(total, p**working)
-    return make_report(name, p, r, lhs, 0, working)
-
-
-def _frac_valuation(fr: Fraction, p: int) -> int:
-    def vp(x: int) -> int:
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
-    return vp(fr.numerator) - vp(fr.denominator)
+    # Every index is = m (mod p-1) with (p-1) not dividing m, so each B_n/n is
+    # p-integral (von Staudt-Clausen and Adams' theorem) and so is the sum.
+    return make_report(f"kummer-alt-m{m}", p, r, fraction_mod(total, p ** (r + 1)), 0)

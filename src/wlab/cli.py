@@ -164,7 +164,7 @@ def cmd_verify(args) -> int:
             return 1
         primes = [lo]
     else:
-        primes = search.primes_in(lo, hi)
+        primes = search.primes_in(max(lo, 3), hi)  # a range starts at the least odd prime
 
     verify = functools.partial(_verify_prime, checks=checks, exp=args.exp)
     rows = [row for result in search.ordered_map(verify, primes, args.workers, chunksize=16) for row in result]
@@ -184,6 +184,9 @@ def _progress_printer(kind: str):
 
 def cmd_search(args) -> int:
     kind = args.kind.replace("-", "_")
+    if args.resume is not None and args.checkpoint not in (None, args.resume):
+        print("error: --resume rewrites the checkpoint it resumes; drop --checkpoint", file=sys.stderr)
+        return 1
     checkpoint = args.checkpoint
     if checkpoint is None and args.max is not None and os.environ.get("WLAB_CHECKPOINT_DIR"):
         checkpoint = os.path.join(os.environ["WLAB_CHECKPOINT_DIR"], f"{kind}-{args.max}.json")

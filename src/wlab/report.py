@@ -49,17 +49,18 @@ def make_report(
     required: int,
     lhs: int,
     rhs: int,
-    working: int,
     *,
     identity: bool = False,
     data_only: bool = False,
 ) -> CongruenceReport:
-    """Judge lhs against rhs in Z/p^working and package the outcome.
+    """Judge lhs against rhs in Z/p^w, w = required + 1, and package the outcome.
 
-    The residual valuation saturates at the working exponent, so a report can
-    distinguish 'holds exactly at the required exponent' from 'holds one
-    level higher' whenever working > required.
+    The residual valuation saturates at the working exponent w, one above the
+    required one, so a report can distinguish 'holds exactly at the required
+    exponent' from 'holds one level higher'.  lhs and rhs may be given mod
+    any higher power of p; they are reduced here.
     """
+    working = required + 1
     m = p**working
     v = residual_valuation(lhs - rhs, p, working)
     holds = v >= required

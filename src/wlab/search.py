@@ -169,6 +169,7 @@ class Checkpoint:
     schema_version: int = SCHEMA_VERSION
 
 
+# the checkpoint file's fields, in the order they are written, with their types
 _CHECKPOINT_FIELDS = {
     "schema_version": int,
     "kind": str,
@@ -186,15 +187,7 @@ def save_checkpoint(path: str, cp: Checkpoint) -> None:
     A path that cannot be written (a missing directory, say) raises
     ``WlabError`` naming it.
     """
-    payload = {
-        "schema_version": cp.schema_version,
-        "kind": cp.kind,
-        "lo": cp.lo,
-        "hi": cp.hi,
-        "last_completed_prime": cp.last_completed_prime,
-        "hits": cp.hits,
-        "updated_at": cp.updated_at,
-    }
+    payload = {key: getattr(cp, key) for key in _CHECKPOINT_FIELDS}
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
@@ -244,14 +237,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"hit p={p} is not a prime in ascending order inside [{lo}, {last}]"
             )
         prev = p
-    return Checkpoint(
-        kind=raw["kind"],
-        lo=lo,
-        hi=hi,
-        last_completed_prime=last,
-        hits=raw["hits"],
-        updated_at=raw["updated_at"],
-    )
+    return Checkpoint(**{key: raw[key] for key in _CHECKPOINT_FIELDS})
 
 
 # ---------------------------------------------------------------------------

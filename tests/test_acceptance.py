@@ -76,7 +76,7 @@ def test_criterion_04_oracle_equivalence(sweep_contexts):
     t0 = time.perf_counter()
     bad = [p for p in (2, 3, 5, 7) if binom_central_int(p, p**8) != math.comb(2 * p - 1, p - 1) % p**8]
     for p, ctx in sweep_contexts.items():
-        if ctx.binom(8) != math.comb(2 * p - 1, p - 1) % p**8:
+        if ctx.binom() != math.comb(2 * p - 1, p - 1) % p**8:
             bad.append(p)
     ok = not bad
     conclude(4, "unit-product binomial equals exact oracle mod p^8 for all p <= 10^4", ok,

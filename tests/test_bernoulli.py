@@ -258,3 +258,11 @@ class TestAlternatingSum:
     def test_precondition_m_divisible(self):
         with pytest.raises(InvalidInput):
             kummer_alternating_check(10, 11, 2)
+
+    def test_terms_are_p_integral(self):
+        # why the check needs no branch for p in the denominator of its sum:
+        # B_n/n is p-integral whenever (p-1) does not divide n
+        primes = primes_in(5, 1009)
+        for n in range(2, DEFAULT_EXACT_CAP + 1, 2):
+            den = (exact_bernoulli(n) / n).denominator
+            assert [p for p in primes if n % (p - 1) and den % p == 0] == [], n

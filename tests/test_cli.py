@@ -100,6 +100,12 @@ class TestVerify:
         rows = [json.loads(line) for line in out.splitlines()]
         assert [r["status"] for r in rows] == ["identity", "identity", "n/a"]
 
+    def test_range_from_2_starts_at_3(self, capsys):
+        assert run_cli(capsys, "verify", "--p", "2..7", "--check", "eq1.1") == \
+            run_cli(capsys, "verify", "--p", "3..7", "--check", "eq1.1")
+        code, out, _ = run_cli(capsys, "verify", "--p", "2..7", "--check", "eq1.1")
+        assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [3, 5, 7]
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "11", "--check", "eq1.1", "--format", "csv")
         assert code == 0
@@ -181,6 +187,18 @@ class TestSearchCommand:
         assert code == 1 and err.startswith("error: checkpoint is for wolstenholme")
         for bound in ([], ["--min", "5"], ["--max", "300"]):
             assert run_cli(capsys, "search", "wolstenholme", "--resume", ck, *bound)[0] == 0
+
+    def test_resume_with_other_checkpoint_rejected(self, capsys, tmp_path, monkeypatch):
+        ck, other = str(tmp_path / "ck.json"), str(tmp_path / "other.json")
+        assert run_cli(capsys, "search", "wolstenholme", "--max", "300", "--checkpoint", ck)[0] == 0
+        before = open(ck).read()
+        scanned = []
+        monkeypatch.setattr(search_mod, "primes_in", lambda *a: scanned.append(a) or [])
+        code, out, err = run_cli(capsys, "search", "wolstenholme", "--resume", ck, "--checkpoint", other)
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert scanned == [] and not os.path.exists(other) and open(ck).read() == before
+        # naming the resumed file itself is no conflict
+        assert run_cli(capsys, "search", "wolstenholme", "--resume", ck, "--checkpoint", ck)[0] == 0
 
     def test_checkpoint_in_missing_directory(self, capsys, tmp_path):
         ck = str(tmp_path / "missing" / "x.json")

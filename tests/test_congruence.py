@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from wlab import bernoulli
 from wlab.cli import main
 from wlab.congruence import (
     CheckContext,
@@ -14,7 +15,7 @@ from wlab.congruence import (
     registry_names,
     run_suite,
 )
-from wlab.errors import UnknownCheckName
+from wlab.errors import InvalidInput, UnknownCheckName
 from wlab.search import primes_in
 
 
@@ -167,6 +168,22 @@ class TestRunSuite:
         assert not r.holds
         assert main(["verify", "--p", "11", "--check", "rem1.5-data"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "data"
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_suite(11, ["thm1.1"], CheckContext(11, 7)),
+        lambda: run_suite(11, ["eq1.5"], CheckContext(11, 7)),  # a sides row, judged at p^8
+        lambda: check_theorem_main(11, 8, CheckContext(11, 8)),
+    ])
+    def test_context_below_working_exponent_refused(self, run):
+        with pytest.raises(InvalidInput, match="context built at exponent"):
+            run()
+
+    def test_bernoulli_residues_computed_once_per_prime(self, monkeypatch):
+        calls = []
+        power_sum_int = bernoulli.power_sum_int
+        monkeypatch.setattr(bernoulli, "power_sum_int", lambda *a: calls.append(a) or power_sum_int(*a))
+        run_suite(101)
+        assert len(calls) == 11
 
 
 class TestDeepInvariantSweep:

@@ -199,4 +199,4 @@ class TestSumTable:
     def test_small_p_rejected(self):
         # Newton's identities divide by 1..6, so the context refuses H_3..H_6 at p = 5
         with pytest.raises(NotInvertible):
-            CheckContext(5).H(3, 4)
+            CheckContext(5).H(3)
