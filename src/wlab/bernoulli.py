@@ -19,6 +19,12 @@ p*B_n; subtracting the s >= 2 tail and dividing by p yields B_n.  When an
 index is a multiple of p-1 its Bernoulli number has p in the denominator
 (exactly once, by von Staudt-Clausen), so one recursion, ``_extract``,
 returns the p-integral p^d*B_n, with d = 1 at those indices and 0 elsewhere.
+
+Extraction reads P_n at n, n-2 and n-4 only.  With n = q(p-1) + r and
+x_k = (k^(p-1) - 1)/p, k^n = k^r*(1 + p*x_k)^q, so one pass over k gives every
+P_n of those residues (``power_sum_table``), and a caller extracting many
+indices of one prime builds it once.  ``sums.power_sum_int``, one pass per
+P_n, is the slow oracle the tests compare it with.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ from .errors import (
 )
 from .modring import inv_int, is_prime
 from .report import CongruenceReport, make_report
-from .sums import power_sum_int
+from .sums import PowerSums, power_sum_int
+
+# power_sum_int is unused here: the benchmark's sums.power_sum_int span patches it here.
 
 DEFAULT_EXACT_CAP = 2000
 
@@ -142,56 +150,48 @@ def kummer_reduce(index: int, p: int, r: int) -> int:
 # extraction from power sums
 # ---------------------------------------------------------------------------
 
-def _comb_mod(n: int, k: int, m: int) -> int:
-    """C(n, k) mod m for tiny k and arbitrarily large n."""
-    num = 1
-    for i in range(k):
-        num = num * ((n - i) % m) % m
-    return num * inv_int(math.factorial(k), m) % m
+def power_sum_table(n: int, p: int, r: int) -> PowerSums:
+    """The power sums extraction of B_n mod p^r reads (p >= 11): P_n to p^(r+1),
+    P_(n-2) to p^(r-1) and P_(n-4) to p^(r-3)."""
+    return PowerSums(p, {(n - i) % (p - 1): r + 1 - i for i in (0, 2, 4) if i <= r})
 
 
-def _extract(n: int, p: int, j: int, memo: dict) -> int:
+def _extract(n: int, p: int, j: int, sums: PowerSums) -> int:
     """p^d * B_n mod p^j for even n, with d = 1 if (p-1) | n and d = 0 otherwise.
 
     Needs p >= 11 and j + 1 - d <= 6, the precision the truncated expansion
-    of P_n(p) is valid to.
+    of P_n(p) is valid to, and the power sums ``power_sum_table`` gives for
+    (n, j - d).  P_n less its s >= 2 tail, sum of C(n, s-1)/s * p^s * B_{n+1-s},
+    is p*B_n.  The recursion makes at most four calls (n, n-2, and n-4 twice),
+    each reading one P_n off the table, so nothing is memoized.
     """
     if j <= 0:
         return 0
-    if (n, j) in memo:
-        return memo[n, j]
     d = 1 if n % (p - 1) == 0 else 0
     w = j + 1 - d
     if w > 6:
         raise PrecisionUnderflow(f"extraction valid only mod p^6, asked for p^{w}")
     m = p**w
-    total = (power_sum_int(p, w, n) - _tail_terms(n, p, w, m, memo)) % m
-    if d == 0:
-        if total % p:
-            raise InternalInconsistency(f"P_n tail not divisible by p at n={n}, p={p}")
-        total //= p
-    memo[n, j] = total
-    return total
-
-
-def _tail_terms(n: int, p: int, w: int, m: int, memo: dict) -> int:
-    """Sum over s=2..min(n+1, w) of C(n, s-1)/s * p^s * B_{n+1-s}, mod m = p^w."""
-    total = 0
+    total = sums(n, w)
     for s in range(2, min(n + 1, w) + 1):
         idx = n + 1 - s
         if idx > 1 and idx % 2:
             continue
-        coef = _comb_mod(n, s - 1, m) * inv_int(s, m) % m
+        coef = math.comb(n, s - 1) * inv_int(s, m) % m
         if idx <= 1:
-            term = coef * pow(p, s, m) * fraction_mod(exact_bernoulli(idx), m)
+            total -= coef * pow(p, s, m) * fraction_mod(exact_bernoulli(idx), m)
         else:
-            d = 1 if idx % (p - 1) == 0 else 0
-            term = coef * pow(p, s - d, m) * _extract(idx, p, w - s + d, memo)
-        total = (total + term) % m
+            di = 1 if idx % (p - 1) == 0 else 0
+            total -= coef * pow(p, s - di, m) * _extract(idx, p, w - s + di, sums)
+    total %= m
+    if d == 0:
+        if total % p:
+            raise InternalInconsistency(f"P_n tail not divisible by p at n={n}, p={p}")
+        total //= p
     return total
 
 
-def bernoulli_mod_small(n: int, p: int, r: int) -> int:
+def bernoulli_mod_small(n: int, p: int, r: int, sums: PowerSums | None = None) -> int:
     """B_n mod p^r extracted from power sums; p >= 11, r <= 5.
 
     Whenever n is within the exact cap the result is verified against the
@@ -207,7 +207,7 @@ def bernoulli_mod_small(n: int, p: int, r: int) -> int:
         raise InvalidInput("index must be even and >= 2")
     if n % (p - 1) == 0:
         raise KummerInapplicable(f"B_{n} is not p-integral for p={p}")
-    val = _extract(n, p, r, {})
+    val = _extract(n, p, r, power_sum_table(n, p, r) if sums is None else sums)
     if n <= DEFAULT_EXACT_CAP:
         expected = fraction_mod(exact_bernoulli(n), p**r)
         if expected != val:
@@ -217,7 +217,7 @@ def bernoulli_mod_small(n: int, p: int, r: int) -> int:
     return val
 
 
-def bernoulli_mod(index: int, p: int, r: int, *, use_exact_oracle: bool = True) -> int:
+def bernoulli_mod(index: int, p: int, r: int, *, use_exact_oracle: bool = True, sums: PowerSums | None = None) -> int:
     """B_index mod p^r for an arbitrarily large even index.
 
     Reduces the index to a representative n, extracts B_n mod p^r, then
@@ -232,7 +232,7 @@ def bernoulli_mod(index: int, p: int, r: int, *, use_exact_oracle: bool = True) 
     if use_exact_oracle and n <= DEFAULT_EXACT_CAP:
         bn = fraction_mod(exact_bernoulli(n), mr)
     elif r <= 5 and p >= 11:
-        bn = bernoulli_mod_small(n, p, r)
+        bn = bernoulli_mod_small(n, p, r, sums)
     else:
         raise KummerInapplicable(
             f"modular extraction needs p >= 11 and r <= 5 (got p={p}, r={r})"

@@ -11,7 +11,7 @@ make_report reduces them once.
 
 A per-prime CheckContext holds every value the rows share, as plain ints
 mod p^w_max, for every odd prime: the binomial, the R_n, the H_k and the
-Bernoulli residues.  It fills the first three from
+Bernoulli residues (and their power-sum table).  It fills the first three from
 ``sums.half_range_moments``: one pass over k <= (p-1)/2 gives C(2p-1, p-1)
 and the moments S_1, S_2, enough for the binomial, R_1, R_2 and H_2; a row
 that reads R_3 or beyond costs one more pass for S_1..S_7, and each R_n
@@ -75,6 +75,7 @@ class CheckContext:
         self._r: dict[int, int] = {}
         self._h: dict[int, int] = {}
         self._b: dict[tuple[int, int], int] = {}
+        self._sums: bn.PowerSums | None = None
 
     def _ensure_s(self, j: int) -> None:
         """The binomial and S_1..S_j from one half-range pass.  The first
@@ -119,9 +120,11 @@ class CheckContext:
         return self._h[k]
 
     def B(self, index: int, r: int) -> int:
-        """B_index mod p^r through the reduction + extraction pipeline."""
+        """B_index mod p^r by reduction + extraction.  Every index a row reads is
+        p^j(p-1) - 2 (r <= 5) or - 4 (r <= 3): index p-3's table at r = 5 serves all."""
         if (index, r) not in self._b:
-            self._b[index, r] = bn.bernoulli_mod(index, self.p, r, use_exact_oracle=False)
+            self._sums = self._sums or bn.power_sum_table(self.p - 3, self.p, 5)
+            self._b[index, r] = bn.bernoulli_mod(index, self.p, r, use_exact_oracle=False, sums=self._sums)
         return self._b[index, r]
 
     def wolstenholme_valuation(self) -> int:
@@ -243,8 +246,9 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
     # the mod-p^5 form it weakens to; with -2p the difference is 4p^2*H_2,
     # which has valuation exactly 3 at a generic prime.
     CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
-    CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, m: (
-        c.binom(), 1 - 2 * inv_int(3, m) * p**3 * bn.bernoulli_mod(p - 3, p, 2))),
+    # above the exact cap both routes extract, so the context's table serves
+    CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, m: (c.binom(), 1 - 2 * inv_int(3, m) * p**3 * (
+        c.B(p - 3, 2) if p - 3 > bn.DEFAULT_EXACT_CAP else bn.bernoulli_mod(p - 3, p, 2)))),
     CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11,
              report=lambda p, c: check_theorem_main(p, 7, c)),
     CheckDef("eq1.3", 6, P11, _eq13),

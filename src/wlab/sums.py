@@ -12,6 +12,12 @@ moments S_j = sum of u_k^j over k=1..(p-1)/2 (``half_range_moments``,
 ``inverse_power_sum_from_moments``), and (1 + p/k)(1 + p/(p-k)) = 1 + 2p^2*u_k
 puts C(2p-1, p-1) on the same (p-1)/2 terms.  ``inverse_power_sums_ints``
 walks all p-1 terms and stays as the slow oracle.
+
+The power sums P_n = sum of k^n share one pass too.  With n = q(p-1) + r,
+0 <= r < p-1, and x_k = (k^(p-1) - 1)/p, k^n = k^r*(1 + p*x_k)^q, so by the
+binomial theorem P_n = sum over i < e of C(q, i)*p^i*A_{r,i} (mod p^e), with
+A_{r,i} = sum of k^r*x_k^i (``PowerSums``), for every q >= 0.
+``power_sum_int``, p-1 modular powers per P_n, stays as the slow oracle.
 """
 
 from __future__ import annotations
@@ -119,6 +125,36 @@ def power_sum_int(p: int, e: int, n: int) -> int:
     for k in range(1, p):
         total += pow(k, r, m)
     return total % m
+
+
+class PowerSums:
+    """P_n mod p^e for every n of the residues r -> e in ``precision``, from
+    one pass over k keeping A_{r,i} mod p^max(e), i < e: per k, one chain of
+    powers k^r, ..., k^(p-1) and e - 1 multiplications per residue."""
+
+    def __init__(self, p: int, precision: Mapping[int, int]):
+        rs = sorted(precision)  # each 0 <= r < p-1, each e >= 1
+        m = p ** max(precision.values())
+        steps = [b - a for a, b in zip(rs, rs[1:] + [p - 1])]
+        acc = [[0] * precision[r] for r in rs]
+        for k in range(1, p):
+            kr = [pow(k, rs[0], m)]
+            for step in steps:
+                kr.append(kr[-1] * pow(k, step, m) % m)
+            x = (kr.pop() - 1) // p  # k^(p-1) = 1 + p*x_k mod p^max(e)
+            for a, t in zip(acc, kr):
+                a[0] += t
+                for i in range(1, len(a)):
+                    t = t * x % m
+                    a[i] += t
+        self.p = p
+        self.moments = {r: [v % m for v in a] for r, a in zip(rs, acc)}
+
+    def __call__(self, n: int, e: int) -> int:
+        q, r = divmod(n, self.p - 1)
+        if e > len(self.moments.get(r, ())):
+            raise InvalidInput(f"no power-sum moments for n = {r} mod {self.p - 1} at p^{e}")
+        return sum(math.comb(q, i) * self.p**i * self.moments[r][i] for i in range(e)) % self.p**e
 
 
 def newton_elementary_ints(power: Mapping[int, int], k_max: int, m: int, p: int) -> dict[int, int]:

@@ -109,13 +109,13 @@ def test_criterion_05_corollary_chain(sweep_contexts):
 def test_criterion_06_bernoulli_forms():
     t0 = time.perf_counter()
     bad = []
-    for p in primes_in(11, 200):
+    for p in primes_in(11, 2000):
         eq13, eq15 = run_suite(p, ["eq1.3", "eq1.5"])
         if not (eq13.holds and eq15.holds):
             bad.append((p, eq13.residual_valuation, eq15.residual_valuation))
     ok = not bad
-    conclude(6, "Bernoulli forms hold (mod p^6 and p^7) via the extraction pipeline, 11..200", ok,
-             f"{len(primes_in(11, 200))} primes, {time.perf_counter() - t0:.1f}s; bad={bad[:4]}")
+    conclude(6, "Bernoulli forms hold (mod p^6 and p^7) via the extraction pipeline, 11..2000", ok,
+             f"{len(primes_in(11, 2000))} primes, {time.perf_counter() - t0:.1f}s; bad={bad[:4]}")
 
 
 def test_criterion_07_lemma_suite():

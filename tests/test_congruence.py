@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from wlab import bernoulli
+from wlab import bernoulli, sums
 from wlab.cli import main
 from wlab.congruence import (
     CheckContext,
@@ -179,11 +179,19 @@ class TestRunSuite:
             run()
 
     def test_bernoulli_residues_computed_once_per_prime(self, monkeypatch):
-        calls = []
-        power_sum_int = bernoulli.power_sum_int
-        monkeypatch.setattr(bernoulli, "power_sum_int", lambda *a: calls.append(a) or power_sum_int(*a))
+        # every B the rows read is extracted from one PowerSums pass over k,
+        # and the slow per-index oracle is never called
+        calls = {"PowerSums": [], "power_sum_int": []}
+        for name, log in calls.items():
+            fn = getattr(sums, name)
+            for module in (sums, bernoulli):
+                monkeypatch.setattr(module, name, lambda *a, log=log, fn=fn: log.append(a) or fn(*a))
         run_suite(101)
-        assert len(calls) == 11
+        assert len(calls["PowerSums"]) == 1
+        assert calls["power_sum_int"] == []
+        # above the exact cap eq1.2-bernoulli extracts B_{p-3} too, from the same table
+        run_suite(2011)
+        assert len(calls["PowerSums"]) == 2
 
 
 class TestDeepInvariantSweep:

@@ -1,12 +1,14 @@
-"""Byte-identical outputs: sha256 of five CLI streams, pinned.
+"""Byte-identical outputs: sha256 of six CLI streams, pinned.
 
 The first two digests were recorded before the half-range moment kernel
 replaced the full-range sums, the next two (p = 3..60 and p = 7 at e = 6)
-while p = 5 and 7 still took an exact-rational path of their own, and the
-last (p = 503..1009, whose kummer3.3 indices reach 1996, near the exact cap)
-while exact B_n still came from the tangent-number table.  A change
-to any per-prime kernel that alters one byte of these reports or hit lists
-fails here.
+while p = 5 and 7 still took an exact-rational path of their own, the fifth
+(p = 503..1009, whose kummer3.3 indices reach 1996, near the exact cap)
+while exact B_n still came from the tangent-number table, and the sixth
+(p = 2003..2111, above the exact cap, where nothing checks Bernoulli
+extraction against exact values) while each power sum P_n still took its
+own pass over k.  A change to any per-prime kernel that alters one byte of
+these reports or hit lists fails here.
 """
 
 import hashlib
@@ -27,6 +29,9 @@ GOLDEN = {
     ("--format", "jsonl", "verify", "--p", "503..1009", "--check", "kummer3.3",
      "--check", "eq1.2"):
         "481c8025918280fe9d3b275c3fde3c6a7a4affca21abc44f800a859d948eae47",
+    ("--format", "jsonl", "verify", "--p", "2003..2111", "--check", "eq1.3",
+     "--check", "eq1.5", "--check", "lemma3.5"):
+        "b66541aca5ad0777af2c9e6c9e4f0164e2d34d281b7db9a4dd7d52e417aea15b",
 }
 
 

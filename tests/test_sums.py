@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlab.congruence import CheckContext, binom_central_int
 from wlab.errors import InvalidInput, NotInvertible
 from wlab.modring import residual_valuation
 from wlab.search import primes_in
 from wlab.sums import (
+    PowerSums,
     half_range_moments,
     inverse_power_sum_from_moments,
     inverse_power_sums_ints,
@@ -106,6 +109,43 @@ class TestPowerSum:
     def test_huge_exponent(self):
         n = 13**9 * 12 + 2
         assert power_sum_int(13, 4, n) == power_sum_int(13, 4, 2)
+
+
+class TestPowerSums:
+    def test_differential_every_prime_3_to_2000(self):
+        # every index Bernoulli extraction reads on the verify path,
+        # n = p^j(p-1) - m, at every e <= 6, against one power_sum_int pass per
+        # n at p^6; the kernel's sum at p^e is its own truncation, so it is
+        # evaluated at each e, while the oracle's P_n mod p^e is its p^6 value
+        # reduced.  At p = 3, 5 and 7 some of these n share a residue or have r = 0.
+        for p in primes_in(3, 2000):
+            ns = [p**j * (p - 1) - m for j in range(4) for m in (2, 4, 6) if p**j * (p - 1) > m]
+            sums = PowerSums(p, {n % (p - 1): 6 for n in ns})
+            for n in ns:
+                want = power_sum_int(p, 6, n)
+                for e in range(1, 7):
+                    assert sums(n, e) == want % p**e, (p, n, e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(primes_in(3, 600)), st.integers(1, 6), st.data())
+    def test_matches_oracle_any_index(self, p, e, data):
+        n = data.draw(st.one_of(
+            st.integers(0, p - 2),  # q = 0
+            st.integers(0, p**5).map(lambda q: q * (p - 1)),  # r = 0
+            st.integers(0, p**5 * (p - 1)),
+        ))
+        assert PowerSums(p, {n % (p - 1): e})(n, e) == power_sum_int(p, e, n)
+
+    def test_precision_per_residue(self):
+        # P_n is served only at residues the pass took, to their own exponent
+        p = 11
+        sums = PowerSums(p, {8: 6, 6: 4, 4: 2})
+        assert [len(sums.moments[r]) for r in (4, 6, 8)] == [2, 4, 6]
+        assert sums(6, 4) == power_sum_int(p, 4, 6)
+        with pytest.raises(InvalidInput):
+            sums(6, 5)
+        with pytest.raises(InvalidInput):
+            sums(2, 1)
 
 
 class TestSymmetricSums:
