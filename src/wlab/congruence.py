@@ -246,9 +246,8 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
     # the mod-p^5 form it weakens to; with -2p the difference is 4p^2*H_2,
     # which has valuation exactly 3 at a generic prime.
     CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
-    # above the exact cap both routes extract, so the context's table serves
-    CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, m: (c.binom(), 1 - 2 * inv_int(3, m) * p**3 * (
-        c.B(p - 3, 2) if p - 3 > bn.DEFAULT_EXACT_CAP else bn.bernoulli_mod(p - 3, p, 2)))),
+    CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, m: (
+        c.binom(), 1 - 2 * inv_int(3, m) * p**3 * bn.bernoulli_mod(p - 3, p, 2))),
     CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11,
              report=lambda p, c: check_theorem_main(p, 7, c)),
     CheckDef("eq1.3", 6, P11, _eq13),

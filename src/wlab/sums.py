@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import InvalidInput, NotInvertible
+from .errors import InternalInconsistency, InvalidInput, NotInvertible
 from .modring import inv_int, range_inverses
 
 
@@ -153,7 +153,7 @@ class PowerSums:
     def __call__(self, n: int, e: int) -> int:
         q, r = divmod(n, self.p - 1)
         if e > len(self.moments.get(r, ())):
-            raise InvalidInput(f"no power-sum moments for n = {r} mod {self.p - 1} at p^{e}")
+            raise InternalInconsistency(f"no power-sum moments for n = {r} mod {self.p - 1} at p^{e}")
         return sum(math.comb(q, i) * self.p**i * self.moments[r][i] for i in range(e)) % self.p**e
 
 

@@ -189,9 +189,20 @@ class TestRunSuite:
         run_suite(101)
         assert len(calls["PowerSums"]) == 1
         assert calls["power_sum_int"] == []
-        # above the exact cap eq1.2-bernoulli extracts B_{p-3} too, from the same table
-        run_suite(2011)
-        assert len(calls["PowerSums"]) == 2
+
+    @pytest.mark.parametrize("p", [11, 13, 101, 2011])
+    def test_context_table_serves_every_row(self, p, monkeypatch):
+        # every (index, r) a row asks CheckContext.B for is served by the one
+        # table of index p-3 at r = 5, and agrees with a table of its own index
+        asked = []
+        b = CheckContext.B
+        monkeypatch.setattr(CheckContext, "B", lambda self, i, r: asked.append((i, r)) or b(self, i, r))
+        run_suite(p)
+        assert {(i % (p - 1), r) for i, r in asked} == {(p - 3, 2), (p - 3, 4), (p - 3, 5), (p - 5, 2), (p - 5, 3)}
+        table = bernoulli.power_sum_table(p - 3, p, 5)
+        for i, r in set(asked):
+            assert (bernoulli.bernoulli_mod(i, p, r, use_exact_oracle=False, sums=table)
+                    == bernoulli.bernoulli_mod(i, p, r, use_exact_oracle=False)), (i, r)
 
 
 class TestDeepInvariantSweep:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlab.congruence import CheckContext, binom_central_int
-from wlab.errors import InvalidInput, NotInvertible
+from wlab.errors import InternalInconsistency, InvalidInput, NotInvertible
 from wlab.modring import residual_valuation
 from wlab.search import primes_in
 from wlab.sums import (
@@ -142,9 +142,9 @@ class TestPowerSums:
         sums = PowerSums(p, {8: 6, 6: 4, 4: 2})
         assert [len(sums.moments[r]) for r in (4, 6, 8)] == [2, 4, 6]
         assert sums(6, 4) == power_sum_int(p, 4, 6)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InternalInconsistency):
             sums(6, 5)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InternalInconsistency):
             sums(2, 1)
 
 
