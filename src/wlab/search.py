@@ -1,10 +1,14 @@
 """Segmented prime generation and checkpointed, parallel range searches.
 
 Both search kinds filter each prime with the Lehmer interval sum
-``lehmer_sum(p, n, p//4, p//3)``, about p/12 steps mod p (D. H. Lehmer,
-Ann. of Math. 1938).  Only a zero of the filter, or a prime where the filter
-degenerates, goes on to the full check; a filter zero that fails it raises
-``InternalInconsistency``.
+sum_{p/4 < k <= p/3} 1/k^n mod p, about p/12 terms (D. H. Lehmer, Ann. of
+Math. 1938).  ``lehmer_batch`` shares it across neighbouring primes, as Costa,
+Gerbicz and Harvey (Math. Comp. 83, 2014) share work: a batch spans at most
+p_1/BATCH_SPAN, its intervals share a core summed once modulo the product of
+its primes, and each prime adds its two short edges by ``lehmer_sum``, which a
+lone prime or a batch with no core (small p) uses alone.  Only a zero of the
+filter, or a prime where the filter degenerates, goes on to the full check; a
+filter zero that fails it raises ``InternalInconsistency``.
 
 * ``wolstenholme``: primes with C(2p-1, p-1) = 1 mod p^4, equivalently
   p | B_{p-3}.  With n = 3 the sum is 5 * B_{p-3} (mod p), so for p >= 7 a
@@ -27,6 +31,7 @@ each completed one, so hit lists are a pure function of (kind, lo, hi).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -49,6 +54,10 @@ KIND_MIN = {"wolstenholme": 5, "mod_p8": 7}
 # of B_{p-n} degenerates mod p, which skip the filter
 FILTERS = {"wolstenholme": (3, (5,)), "mod_p8": (7, (7, 67))}
 DEFAULT_CHUNK = 256
+# a filter batch spans at most 1/BATCH_SPAN of its first prime; wider ones have long
+# edges, narrower ones share little (1/64 measured best or near it, p <= 2e5)
+BATCH_SPAN = 64
+BATCH_BLOCK = 16  # core k^n folded into one step of the batch's running fraction
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +107,7 @@ def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
     Needs 0 <= lo and hi < p, so that no k is a multiple of p.  The search
     filters take the interval p/4 < k <= p/3, where the sum is
     5 * B_{p-3} (n = 3, p >= 7) and 1005 * B_{p-7} (n = 7, p >= 11) mod p.
+    It is ``lehmer_batch``'s edge kernel and, over all of p/4 < k <= p/3, its slow oracle.
     """
     num, den = 0, 1
     for k in range(lo + 1, hi + 1):
@@ -105,6 +115,41 @@ def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
         num = (num * c + den) % p
         den = den * c % p
     return num * pow(den, -1, p) % p
+
+
+def _batches(primes: list[int]) -> Iterator[list[int]]:
+    """Runs of the ascending ``primes`` that span at most p_1 // BATCH_SPAN."""
+    i = 0
+    while i < len(primes):
+        j = bisect.bisect_right(primes, primes[i] + primes[i] // BATCH_SPAN, i)
+        yield primes[i:j]
+        i = j
+
+
+def lehmer_batch(primes: list[int], n: int) -> list[int]:
+    """``lehmer_sum(p, n, p//4, p//3)`` at each of the ascending ``primes``.
+
+    A batch's core p_B//4 < k <= p_1//3 is one running fraction modulo
+    p_1 * ... * p_B, which takes each BATCH_BLOCK exact k^n as one map
+    (num, den) -> (num*C + den*A, den*C), A/C = sum 1/k^n; see the module docstring.
+    """
+    out: list[int] = []
+    for batch in _batches(primes):
+        lo, hi = batch[-1] // 4, batch[0] // 3
+        if len(batch) == 1 or lo >= hi:  # for a lone prime, k^n mod p is cheaper than exact
+            out.extend(lehmer_sum(p, n, p // 4, p // 3) for p in batch)
+            continue
+        m = math.prod(batch)
+        num, den = 0, 1
+        for start in range(lo + 1, hi + 1, BATCH_BLOCK):
+            a, c = 0, 1
+            for k in range(start, min(start + BATCH_BLOCK, hi + 1)):
+                kn = k**n
+                a, c = a * kn + c, c * kn
+            num, den = (num * c + den * a) % m, den * c % m
+        out.extend((num * pow(den, -1, p) + lehmer_sum(p, n, p // 4, lo) + lehmer_sum(p, n, hi, p // 3)) % p
+                   for p in batch)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +307,9 @@ def _scan_chunk(kind: str, primes: list[int]) -> list[dict]:
     """Filter a chunk and confirm what passes; returns hit dicts only."""
     n, unfiltered = FILTERS[kind]
     out: list[dict] = []
-    for p in primes:
+    for p, s in zip(primes, lehmer_batch(primes, n)):
         filtered = p not in unfiltered
-        if filtered and lehmer_sum(p, n, p // 4, p // 3) != 0:
+        if filtered and s != 0:
             continue
         hit = _confirm(kind, p)
         if hit is not None:

@@ -16,6 +16,7 @@ from wlab.modring import PRIME_BOUND, residual_valuation
 from wlab.search import (
     Checkpoint,
     SearchTask,
+    lehmer_batch,
     lehmer_sum,
     load_checkpoint,
     mod_p8_indicator,
@@ -200,13 +201,54 @@ class TestLehmerFilter:
 
     @pytest.mark.parametrize("kind", ["wolstenholme", "mod_p8"])
     def test_filter_zero_failing_confirmation_raises(self, monkeypatch, kind):
-        monkeypatch.setattr(search_mod, "lehmer_sum", lambda p, n, lo, hi: 0)
+        monkeypatch.setattr(search_mod, "lehmer_batch", lambda primes, n: [0] * len(primes))
         with pytest.raises(InternalInconsistency, match="p=101 "):
             run_search(SearchTask(kind, 101, 101))
 
     def test_second_wolstenholme_prime_through_the_scan(self):
         hits = run_search(SearchTask("wolstenholme", 2124600, 2124700))
         assert [h.p for h in hits] == [2124679]
+
+
+def assert_batch_matches_lehmer_sum(n: int, lo: int, hi: int) -> None:
+    """At every prime in [lo, hi], the batch kernel equals lehmer_sum over the
+    whole interval p/4 < k <= p/3, in chunks of 1, 17, 32 and 256 primes."""
+    primes = primes_in(lo, hi)
+    oracle = [lehmer_sum(p, n, p // 4, p // 3) for p in primes]
+    for chunk in (1, 17, 32, 256):
+        chunks = [primes[i : i + chunk] for i in range(0, len(primes), chunk)]
+        assert [s for c in chunks for s in lehmer_batch(c, n)] == oracle, chunk
+
+
+class TestLehmerBatch:
+    def test_every_prime_to_2e4(self):
+        assert_batch_matches_lehmer_sum(3, 5, 20_000)
+        assert_batch_matches_lehmer_sum(7, 11, 20_000)
+
+    @pytest.mark.extended
+    @pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for the 2e4..1e5 sweep")
+    def test_every_prime_2e4_to_1e5(self):
+        assert_batch_matches_lehmer_sum(3, 20_000, 100_000)
+        assert_batch_matches_lehmer_sum(7, 20_000, 100_000)
+
+    def test_range_has_every_kind_of_batch(self):
+        # chunks of 17 from 5: one-prime batches, batches cut by the span bound,
+        # and the one batch with no core, [5], whose interval is empty
+        primes = primes_in(5, 20_000)
+        per_chunk = [list(search_mod._batches(primes[i : i + 17])) for i in range(0, len(primes), 17)]
+        batches = [b for bs in per_chunk for b in bs]
+        assert any(len(bs) > 1 for bs in per_chunk)
+        assert any(len(b) == 1 and b[0] // 4 < b[0] // 3 for b in batches)
+        assert [b for b in batches if b[-1] // 4 >= b[0] // 3] == [[5]]
+
+    @pytest.mark.parametrize("span", [1, 2])
+    def test_wide_batches_without_a_core(self, monkeypatch, span):
+        # a wider span bound leaves many batches with p_B//4 >= p_1//3
+        monkeypatch.setattr(search_mod, "BATCH_SPAN", span)
+        primes = primes_in(5, 3000)
+        assert any(b[-1] // 4 > b[0] // 3 for b in search_mod._batches(primes))
+        assert_batch_matches_lehmer_sum(3, 5, 3000)
+        assert_batch_matches_lehmer_sum(7, 11, 3000)
 
 
 class TestRunSearch:
