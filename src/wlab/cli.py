@@ -11,9 +11,11 @@ import argparse
 import csv
 import functools
 import json
+import locale  # noqa: F401  argparse's gettext imports it on first use; load it here, not inside main
 import os
 import re
 import sys
+from typing import Iterable
 
 from . import congruence, search
 from .bernoulli import bernoulli_mod, exact_bernoulli, fraction_mod
@@ -114,22 +116,25 @@ def parse_index_expr(expr: str, p: int) -> int:
     return total
 
 
-def _emit_reports(rows: list[dict], fmt: str, out) -> None:
-    if fmt == "jsonl":
-        for row in rows:
-            out.write(json.dumps(row, separators=(", ", ": ")) + "\n")
-    elif fmt == "csv":
+def _emit_reports(rows: Iterable[dict], fmt: str, out) -> int:
+    """Write each row as it comes; returns how many have status fail."""
+    if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for row in rows:
+    failed = 0
+    for row in rows:
+        failed += row.get("status") == "fail"
+        if fmt == "jsonl":
+            out.write(json.dumps(row, separators=(", ", ": ")) + "\n")
+        elif fmt == "csv":
             writer.writerow(["" if row.get(c) is None else row.get(c) for c in REPORT_COLUMNS])
-    else:
-        for row in rows:
+        else:
             v = row.get("residual_valuation")
             out.write(
                 f"{row['check']:<16} p={row['p']:<10} req={row['required_exp']} "
                 f"v={'-' if v is None else v:<3} {row['status']}\n"
             )
+    return failed
 
 
 def _verify_prime(p: int, checks: tuple[str, ...] | None, exp: int | None) -> list[dict]:
@@ -167,11 +172,13 @@ def cmd_verify(args) -> int:
         primes = search.primes_in(max(lo, 3), hi)  # a range starts at the least odd prime
 
     verify = functools.partial(_verify_prime, checks=checks, exp=args.exp)
-    rows = [row for result in search.ordered_map(verify, primes, args.workers, chunksize=16) for row in result]
-
-    _emit_reports(rows, args.format, sys.stdout)
-    violated = any(row["status"] == "fail" for row in rows)
-    return 2 if violated else 0
+    results = search.ordered_map(verify, primes, args.workers, chunksize=16)
+    try:
+        # each prime's rows are written as they come; closing cancels queued calls
+        failed = _emit_reports((row for result in results for row in result), args.format, sys.stdout)
+    finally:
+        results.close()
+    return 2 if failed else 0
 
 
 def _progress_printer(kind: str):
@@ -277,10 +284,8 @@ def cmd_report(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise WlabError(f"cannot read {args.file}: {exc}") from exc
     fmt = args.format if args.format != "jsonl" else "human"
-    _emit_reports(rows, fmt, sys.stdout)
-    total = len(rows)
-    failed = sum(1 for r in rows if r.get("status") == "fail")
-    print(f"{total} reports, {failed} failed", file=sys.stderr)
+    failed = _emit_reports(rows, fmt, sys.stdout)
+    print(f"{len(rows)} reports, {failed} failed", file=sys.stderr)
     return 2 if failed else 0
 
 

@@ -27,9 +27,8 @@ that the search re-verifies hits with and the tests compare the kernel to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import bernoulli as bn
 from .errors import InternalInconsistency, InvalidInput, UnknownCheckName
@@ -213,8 +212,7 @@ def _tauraso_r3(c: CheckContext, p: int, m: int) -> tuple[int, int]:
     return c.binom(), 1 + 2 * p * c.R(1) + 2 * inv_int(3, m) * p**3 * c.R(3)
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(NamedTuple):
     """One registry row, judged by make_report at w = required + 1.
 
     ``sides(ctx, p, m)`` gives (lhs, rhs), each mod m = ctx.m; a row with
@@ -294,7 +292,7 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
         c.R(1) ** 2, inv_int(9, m) * p**4 * c.B(p - 3, 2) ** 2)),
     CheckDef("lemma3.5iii", 5, P11, _lemma35iii),
     CheckDef("kummer3.3", 2, lambda p, c: 7 <= p and 4 + 2 * (p - 1) <= bn.DEFAULT_EXACT_CAP,
-             report=lambda p, c: replace(bn.kummer_alternating_check(4, p, 2), name="kummer3.3")),
+             report=lambda p, c: bn.kummer_alternating_check(4, p, 2)._replace(name="kummer3.3")),
 ]}
 
 GROUP_ALIASES = {

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modring import residual_valuation
 
@@ -18,8 +18,7 @@ STATUS_NA = "n/a"
 STATUS_DATA = "data"
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     name: str
     p: int
     required_exponent: int

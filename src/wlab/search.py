@@ -24,9 +24,10 @@ filter zero that fails it raises ``InternalInconsistency``.
   terms mod p^9, which gives C(2p-1, p-1) and the moments S_1, S_2 that
   R_1 and H_2 are built from.
 
-Scans are embarrassingly parallel over primes; a coordinator merges chunk
-results in ascending order and checkpoints before the first chunk and after
-each completed one, so hit lists are a pure function of (kind, lo, hi).
+Scans are embarrassingly parallel over primes: ``workers > 1`` imports the
+process pool on first use.  A coordinator merges chunk results in ascending
+order and checkpoints before the first chunk and after each completed one,
+so hit lists are a pure function of (kind, lo, hi).
 """
 
 from __future__ import annotations
@@ -35,13 +36,10 @@ import bisect
 import functools
 import json
 import math
-import multiprocessing
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .congruence import CheckContext, binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
@@ -176,25 +174,31 @@ def mod_p8_indicator(p: int) -> int:
 # tasks, hits, checkpoints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchTask:
+class _TaskFields(NamedTuple):
     kind: str
     lo: int
     hi: int
     chunk: int = DEFAULT_CHUNK
     checkpoint_path: str | None = None
 
-    def __post_init__(self):
+
+class SearchTask(_TaskFields):
+    """A scan of the primes in [lo, hi], checked when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KIND_MIN:
             raise InvalidInput(f"unknown search kind {self.kind!r}")
         if not 5 <= self.lo <= self.hi:
             raise InvalidInput(f"need 5 <= lo <= hi, got [{self.lo}, {self.hi}]")
         if self.chunk < 1:
             raise InvalidInput("chunk must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     p: int
     kind: str
     witness: dict
@@ -203,8 +207,7 @@ class SearchHit:
         return {"kind": self.kind, "p": self.p, "witness": self.witness}
 
 
-@dataclass
-class Checkpoint:
+class Checkpoint(NamedTuple):
     kind: str
     lo: int
     hi: int
@@ -387,6 +390,9 @@ def ordered_map(fn: Callable, items: Sequence, workers: int, chunksize: int = 1)
 
 
 def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> Iterator:
+    import multiprocessing  # imported on first use: a one-process run never loads the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         yield from pool.map(fn, items, chunksize=chunksize)

@@ -74,3 +74,17 @@ def tangent_numbers(n: int) -> list[int]:
         for j in range(k + 1, n + 1):
             t[j] = (j - k - 1) * t[j - 1] + (j - k + 1) * t[j]
     return t
+
+
+def machin_pi(bits: int) -> int:
+    """pi * 2^bits within 2 units, by Machin: pi = 16 atan(1/5) - 4 atan(1/239).
+
+    About 4.6 bits a term; ``bernoulli._pi_fixed`` takes Chudnovsky's series.
+    """
+    one, acc = 1 << (bits + 32), 0
+    for c, x in ((16, 5), (-4, 239)):
+        term, k = one // x, 1
+        while term:
+            acc += c * (term // k)
+            c, term, k = -c, term // (x * x), k + 2
+    return acc >> 32

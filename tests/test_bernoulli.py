@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import tangent_numbers
+from oracles import machin_pi, tangent_numbers
 from wlab import bernoulli
 from wlab.bernoulli import (
     DEFAULT_EXACT_CAP,
@@ -95,6 +95,13 @@ class TestExactBernoulli:
         monkeypatch.setattr(bernoulli, "_bern_cache", {0: Fraction(1), 1: Fraction(-1, 2)})
         exact_bernoulli(1802)
         assert sorted(bernoulli._bern_cache) == [0, 1, 1802]
+
+    @pytest.mark.parametrize("bits", [64, 1024, 8192, 16384])
+    def test_pi_against_machin(self, monkeypatch, bits):
+        # an empty cache, so the series runs at this width; Machin 64 bits wider is within a unit
+        monkeypatch.setattr(bernoulli, "_pi", (0, 3))
+        assert abs(bernoulli._pi_fixed(bits) - (machin_pi(bits + 64) >> 64)) <= 2
+        assert bernoulli._pi[0] == bits
 
 
 class TestKummerReduce:

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wlab.search as search_mod
+from wlab import congruence
 from wlab.cli import main, parse_index_expr
 from wlab.errors import WlabError
 from wlab.search import primes_in
@@ -125,6 +126,26 @@ class TestVerify:
             assert code == 0
             streams.append(out)
         assert streams[0] == streams[1]
+
+    def test_exit_code_from_streamed_rows(self, capsys):
+        # the fail row comes first; the passing rows after it leave the exit code at 2
+        code, out, _ = run_cli(capsys, "verify", "--p", "7..13", "--check", "thm1.1", "--exp", "7")
+        assert code == 2
+        assert [json.loads(line)["status"] for line in out.splitlines()] == ["fail", "pass", "pass"]
+
+    def test_rows_stream_before_an_error(self, capsys, monkeypatch):
+        # each prime's rows are written before the next prime runs
+        run_suite = congruence.run_suite
+
+        def failing(p, selection=None):
+            if p == 17:
+                raise WlabError("stop at 17")
+            return run_suite(p, selection)
+
+        monkeypatch.setattr(congruence, "run_suite", failing)
+        code, out, err = run_cli(capsys, "verify", "--p", "11..19", "--check", "eq1.1")
+        assert code == 1 and err == "error: stop at 17\n"
+        assert [json.loads(line)["p"] for line in out.splitlines()] == [11, 13]
 
     def test_list_checks(self, capsys):
         for argv in (["verify", "--p", "11", "--list-checks"], ["verify", "--list-checks"]):
@@ -357,8 +378,9 @@ class TestClosedPipe:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--p", "5..200", "--check", "all"],
+        ["--workers", "2", "verify", "--p", "5..400", "--check", "all"],  # closing cancels the pool's calls
         ["--format", "csv", "search", "wolstenholme", "--max", "100"],  # header only, still buffered
-    ], ids=["verify", "search-csv"])
+    ], ids=["verify", "verify-workers-2", "search-csv"])
     def test_real_process(self, argv):
         # stdout is a pipe whose reader has already closed; stdout is block
         # buffered, as by default, so unflushed bytes would fail at exit
@@ -373,6 +395,40 @@ class TestClosedPipe:
             os.close(w)
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+
+
+def new_modules(*argv: str) -> dict[str, list[str]]:
+    """The modules a fresh ``python -I`` process adds by ``import wlab.cli``
+    and then by ``wlab.cli.main(argv)``."""
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "before = set(sys.modules)\n"
+        "import wlab.cli\n"
+        "imported = set(sys.modules)\n"
+        f"wlab.cli.main({list(argv)!r})\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write(json.dumps({'import': sorted(imported - before),"
+        " 'main': sorted(set(sys.modules) - imported)}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=120)
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+class TestStartup:
+    def test_import_loads_no_pool_or_dataclasses(self):
+        # a one-process command never uses the pool, and the records are NamedTuples
+        imported = set(new_modules("verify", "--list-checks")["import"])
+        assert imported & {"multiprocessing", "concurrent.futures", "dataclasses", "inspect"} == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--p", "11..60", "--check", "all"],
+        ["search", "wolstenholme", "--max", "300", "--checkpoint", "CK"],
+    ], ids=["verify", "search"])
+    def test_one_process_main_imports_nothing(self, argv, tmp_path):
+        # argparse's gettext imports locale on first use; cli loads it with itself
+        argv = [str(tmp_path / "ck.json") if a == "CK" else a for a in argv]
+        assert new_modules("--workers", "1", *argv)["main"] == []
 
 
 class TestConsoleScript:

@@ -144,6 +144,11 @@ class TestRunSuite:
         assert r.status == "n/a"
         assert r.residual_valuation is None and r.holds is None
 
+    def test_kummer_row_keeps_its_name(self):
+        (r,) = run_suite(11, ["kummer3.3"])
+        assert r.name == "kummer3.3" and r.to_json_dict()["check"] == "kummer3.3"
+        assert r.status == "pass"
+
     def test_unknown_name(self):
         with pytest.raises(UnknownCheckName):
             run_suite(11, ["thm9.9"])

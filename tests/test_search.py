@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import wlab.search as search_mod
 from wlab.bernoulli import bernoulli_mod
-from wlab.congruence import binom_central_int
+from wlab.congruence import REGISTRY, binom_central_int
 from wlab.errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
 from wlab.modring import PRIME_BOUND, residual_valuation
+from wlab.report import CongruenceReport
 from wlab.search import (
     Checkpoint,
+    SearchHit,
     SearchTask,
     lehmer_batch,
     lehmer_sum,
@@ -281,6 +283,17 @@ class TestRunSearch:
             SearchTask("wolstenholme", 10, 9)
         with pytest.raises(InvalidInput):
             SearchTask("wolstenholme", 5, 10, chunk=0)
+
+    @pytest.mark.parametrize("record", [
+        SearchTask("wolstenholme", 5, 10),
+        SearchHit(p=16843, kind="wolstenholme", witness={}),
+        Checkpoint(kind="wolstenholme", lo=5, hi=10, last_completed_prime=7, hits=[], updated_at=""),
+        CongruenceReport("eq1.1", 11, 3, 4, 1, 1, 4, True, "pass"),
+        REGISTRY["eq1.1"],
+    ], ids=lambda r: type(r).__name__)
+    def test_records_are_immutable(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
 
     def test_single_prime_scan(self):
         assert [h.p for h in run_search(SearchTask("wolstenholme", 16843, 16843))] == [16843]
