@@ -260,12 +260,12 @@ def bernoulli_mod(index: int, p: int, r: int, *, use_exact_oracle: bool = True, 
 # alternating-sum identity check
 # ---------------------------------------------------------------------------
 
-def kummer_alternating_check(m: int, p: int, r: int) -> CongruenceReport:
-    """Check sum_{k=0}^{r} (-1)^k C(r,k) B_{m+k(p-1)}/(m+k(p-1)) = 0 mod p^r.
+def kummer_alternating_sum(m: int, p: int, r: int) -> int:
+    """sum_{k=0}^{r} (-1)^k C(r,k) B_{m+k(p-1)}/(m+k(p-1)) mod p^(r+1).
 
-    The r-th finite difference of B_n/n along the progression n = m + k(p-1);
-    evaluated with exact rationals (indices above the exact cap raise) and
-    judged by make_report.
+    The r-th finite difference of B_n/n along the progression n = m + k(p-1),
+    which Kummer's congruence makes 0 mod p^r; evaluated with exact rationals
+    (indices above the exact cap raise).
     """
     if m < 2 or m % 2:
         raise InvalidInput("m must be even and >= 2")
@@ -282,4 +282,9 @@ def kummer_alternating_check(m: int, p: int, r: int) -> CongruenceReport:
         total += term if k % 2 == 0 else -term
     # Every index is = m (mod p-1) with (p-1) not dividing m, so each B_n/n is
     # p-integral (von Staudt-Clausen and Adams' theorem) and so is the sum.
-    return make_report(f"kummer-alt-m{m}", p, r, fraction_mod(total, p ** (r + 1)), 0)
+    return fraction_mod(total, p ** (r + 1))
+
+
+def kummer_alternating_check(m: int, p: int, r: int) -> CongruenceReport:
+    """``kummer_alternating_sum`` judged against 0 mod p^r by make_report."""
+    return make_report(f"kummer-alt-m{m}", p, r, kummer_alternating_sum(m, p, r), 0)

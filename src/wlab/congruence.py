@@ -1,13 +1,15 @@
 """Named verifiers for the congruence family around C(2p-1, p-1).
 
-Each check is one row of REGISTRY: a name, the required exponent, an
-applicability test and a ``sides`` function giving two independently
-computed sides.  run_suite walks the rows in a fixed order, and
-``report.make_report`` judges each at the working exponent
-w = required + 1, so every report can tell "holds exactly at the required
-level" apart from "holds one level higher".  That rule lives in make_report
-alone: the sides come mod p^w_max, the precision of the context, and
-make_report reduces them once.
+Each check is one row of REGISTRY, all of one kind: a name, the required
+exponent, an applicability test and a ``sides`` function giving two
+independently computed sides.  run_suite walks the rows in a fixed order, and
+``_judge``, which ``check_theorem_main`` shares, hands each to
+``report.make_report`` at the working exponent w = required + 1, so every
+report can tell "holds exactly at the required level" apart from "holds one
+level higher".  That rule lives in make_report alone: the sides come mod
+p^w_max, the precision of the context, and make_report reduces them once.
+At a row's identity primes (thm1.1 at p = 3, 5) both sides are the same
+integer and the report says ``identity``; a difference there is a bug.
 
 A per-prime CheckContext holds every value the rows share, as plain ints
 mod p^w_max, for every odd prime: the binomial, the R_n, the H_k and the
@@ -26,8 +28,6 @@ that the search re-verifies hits with and the tests compare the kernel to.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import bernoulli as bn
@@ -60,7 +60,8 @@ class CheckContext:
     from the half-range kernel, at every odd prime: they are p-integral at
     any p, and Newton's identities divide by 1..k_max, so H_3..H_6 need
     p >= 7 (no row reads them below p = 11).  Bernoulli residues B(index, r)
-    come from the extraction pipeline and need p >= 11.
+    come from one power-sum table by extraction at p >= 11, and from exact
+    B_n at p = 5, 7.
     """
 
     def __init__(self, p: int, w_max: int = 8):
@@ -119,42 +120,20 @@ class CheckContext:
         return self._h[k]
 
     def B(self, index: int, r: int) -> int:
-        """B_index mod p^r by reduction + extraction.  Every index a row reads is
-        p^j(p-1) - 2 (r <= 5) or - 4 (r <= 3): index p-3's table at r = 5 serves all."""
+        """B_index mod p^r.  At p >= 11 by reduction and extraction, forced
+        even within the exact cap: every index a row reads is p^j(p-1) - 2
+        (r <= 5) or - 4 (r <= 3), so index p-3's table at r = 5 serves all.
+        Below 11, where only eq1.2-bernoulli reads B_{p-3}, from exact B_n."""
         if (index, r) not in self._b:
-            self._sums = self._sums or bn.power_sum_table(self.p - 3, self.p, 5)
-            self._b[index, r] = bn.bernoulli_mod(index, self.p, r, use_exact_oracle=False, sums=self._sums)
+            exact = self.p < 11
+            if not exact and self._sums is None:
+                self._sums = bn.power_sum_table(self.p - 3, self.p, 5)
+            self._b[index, r] = bn.bernoulli_mod(index, self.p, r, use_exact_oracle=exact, sums=self._sums)
         return self._b[index, r]
 
     def wolstenholme_valuation(self) -> int:
         """v_p(R_1) seen in Z/p^4, saturated at 4."""
         return residual_valuation(self.R(1), self.p, 4)
-
-
-def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> CongruenceReport:
-    """The central congruence: C(2p-1, p-1) = 1 - 2p*H_1 + 4p^2*H_2 mod p^e.
-
-    For p in {3, 5} both sides coincide as exact integers; p = 7 is expected
-    to hold at e = 6 only.
-    """
-    if p < 3:
-        raise InvalidInput("requires p >= 3")
-    if e < 1:
-        raise InvalidInput("exponent must be >= 1")
-    if ctx is None:
-        ctx = CheckContext(p, max(e + 1, 8))
-    ctx.require(e + 1)
-    if p in (3, 5):
-        lhs = math.comb(2 * p - 1, p - 1)
-        invs = [Fraction(1, k) for k in range(1, p)]
-        h1 = sum(invs)
-        h2 = (h1 * h1 - sum(x * x for x in invs)) / 2
-        rhs_fr = 1 - 2 * p * h1 + 4 * p * p * h2
-        if rhs_fr.denominator != 1 or rhs_fr != lhs:
-            raise InternalInconsistency(f"identity case failed at p={p}: {rhs_fr} vs {lhs}")
-        return make_report("thm1.1", p, e, lhs, int(rhs_fr), identity=True)
-    rhs = 1 - 2 * p * ctx.R(1) + 4 * p * p * ctx.H(2)
-    return make_report("thm1.1", p, e, ctx.binom(), rhs)
 
 
 def _eq13(c: CheckContext, p: int, m: int) -> tuple[int, int]:
@@ -213,18 +192,16 @@ def _tauraso_r3(c: CheckContext, p: int, m: int) -> tuple[int, int]:
 
 
 class CheckDef(NamedTuple):
-    """One registry row, judged by make_report at w = required + 1.
-
-    ``sides(ctx, p, m)`` gives (lhs, rhs), each mod m = ctx.m; a row with
-    ``report`` instead builds its whole report.
-    """
+    """One registry row: ``sides(ctx, p, m)`` gives (lhs, rhs), each mod
+    m = ctx.m, and ``_judge`` compares them at w = required + 1.  At each of
+    ``identity_primes`` the two sides are one integer, reported as identity."""
 
     name: str
     required: int
     applicable: Callable[[int, CheckContext], bool]
-    sides: Callable[[CheckContext, int, int], tuple[int, int]] | None = None
-    report: Callable[[int, CheckContext], CongruenceReport] | None = None
+    sides: Callable[[CheckContext, int, int], tuple[int, int]]
     data_only: bool = False
+    identity_primes: tuple[int, ...] = ()
 
 
 def _min_p(bound: int) -> Callable[[int, CheckContext], bool]:
@@ -245,9 +222,10 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
     # which has valuation exactly 3 at a generic prime.
     CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
     CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, m: (
-        c.binom(), 1 - 2 * inv_int(3, m) * p**3 * bn.bernoulli_mod(p - 3, p, 2))),
-    CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11,
-             report=lambda p, c: check_theorem_main(p, 7, c)),
+        c.binom(), 1 - 2 * inv_int(3, m) * p**3 * c.B(p - 3, 2))),
+    # the paper's Theorem 1.1; at p = 3, 5 both sides are the same integer
+    CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11, lambda c, p, m: (
+        c.binom(), 1 - 2 * p * c.R(1) + 4 * p * p * c.H(2)), identity_primes=(3, 5)),
     CheckDef("eq1.3", 6, P11, _eq13),
     CheckDef("eq1.5", 7, P11, _eq15),
     CheckDef("cor1.4-r2", 6, P7, _tauraso_r2),
@@ -292,7 +270,7 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
         c.R(1) ** 2, inv_int(9, m) * p**4 * c.B(p - 3, 2) ** 2)),
     CheckDef("lemma3.5iii", 5, P11, _lemma35iii),
     CheckDef("kummer3.3", 2, lambda p, c: 7 <= p and 4 + 2 * (p - 1) <= bn.DEFAULT_EXACT_CAP,
-             report=lambda p, c: bn.kummer_alternating_check(4, p, 2)._replace(name="kummer3.3")),
+             lambda c, p, m: (bn.kummer_alternating_sum(4, p, 2), 0)),
 ]}
 
 GROUP_ALIASES = {
@@ -331,6 +309,16 @@ def expand_selection(selection: Iterable[str] | None) -> list[str]:
     return [n for n in registry_names() if n in wanted]
 
 
+def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> CongruenceReport:
+    """Row d's sides at p, judged by make_report at w = required + 1."""
+    ctx.require(required + 1)
+    lhs, rhs = d.sides(ctx, p, ctx.m)
+    identity = p in d.identity_primes
+    if identity and (lhs - rhs) % ctx.m:
+        raise InternalInconsistency(f"identity case failed at p={p}: {rhs % ctx.m} vs {lhs % ctx.m}")
+    return make_report(d.name, p, required, lhs, rhs, identity=identity, data_only=d.data_only)
+
+
 def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext | None = None) -> list[CongruenceReport]:
     """Run the selected checks for one prime, in registry order.
 
@@ -343,12 +331,22 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
     out = []
     for name in names:
         d = REGISTRY[name]
-        if not d.applicable(p, ctx):
-            out.append(not_applicable(name, p, d.required))
-        elif d.report is not None:
-            out.append(d.report(p, ctx))
-        else:
-            ctx.require(d.required + 1)
-            lhs, rhs = d.sides(ctx, p, ctx.m)
-            out.append(make_report(name, p, d.required, lhs, rhs, data_only=d.data_only))
+        out.append(_judge(d, p, ctx, d.required) if d.applicable(p, ctx) else not_applicable(name, p, d.required))
     return out
+
+
+def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> CongruenceReport:
+    """The central congruence C(2p-1, p-1) = 1 - 2p*H_1 + 4p^2*H_2 mod p^e:
+    the thm1.1 row judged at required exponent e.
+
+    Unlike run_suite it ignores the row's applicability, so p = 7 can be
+    judged too: it is expected to hold at e = 6 only.  At p = 3, 5 the report
+    is an identity.
+    """
+    if p < 3:
+        raise InvalidInput("requires p >= 3")
+    if e < 1:
+        raise InvalidInput("exponent must be >= 1")
+    if ctx is None:
+        ctx = CheckContext(p, max(e + 1, 8))
+    return _judge(REGISTRY["thm1.1"], p, ctx, e)

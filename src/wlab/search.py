@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 import math
 import os
-import tempfile
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -56,46 +56,30 @@ DEFAULT_CHUNK = 256
 # edges, narrower ones share little (1/64 measured best or near it, p <= 2e5)
 BATCH_SPAN = 64
 BATCH_BLOCK = 16  # core k^n folded into one step of the batch's running fraction
+SEGMENT = 1 << 17  # numbers primes_in sieves at a time
 
 
 # ---------------------------------------------------------------------------
 # prime generation
 # ---------------------------------------------------------------------------
 
-def _simple_sieve(n: int) -> list[int]:
-    if n < 2:
-        return []
-    flags = bytearray(b"\x01") * (n + 1)
-    flags[0:2] = b"\x00\x00"
-    for q in range(2, math.isqrt(n) + 1):
-        if flags[q]:
-            start = q * q
-            flags[start :: q] = b"\x00" * ((n - start) // q + 1)
-    return [i for i, f in enumerate(flags) if f]
-
-
-def primes_in(lo: int, hi: int, segment: int = 1 << 17) -> list[int]:
-    """All primes in [lo, hi], inclusive, by segmented sieve."""
-    if lo < 2:
-        lo = 2
+def primes_in(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], inclusive, by segmented sieve: SEGMENT numbers
+    at a time, crossed off by the primes up to isqrt(hi), which come from a
+    call of its own."""
+    lo = max(lo, 2)
     if hi < lo:
         return []
-    base = _simple_sieve(math.isqrt(hi))
+    base = primes_in(2, math.isqrt(hi))
     out: list[int] = []
-    start = lo
-    while start <= hi:
-        end = min(start + segment - 1, hi)
-        size = end - start + 1
-        flags = bytearray(b"\x01") * size
+    for start in range(lo, hi + 1, SEGMENT):
+        end = min(start + SEGMENT - 1, hi)
+        flags = bytearray(b"\x01") * (end - start + 1)
         for q in base:
             first = max(q * q, (start + q - 1) // q * q)
-            if first > end:
-                continue
-            flags[first - start :: q] = b"\x00" * ((end - first) // q + 1)
-        for i, f in enumerate(flags):
-            if f:
-                out.append(start + i)
-        start = end + 1
+            if first <= end:
+                flags[first - start :: q] = b"\x00" * ((end - first) // q + 1)
+        out.extend(itertools.compress(range(start, end + 1), flags))
     return out
 
 
@@ -230,17 +214,18 @@ _CHECKPOINT_FIELDS = {
 
 
 def save_checkpoint(path: str, cp: Checkpoint) -> None:
-    """Atomic write: temp file in the same directory, then rename.
+    """Atomic write: a temp file beside ``path``, named by this process's id,
+    then a rename.
 
     A path that cannot be written (a missing directory, say) raises
     ``WlabError`` naming it.
     """
     payload = {key: getattr(cp, key) for key in _CHECKPOINT_FIELDS}
-    directory = os.path.dirname(os.path.abspath(path))
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".ckpt-{name}.{os.getpid()}")
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
         try:
-            with os.fdopen(fd, "w") as fh:
+            with open(tmp, "w") as fh:
                 json.dump(payload, fh, indent=1)
             os.replace(tmp, path)
         except BaseException:

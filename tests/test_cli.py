@@ -417,9 +417,10 @@ def new_modules(*argv: str) -> dict[str, list[str]]:
 
 class TestStartup:
     def test_import_loads_no_pool_or_dataclasses(self):
-        # a one-process command never uses the pool, and the records are NamedTuples
+        # a one-process command never uses the pool, the records are NamedTuples,
+        # and a checkpoint's temp file is named without tempfile
         imported = set(new_modules("verify", "--list-checks")["import"])
-        assert imported & {"multiprocessing", "concurrent.futures", "dataclasses", "inspect"} == set()
+        assert imported & {"multiprocessing", "concurrent.futures", "dataclasses", "inspect", "tempfile"} == set()
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--p", "11..60", "--check", "all"],

@@ -15,7 +15,7 @@ from wlab.congruence import (
     registry_names,
     run_suite,
 )
-from wlab.errors import InvalidInput, UnknownCheckName
+from wlab.errors import InternalInconsistency, InvalidInput, UnknownCheckName
 from wlab.search import primes_in
 
 
@@ -139,6 +139,15 @@ class TestRunSuite:
         (r,) = run_suite(5, ["thm1.1"])
         assert r.status == "identity"
 
+    def test_identity_mismatch_raises(self, monkeypatch):
+        # at p = 3 both sides of thm1.1 are the integer 10; a binomial that
+        # disagrees is an implementation bug, not a failed congruence
+        monkeypatch.setattr(CheckContext, "binom", lambda self: 11)
+        with pytest.raises(InternalInconsistency, match="identity case failed at p=3"):
+            run_suite(3, ["thm1.1"])
+        with pytest.raises(InternalInconsistency, match="identity case failed at p=3"):
+            check_theorem_main(3)
+
     def test_not_applicable_p7_eq15(self):
         (r,) = run_suite(7, ["eq1.5"])
         assert r.status == "n/a"
@@ -185,15 +194,18 @@ class TestRunSuite:
 
     def test_bernoulli_residues_computed_once_per_prime(self, monkeypatch):
         # every B the rows read is extracted from one PowerSums pass over k,
-        # and the slow per-index oracle is never called
+        # below the exact cap and above it (eq1.2-bernoulli's index 2008 at
+        # 2011), and the slow per-index oracle is never called
         calls = {"PowerSums": [], "power_sum_int": []}
         for name, log in calls.items():
             fn = getattr(sums, name)
             for module in (sums, bernoulli):
                 monkeypatch.setattr(module, name, lambda *a, log=log, fn=fn: log.append(a) or fn(*a))
-        run_suite(101)
-        assert len(calls["PowerSums"]) == 1
-        assert calls["power_sum_int"] == []
+        for p in (101, 2011):
+            run_suite(p)
+            assert len(calls["PowerSums"]) == 1, p
+            assert calls["power_sum_int"] == [], p
+            calls["PowerSums"].clear()
 
     @pytest.mark.parametrize("p", [11, 13, 101, 2011])
     def test_context_table_serves_every_row(self, p, monkeypatch):

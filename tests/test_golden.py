@@ -1,4 +1,4 @@
-"""Byte-identical outputs: sha256 of six CLI streams, pinned.
+"""Byte-identical outputs: sha256 of seven CLI streams, pinned.
 
 The first two digests were recorded before the half-range moment kernel
 replaced the full-range sums, the next two (p = 3..60 and p = 7 at e = 6)
@@ -7,8 +7,11 @@ while p = 5 and 7 still took an exact-rational path of their own, the fifth
 while exact B_n still came from the tangent-number table, and the sixth
 (p = 2003..2111, above the exact cap, where nothing checks Bernoulli
 extraction against exact values) while each power sum P_n still took its
-own pass over k.  A change to any per-prime kernel that alters one byte of
-these reports or hit lists fails here.
+own pass over k.  The seventh (eq1.2 and thm1.1 over p = 2003..2111) was
+recorded while eq1.2-bernoulli still extracted B_{p-3} from a power-sum
+table of its own, and thm1.1 at p = 3, 5 still took math.comb and exact
+rationals.  A change to any per-prime kernel that alters one byte of these
+reports or hit lists fails here.
 """
 
 import hashlib
@@ -32,6 +35,9 @@ GOLDEN = {
     ("--format", "jsonl", "verify", "--p", "2003..2111", "--check", "eq1.3",
      "--check", "eq1.5", "--check", "lemma3.5"):
         "b66541aca5ad0777af2c9e6c9e4f0164e2d34d281b7db9a4dd7d52e417aea15b",
+    ("--format", "jsonl", "verify", "--p", "2003..2111", "--check", "eq1.2",
+     "--check", "thm1.1"):
+        "54205a1650bebd3667ffb88eeac9f8fbb8dd41441d741a038fda4d043503a8f4",
 }
 
 

@@ -66,10 +66,13 @@ class TestPrimesIn:
             hi = lo + rng.randrange(0, 300)
             assert primes_in(lo, hi) == trial_division_primes(lo, hi), (lo, hi)
 
-    def test_segment_boundaries(self):
-        # windows straddling the segment size
-        seg = 1 << 17
-        assert primes_in(seg - 50, seg + 50, segment=seg) == trial_division_primes(seg - 50, seg + 50)
+    def test_segment_boundaries(self, monkeypatch):
+        # windows straddling segment edges; at SEGMENT 64 the base primes'
+        # own sieve crosses them too
+        for seg in (1 << 17, 64):
+            monkeypatch.setattr(search_mod, "SEGMENT", seg)
+            assert primes_in(seg - 50, seg + 50) == trial_division_primes(seg - 50, seg + 50), seg
+        assert primes_in(2, 5000) == trial_division_primes(2, 5000)
 
 
 class TestIndicators:
@@ -308,6 +311,16 @@ class TestCheckpointing:
         save_checkpoint(path, cp)
         back = load_checkpoint(path)
         assert back == cp
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "ck.json"
+        cp = Checkpoint(kind="wolstenholme", lo=5, hi=1000, last_completed_prime=499,
+                        hits=[], updated_at="2020-01-01T00:00:00Z")
+        save_checkpoint(str(path), cp)
+        with pytest.raises(TypeError):  # not JSON: the old checkpoint stays, the temp file goes
+            save_checkpoint(str(path), cp._replace(hits=[{"p": 7, "witness": object()}]))
+        assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
+        assert load_checkpoint(str(path)) == cp
 
     def test_unwritable_path_fails_before_any_chunk(self, tmp_path, monkeypatch):
         scanned, writes = [], []
