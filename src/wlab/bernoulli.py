@@ -227,19 +227,22 @@ def bernoulli_mod_small(n: int, p: int, r: int, sums: PowerSums | None = None) -
     return val
 
 
-def bernoulli_mod(index: int, p: int, r: int, *, use_exact_oracle: bool = True, sums: PowerSums | None = None) -> int:
+def bernoulli_mod(index: int, p: int, r: int, *, sums: PowerSums | None = None) -> int:
     """B_index mod p^r for an arbitrarily large even index.
 
-    Reduces the index to a representative n, extracts B_n mod p^r, then
-    scales by index/n (the B/m ratio preserved by the reduction).  With
-    ``use_exact_oracle`` (default) indices within the exact cap skip the
-    modular pipeline; pass False to force extraction end to end.
+    Reduces the index to a representative n, takes B_n mod p^r, then scales
+    by index/n (the B/m ratio preserved by the reduction).  ``sums`` picks
+    the route.  With a table (``power_sum_table`` of n at r, or one that
+    holds its sums) B_n is extracted from it, and checked against the exact
+    value when n is within the exact cap.  Without one, an index or
+    representative within the cap takes the exact value, and any other n is
+    extracted from a table built here.
     """
     n = kummer_reduce(index, p, r)
     mr = p**r
-    if use_exact_oracle and index <= DEFAULT_EXACT_CAP:
+    if sums is None and index <= DEFAULT_EXACT_CAP:
         return fraction_mod(exact_bernoulli(index), mr)
-    if use_exact_oracle and n <= DEFAULT_EXACT_CAP:
+    if sums is None and n <= DEFAULT_EXACT_CAP:
         bn = fraction_mod(exact_bernoulli(n), mr)
     elif r <= 5 and p >= 11:
         bn = bernoulli_mod_small(n, p, r, sums)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from . import congruence, search
 from .bernoulli import bernoulli_mod, exact_bernoulli, fraction_mod
-from .errors import TaskMismatch, WlabError
+from .errors import WlabError
 from .modring import is_prime
 
 FORMATS = ("jsonl", "csv", "human")
@@ -215,12 +215,11 @@ def cmd_search(args) -> int:
             print(f"{row['kind']}: p={row['p']} witness={row['witness']}", flush=True)
 
     if args.resume is not None:
-        # the kind, and each bound that is given, must be the checkpoint's
+        # a bound not given is the checkpoint's; search.resume refuses a task
+        # whose kind or bounds are not the checkpoint's
         cp = search.load_checkpoint(args.resume)
         lo = cp.lo if args.min is None else args.min
         hi = cp.hi if args.max is None else args.max
-        if (kind, lo, hi) != (cp.kind, cp.lo, cp.hi):
-            raise TaskMismatch(f"checkpoint is for {cp.kind} [{cp.lo}, {cp.hi}], requested {kind} [{lo}, {hi}]")
         task = search.SearchTask(kind, lo, hi, args.chunk, args.resume)
         search.resume(args.resume, task=task, workers=args.workers,
                       progress=_progress_printer(kind), on_hit=emit)

@@ -120,15 +120,16 @@ class CheckContext:
         return self._h[k]
 
     def B(self, index: int, r: int) -> int:
-        """B_index mod p^r.  At p >= 11 by reduction and extraction, forced
-        even within the exact cap: every index a row reads is p^j(p-1) - 2
+        """B_index mod p^r.  At p >= 11 extracted from the context's one
+        table, even within the exact cap, where bernoulli_mod checks it
+        against the exact value: every index a row reads is p^j(p-1) - 2
         (r <= 5) or - 4 (r <= 3), so index p-3's table at r = 5 serves all.
-        Below 11, where only eq1.2-bernoulli reads B_{p-3}, from exact B_n."""
+        Below 11, where only eq1.2-bernoulli reads B_{p-3}, no table is
+        built, so bernoulli_mod takes exact B_n."""
         if (index, r) not in self._b:
-            exact = self.p < 11
-            if not exact and self._sums is None:
+            if self.p >= 11 and self._sums is None:
                 self._sums = bn.power_sum_table(self.p - 3, self.p, 5)
-            self._b[index, r] = bn.bernoulli_mod(index, self.p, r, use_exact_oracle=exact, sums=self._sums)
+            self._b[index, r] = bn.bernoulli_mod(index, self.p, r, sums=self._sums)
         return self._b[index, r]
 
     def wolstenholme_valuation(self) -> int:

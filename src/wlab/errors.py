@@ -6,14 +6,8 @@ class WlabError(Exception):
 
 
 class NotInvertible(WlabError):
-    """Value shares a factor with the ring's prime.
-
-    For batch operations ``index`` points at the first offending element.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """A value shares a factor with the modulus, so it has no inverse.
+    Takes only a message, which names the value."""
 
 
 class InternalInconsistency(WlabError):

@@ -19,10 +19,12 @@ STATUS_DATA = "data"
 
 
 class CongruenceReport(NamedTuple):
+    """One judged check; lhs and rhs are mod p^(required_exponent + 1), the
+    working exponent make_report applies, or None where the check is n/a."""
+
     name: str
     p: int
     required_exponent: int
-    working_exponent: int
     lhs: int | None
     rhs: int | None
     residual_valuation: int | None
@@ -73,7 +75,6 @@ def make_report(
         name=name,
         p=p,
         required_exponent=required,
-        working_exponent=working,
         lhs=lhs % m,
         rhs=rhs % m,
         residual_valuation=v,
@@ -87,7 +88,6 @@ def not_applicable(name: str, p: int, required: int) -> CongruenceReport:
         name=name,
         p=p,
         required_exponent=required,
-        working_exponent=required + 1,
         lhs=None,
         rhs=None,
         residual_valuation=None,

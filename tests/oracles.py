@@ -24,7 +24,9 @@ def batch_inv_ints(vals: Sequence[int], m: int, p: int) -> list[int]:
         return []
     for i, v in enumerate(vals):
         if v % p == 0:
-            raise NotInvertible(f"element {v} at index {i} divisible by {p}", index=i)
+            err = NotInvertible(f"element {v} at index {i} divisible by {p}")
+            err.index = i  # the first offending element, for the caller
+            raise err
     pref = [0] * n
     acc = 1
     for i, v in enumerate(vals):

@@ -422,6 +422,20 @@ class TestStartup:
         imported = set(new_modules("verify", "--list-checks")["import"])
         assert imported & {"multiprocessing", "concurrent.futures", "dataclasses", "inspect", "tempfile"} == set()
 
+    def test_import_wlab_loads_no_search(self):
+        # none of the four top-level entry points lives in search
+        script = f"import sys; sys.path.insert(0, {SRC!r}); import wlab; print('wlab.search' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_top_level_names(self):
+        import types
+
+        import wlab
+        public = {n for n, v in vars(wlab).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+        assert public == set(wlab.__all__) == {"bernoulli_mod", "binom_central_int", "half_range_moments", "run_suite"}
+        assert wlab.__version__
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--p", "11..60", "--check", "all"],
         ["search", "wolstenholme", "--max", "300", "--checkpoint", "CK"],
@@ -430,6 +444,15 @@ class TestStartup:
         # argparse's gettext imports locale on first use; cli loads it with itself
         argv = [str(tmp_path / "ck.json") if a == "CK" else a for a in argv]
         assert new_modules("--workers", "1", *argv)["main"] == []
+
+
+class TestReadme:
+    def test_library_block_runs(self):
+        # the README's Library example is the documented surface; run it as written
+        with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestConsoleScript:

@@ -218,8 +218,9 @@ class TestRunSuite:
         assert {(i % (p - 1), r) for i, r in asked} == {(p - 3, 2), (p - 3, 4), (p - 3, 5), (p - 5, 2), (p - 5, 3)}
         table = bernoulli.power_sum_table(p - 3, p, 5)
         for i, r in set(asked):
-            assert (bernoulli.bernoulli_mod(i, p, r, use_exact_oracle=False, sums=table)
-                    == bernoulli.bernoulli_mod(i, p, r, use_exact_oracle=False)), (i, r)
+            own = bernoulli.power_sum_table(bernoulli.kummer_reduce(i, p, r), p, r)
+            assert (bernoulli.bernoulli_mod(i, p, r, sums=table)
+                    == bernoulli.bernoulli_mod(i, p, r, sums=own)), (i, r)
 
 
 class TestDeepInvariantSweep:
@@ -244,14 +245,17 @@ class TestReportSerialization:
         assert isinstance(d["lhs"], str) and isinstance(d["rhs"], str)
 
     def test_working_exponent_above_required(self):
+        # lhs and rhs are kept mod p^(required + 1), one exponent above the required one
         for p in (5, 11):
             (r,) = run_suite(p, ["eq1.1"])
-            assert r.working_exponent >= r.required_exponent + 1
+            m = p ** (r.required_exponent + 1)
+            assert 0 <= r.lhs < m and 0 <= r.rhs < m
+            assert r.lhs == math.comb(2 * p - 1, p - 1) % m
 
     def test_residuals_never_exaggerate(self):
-        # lhs and rhs are recorded at the working exponent
+        # lhs and rhs are recorded at the working exponent, required + 1
         r = check_theorem_main(11)
-        m = 11**r.working_exponent
+        m = 11 ** (r.required_exponent + 1)
         assert 0 <= r.lhs < m and 0 <= r.rhs < m
         assert math.comb(21, 10) % m == r.lhs
 

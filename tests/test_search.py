@@ -291,7 +291,7 @@ class TestRunSearch:
         SearchTask("wolstenholme", 5, 10),
         SearchHit(p=16843, kind="wolstenholme", witness={}),
         Checkpoint(kind="wolstenholme", lo=5, hi=10, last_completed_prime=7, hits=[], updated_at=""),
-        CongruenceReport("eq1.1", 11, 3, 4, 1, 1, 4, True, "pass"),
+        CongruenceReport("eq1.1", 11, 3, 1, 1, 4, True, "pass"),
         REGISTRY["eq1.1"],
     ], ids=lambda r: type(r).__name__)
     def test_records_are_immutable(self, record):
