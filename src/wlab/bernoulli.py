@@ -217,6 +217,12 @@ def bernoulli_mod_small(n: int, p: int, r: int, sums: PowerSums | None = None) -
         raise InvalidInput("index must be even and >= 2")
     if n % (p - 1) == 0:
         raise KummerInapplicable(f"B_{n} is not p-integral for p={p}")
+    return _extract_checked(n, p, r, sums)
+
+
+def _extract_checked(n: int, p: int, r: int, sums: PowerSums | None) -> int:
+    """``bernoulli_mod_small`` past its input checks, for callers that have
+    made them: bernoulli_mod, once kummer_reduce has tested p for primality."""
     val = _extract(n, p, r, power_sum_table(n, p, r) if sums is None else sums)
     if n <= DEFAULT_EXACT_CAP:
         expected = fraction_mod(exact_bernoulli(n), p**r)
@@ -245,7 +251,7 @@ def bernoulli_mod(index: int, p: int, r: int, *, sums: PowerSums | None = None) 
     if sums is None and n <= DEFAULT_EXACT_CAP:
         bn = fraction_mod(exact_bernoulli(n), mr)
     elif r <= 5 and p >= 11:
-        bn = bernoulli_mod_small(n, p, r, sums)
+        bn = _extract_checked(n, p, r, sums)
     else:
         raise KummerInapplicable(
             f"modular extraction needs p >= 11 and r <= 5 (got p={p}, r={r})"

@@ -61,14 +61,16 @@ class CheckContext:
     any p, and Newton's identities divide by 1..k_max, so H_3..H_6 need
     p >= 7 (no row reads them below p = 11).  Bernoulli residues B(index, r)
     come from one power-sum table by extraction at p >= 11, and from exact
-    B_n at p = 5, 7.
+    B_n at p = 5, 7; ``bernoulli_prec`` is the largest r the rows may read,
+    and sizes that table.
     """
 
-    def __init__(self, p: int, w_max: int = 8):
+    def __init__(self, p: int, w_max: int = 8, bernoulli_prec: int = 5):
         if p < 3 or not is_prime(p):
             raise InvalidInput(f"{p} is not an odd prime")
         self.p = p
         self.w_max = w_max
+        self.bernoulli_prec = bernoulli_prec
         self.m = p**w_max
         self._binom = 0
         self._s: list[int] = []
@@ -120,15 +122,18 @@ class CheckContext:
         return self._h[k]
 
     def B(self, index: int, r: int) -> int:
-        """B_index mod p^r.  At p >= 11 extracted from the context's one
-        table, even within the exact cap, where bernoulli_mod checks it
-        against the exact value: every index a row reads is p^j(p-1) - 2
-        (r <= 5) or - 4 (r <= 3), so index p-3's table at r = 5 serves all.
-        Below 11, where only eq1.2-bernoulli reads B_{p-3}, no table is
-        built, so bernoulli_mod takes exact B_n."""
+        """B_index mod p^r, for r up to ``bernoulli_prec``.  At p >= 11
+        extracted from the context's one table, even within the exact cap,
+        where bernoulli_mod checks it against the exact value: every index a
+        row reads is p^j(p-1) - 2 or - 4, and a row that reads - 4 at r
+        declares at least r + 2, so index p-3's table at ``bernoulli_prec``
+        serves all.  Below 11, where only eq1.2-bernoulli reads B_{p-3}, no
+        table is built, so bernoulli_mod takes exact B_n."""
+        if r > self.bernoulli_prec:
+            raise InternalInconsistency(f"B mod p^{r} read from a context sized for p^{self.bernoulli_prec}")
         if (index, r) not in self._b:
             if self.p >= 11 and self._sums is None:
-                self._sums = bn.power_sum_table(self.p - 3, self.p, 5)
+                self._sums = bn.power_sum_table(self.p - 3, self.p, self.bernoulli_prec)
             self._b[index, r] = bn.bernoulli_mod(index, self.p, r, sums=self._sums)
         return self._b[index, r]
 
@@ -195,7 +200,9 @@ def _tauraso_r3(c: CheckContext, p: int, m: int) -> tuple[int, int]:
 class CheckDef(NamedTuple):
     """One registry row: ``sides(ctx, p, m)`` gives (lhs, rhs), each mod
     m = ctx.m, and ``_judge`` compares them at w = required + 1.  At each of
-    ``identity_primes`` the two sides are one integer, reported as identity."""
+    ``identity_primes`` the two sides are one integer, reported as identity.
+    ``bernoulli_prec`` is the largest r of the ctx.B(index, r) the row reads,
+    0 for none."""
 
     name: str
     required: int
@@ -203,6 +210,7 @@ class CheckDef(NamedTuple):
     sides: Callable[[CheckContext, int, int], tuple[int, int]]
     data_only: bool = False
     identity_primes: tuple[int, ...] = ()
+    bernoulli_prec: int = 0
 
 
 def _min_p(bound: int) -> Callable[[int, CheckContext], bool]:
@@ -223,12 +231,12 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
     # which has valuation exactly 3 at a generic prime.
     CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
     CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, m: (
-        c.binom(), 1 - 2 * inv_int(3, m) * p**3 * c.B(p - 3, 2))),
+        c.binom(), 1 - 2 * inv_int(3, m) * p**3 * c.B(p - 3, 2)), bernoulli_prec=2),
     # the paper's Theorem 1.1; at p = 3, 5 both sides are the same integer
     CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11, lambda c, p, m: (
         c.binom(), 1 - 2 * p * c.R(1) + 4 * p * p * c.H(2)), identity_primes=(3, 5)),
-    CheckDef("eq1.3", 6, P11, _eq13),
-    CheckDef("eq1.5", 7, P11, _eq15),
+    CheckDef("eq1.3", 6, P11, _eq13, bernoulli_prec=4),
+    CheckDef("eq1.5", 7, P11, _eq15, bernoulli_prec=5),
     CheckDef("cor1.4-r2", 6, P7, _tauraso_r2),
     CheckDef("cor1.4-r3", 6, P7, _tauraso_r3),
     CheckDef("cor1.5-r1", 5, P7, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
@@ -266,10 +274,10 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
         c.binom(), 1 - 2 * p * c.R(1) + 2 * p * p * (c.R(1) ** 2 - c.R(2)))),
     CheckDef("hsum-h5", 2, P11, lambda c, p, m: (c.H(5), 0)),
     CheckDef("hsum-h6", 1, P11, lambda c, p, m: (c.H(6), 0)),
-    CheckDef("lemma3.5i", 6, P11, _lemma35i),
+    CheckDef("lemma3.5i", 6, P11, _lemma35i, bernoulli_prec=5),
     CheckDef("lemma3.5ii", 5, P11, lambda c, p, m: (
-        c.R(1) ** 2, inv_int(9, m) * p**4 * c.B(p - 3, 2) ** 2)),
-    CheckDef("lemma3.5iii", 5, P11, _lemma35iii),
+        c.R(1) ** 2, inv_int(9, m) * p**4 * c.B(p - 3, 2) ** 2), bernoulli_prec=2),
+    CheckDef("lemma3.5iii", 5, P11, _lemma35iii, bernoulli_prec=5),
     CheckDef("kummer3.3", 2, lambda p, c: 7 <= p and 4 + 2 * (p - 1) <= bn.DEFAULT_EXACT_CAP,
              lambda c, p, m: (bn.kummer_alternating_sum(4, p, 2), 0)),
 ]}
@@ -324,11 +332,12 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
     """Run the selected checks for one prime, in registry order.
 
     Checks whose preconditions exclude the prime yield not-applicable
-    reports rather than pass/fail.
+    reports rather than pass/fail.  A context built here holds the Bernoulli
+    residues the selected rows read, and no more.
     """
     names = expand_selection(selection)
     if ctx is None:
-        ctx = CheckContext(p)
+        ctx = CheckContext(p, bernoulli_prec=max((REGISTRY[n].bernoulli_prec for n in names), default=0))
     out = []
     for name in names:
         d = REGISTRY[name]

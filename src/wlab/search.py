@@ -348,9 +348,10 @@ def resume(checkpoint_path: str, task: SearchTask | None = None, workers: int = 
     cp = load_checkpoint(checkpoint_path)
     if task is not None:
         if (task.kind, task.lo, task.hi) != (cp.kind, cp.lo, cp.hi):
+            # the kinds as the CLI spells them (mod-p8, not mod_p8)
             raise TaskMismatch(
-                f"checkpoint is for {cp.kind} [{cp.lo}, {cp.hi}], "
-                f"requested {task.kind} [{task.lo}, {task.hi}]"
+                f"checkpoint is for {cp.kind.replace('_', '-')} [{cp.lo}, {cp.hi}], "
+                f"requested {task.kind.replace('_', '-')} [{task.lo}, {task.hi}]"
             )
         merged = SearchTask(cp.kind, cp.lo, cp.hi, task.chunk, checkpoint_path)
     else:

@@ -16,13 +16,17 @@ walks all p-1 terms and stays as the slow oracle.
 The power sums P_n = sum of k^n share one pass too.  With n = q(p-1) + r,
 0 <= r < p-1, and x_k = (k^(p-1) - 1)/p, k^n = k^r*(1 + p*x_k)^q, so by the
 binomial theorem P_n = sum over i < e of C(q, i)*p^i*A_{r,i} (mod p^e), with
-A_{r,i} = sum of k^r*x_k^i (``PowerSums``), for every q >= 0.
-``power_sum_int``, p-1 modular powers per P_n, stays as the slow oracle.
+A_{r,i} = sum of k^r*x_k^i (``PowerSums``), for every q >= 0.  Per k that
+pass makes one pow if k is prime and one product of two earlier powers if k
+is composite, steps to the next residue by k*k, and takes the moments by
+columns, one list per block of k.  ``power_sum_int``, p-1 modular powers per
+P_n, stays as the slow oracle.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Mapping
 
 from .errors import InternalInconsistency, InvalidInput, NotInvertible
@@ -130,26 +134,68 @@ def power_sum_int(p: int, e: int, n: int) -> int:
     return total % m
 
 
+# Width of the blocks of k that PowerSums walks.  A block's columns, one list
+# per power of k and per moment, are alive together; a prime below 512 takes
+# one block.
+BLOCK = 512
+
+
+def _base_powers(base: list[int], primes: list[int], r: int, m: int, lo: int, hi: int) -> list[int]:
+    """k^r mod m for lo <= k < hi: one pow at each prime k, and at each
+    composite k = q*(k/q), with q the prime a segmented sieve marks, one
+    product of two entries of ``base`` (base[j] = j^r for j < lo, j <= (p-1)/2).
+    Both factors are at most k/2, so ``base`` need not pass half of p."""
+    fac = [0] * (hi - lo)
+    for q in primes:
+        if q * q >= hi:
+            break
+        start = max(q * q, -(-lo // q) * q)
+        fac[start - lo::q] = [q] * len(range(start, hi, q))
+    return [pow(k, r, m) if q == 0 else base[q] * base[k // q] % m for k, q in zip(range(lo, hi), fac)]
+
+
 class PowerSums:
     """P_n mod p^e for every n of the residues r -> e in ``precision``, from
-    one pass over k keeping A_{r,i} mod p^max(e), i < e: per k, one chain of
-    powers k^r, ..., k^(p-1) and e - 1 multiplications per residue."""
+    one pass over k keeping A_{r,i} mod p^max(e), i < e.
+
+    Per k: k^(r_0), the least residue's power, costs one pow at a prime k and
+    one product at a composite k (``_base_powers``); each step k^r -> k^(r+2)
+    is one multiplication by k*k, any other step one pow; and every residue
+    costs e - 1 multiplications by x_k.  The pass runs by columns: in each
+    block of ``BLOCK`` values of k every power k^r, and every product
+    k^r*x_k^i, is one list, and each moment A_{r,i} gains its ``sum``."""
 
     def __init__(self, p: int, precision: Mapping[int, int]):
         rs = sorted(precision)  # each 0 <= r < p-1, each e >= 1
         m = p ** max(precision.values())
+        h = (p - 1) // 2
         steps = [b - a for a, b in zip(rs, rs[1:] + [p - 1])]
+        primes = [q for q in range(2, math.isqrt(p - 1) + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+        base = [0, 1]  # base[k] = k^(r_0) for k <= h, built in doubling ranges
+        while len(base) <= h:
+            base += _base_powers(base, primes, rs[0], m, len(base), min(2 * len(base), h + 1))
         acc = [[0] * precision[r] for r in rs]
-        for k in range(1, p):
-            kr = [pow(k, rs[0], m)]
+        for lo in range(1, p, BLOCK):
+            hi = min(lo + BLOCK, p)
+            ks = range(lo, hi)
+            col = base[lo:min(hi, h + 1)] + _base_powers(base, primes, rs[0], m, max(lo, h + 1), hi)
+            cols = [col]
+            squares = [k * k for k in ks] if 2 in steps else []
+            # The products by k*k and by x_k are not reduced mod m: a product
+            # grows by one factor below m a step, which costs less than a
+            # division by m, and each sum is reduced once, at the end.
             for step in steps:
-                kr.append(kr[-1] * pow(k, step, m) % m)
-            x = (kr.pop() - 1) // p  # k^(p-1) = 1 + p*x_k mod p^max(e)
-            for a, t in zip(acc, kr):
-                a[0] += t
+                if step == 2:
+                    col = list(map(mul, col, squares))
+                else:
+                    col = [t * pow(k, step, m) % m for t, k in zip(col, ks)]
+                cols.append(col)
+            xs = [(t % m - 1) // p for t in cols.pop()]  # k^(p-1) = 1 + p*x_k mod p^max(e)
+            for a, col in zip(acc, cols):
+                a[0] += sum(col)
                 for i in range(1, len(a)):
-                    t = t * x % m
-                    a[i] += t
+                    col = list(map(mul, col, xs))
+                    a[i] += sum(col)
         self.p = p
         self.moments = {r: [v % m for v in a] for r, a in zip(rs, acc)}
 

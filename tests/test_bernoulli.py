@@ -237,6 +237,24 @@ class TestBernoulliMod:
         with pytest.raises(InvalidInput):
             bernoulli_mod(9, 11, 1)
 
+    @pytest.mark.parametrize("p", [15, 121, 561])
+    def test_composite_p_rejected(self, p):
+        # bernoulli_mod tests p once, in kummer_reduce, and its extraction
+        # trusts that; every public entry point still refuses a composite p
+        table = power_sum_table(p - 3, p, 2)
+        calls = [
+            lambda: kummer_reduce(p - 3, p, 2),
+            lambda: bernoulli_mod_small(p - 3, p, 2),
+            lambda: bernoulli_mod_small(p - 3, p, 2, table),
+            lambda: bernoulli_mod(p - 3, p, 2),
+            lambda: bernoulli_mod(p**4 - p**3 - 2, p, 2),
+            lambda: bernoulli_mod(p - 3, p, 2, sums=table),
+            lambda: bernoulli.kummer_alternating_sum(4, p, 1),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInput, match="prime"):
+                call()
+
 
 class TestAlternatingSum:
     def test_m4_p7_r2(self):

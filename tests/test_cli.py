@@ -205,7 +205,8 @@ class TestSearchCommand:
             assert code == 1 and out == ""
             assert err.startswith("error: checkpoint is for wolstenholme [5, 300]")
         code, _, err = run_cli(capsys, "search", "mod-p8", "--resume", ck)
-        assert code == 1 and err.startswith("error: checkpoint is for wolstenholme")
+        # the kind as typed, not the internal mod_p8
+        assert code == 1 and err == "error: checkpoint is for wolstenholme [5, 300], requested mod-p8 [5, 300]\n"
         for bound in ([], ["--min", "5"], ["--max", "300"]):
             assert run_cli(capsys, "search", "wolstenholme", "--resume", ck, *bound)[0] == 0
 

@@ -8,6 +8,7 @@ import pytest
 from wlab import bernoulli, sums
 from wlab.cli import main
 from wlab.congruence import (
+    REGISTRY,
     CheckContext,
     binom_central_int,
     check_theorem_main,
@@ -206,6 +207,39 @@ class TestRunSuite:
             assert len(calls["PowerSums"]) == 1, p
             assert calls["power_sum_int"] == [], p
             calls["PowerSums"].clear()
+
+    def test_declared_bernoulli_precision_is_the_largest_read(self, monkeypatch):
+        # each row alone, at primes below the exact cap and one above it: the
+        # largest r it asks CheckContext.B for is the r it declares (0 for none);
+        # a row that read more than it declares would raise here
+        asked = []
+        b = CheckContext.B
+        monkeypatch.setattr(CheckContext, "B", lambda self, i, r: asked.append(r) or b(self, i, r))
+        for name, d in REGISTRY.items():
+            asked.clear()
+            for p in [*primes_in(5, 60), 2011]:
+                run_suite(p, [name])
+            assert max(asked, default=0) == d.bernoulli_prec, name
+
+    def test_table_sized_from_selected_rows(self, monkeypatch):
+        built = []
+        table = bernoulli.power_sum_table
+        monkeypatch.setattr(bernoulli, "power_sum_table", lambda n, p, r: built.append(r) or table(n, p, r))
+        for selection, r in ((["eq1.2"], 2), (["eq1.3"], 4), (["eq1.2", "eq1.3"], 4), (None, 5)):
+            built.clear()
+            run_suite(101, selection)
+            assert built == [r], selection
+        built.clear()
+        run_suite(101, ["thm1.1", "chain"])
+        assert built == []
+
+    def test_bernoulli_read_beyond_declared_refused(self):
+        ctx = CheckContext(101, bernoulli_prec=2)
+        assert ctx.B(98, 2) == bernoulli.bernoulli_mod(98, 101, 2)
+        with pytest.raises(InternalInconsistency, match="sized for p\\^2"):
+            ctx.B(98, 3)
+        with pytest.raises(InternalInconsistency):
+            CheckContext(7, bernoulli_prec=0).B(4, 1)
 
     @pytest.mark.parametrize("p", [11, 13, 101, 2011])
     def test_context_table_serves_every_row(self, p, monkeypatch):
