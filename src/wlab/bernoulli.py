@@ -42,7 +42,7 @@ from .errors import (
     NotInvertible,
     PrecisionUnderflow,
 )
-from .modring import inv_int, is_prime
+from .modring import inv_int, is_odd_prime
 from .report import CongruenceReport, make_report
 from .sums import PowerSums, power_sum_int
 
@@ -57,6 +57,10 @@ DEFAULT_EXACT_CAP = 2000
 # One entry per index asked for; a racing thread can only store a value twice.
 _bern_cache: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
 _pi = (0, 3)  # (bits, pi * 2^bits), computed on first use
+# (bits, [(m_i, e_i)]) with (2pi)^(2^i) ~ m_i * 2^e_i for 2^i <= DEFAULT_EXACT_CAP,
+# each m_i of `bits` bits; built on first use, rebuilt when more bits are asked for
+_two_pi_powers: tuple[int, list[tuple[int, int]]] = (0, [])
+_sieve = bytearray()  # _sieve[k] = 1 for the primes k <= DEFAULT_EXACT_CAP + 1, built on first use
 
 
 def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
@@ -84,16 +88,74 @@ def _pi_fixed(bits: int) -> int:
     return _pi[1] >> (_pi[0] - bits)
 
 
+def _two_pi_pow(n: int, bits: int) -> tuple[int, int]:
+    """(m, e) with (2pi)^n ~ m * 2^e, m of `bits` bits, relative error below
+    (5n + 4 popcount(n)) * 2^-bits, for 1 <= n <= DEFAULT_EXACT_CAP.
+
+    The product of the table's (2pi)^(2^i) over the bits i of n.  The table
+    is built at w >= bits bits from 2pi * 2^(w-3) (within 1.5 units, so
+    3 * 2^-w relatively) by squaring, and holds (2pi)^(2^i) within
+    5 * 2^i * 2^-w: each squaring doubles the error and its truncation to w
+    bits adds under 2^-(w-1).  Cutting an entry to `bits` bits, and the
+    product back to `bits` bits after each factor, add under 2^-(bits-1)
+    each."""
+    global _two_pi_powers
+    if bits > _two_pi_powers[0]:
+        w = 1 << (bits - 1).bit_length()
+        table = [(_pi_fixed(w) >> 2, 3 - w)]
+        while 1 << len(table) <= DEFAULT_EXACT_CAP:
+            m, e = table[-1]
+            m *= m
+            s = m.bit_length() - w
+            table.append((m >> s, 2 * e + s))
+        _two_pi_powers = (w, table)
+    w, table = _two_pi_powers
+    m, e = 1, 0
+    for i in range(n.bit_length()):
+        if n >> i & 1:
+            mi, ei = table[i]
+            m *= mi >> (w - bits)
+            s = max(m.bit_length() - bits, 0)
+            m, e = m >> s, e + ei + w - bits + s
+    return m, e
+
+
+def _prime_sieve() -> bytearray:
+    """The primes up to DEFAULT_EXACT_CAP + 1, every one that divides a
+    denominator D_n in the exact domain or that an Euler product reaches."""
+    global _sieve
+    if not _sieve:
+        top = DEFAULT_EXACT_CAP + 2
+        sieve = bytearray([1]) * top
+        sieve[:2] = b"\0\0"
+        for q in range(2, math.isqrt(top - 1) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, top, q)))
+        _sieve = sieve
+    return _sieve
+
+
 def exact_bernoulli(n: int) -> Fraction:
     """Exact rational B_n; memoized; even indices above the cap are refused.
 
     For even n >= 2, D_n = prod{q prime : (q-1) | n} is the denominator of B_n
-    (von Staudt-Clausen), and N_n = B_n*D_n = (-1)^(n/2+1)*2*n!*D_n*zeta(n)/(2pi)^n
-    is an integer with |N_n| < 2^(t-3), t read off bit lengths ((2pi)^n > 6^n).
-    The Euler product for zeta(n) stops at the first prime X with
-    X^(n-1)*(n-1) >= 2^(t+1); its tail, at most 2^-(t+1) relatively, is worth
-    under 1/16 in N_n.  All else runs in ints truncated to t + 64 bits and
-    adds below 2^-(t+40) relatively, so the estimate rounds to N_n.
+    (von Staudt-Clausen), read off the divisor pairs (k, n/k), k <= sqrt(n),
+    and N_n = B_n*D_n = (-1)^(n/2+1)*a*zeta(n)/(2pi)^n, a = 2*n!*D_n, is an
+    integer with |N_n| < 2^(t-3), t read off bit lengths ((2pi)^n > 6^n).
+    Everything below runs at prec = t + 64 bits, in units of 2^-prec:
+
+    * 2^prec/zeta(n) is v, the Euler product over the primes q up to the first
+      X with X^(n-1)*(n-1) >= 2^(t+1).  Its tail sum over k > X of k^-n is at
+      most X^(1-n)/(n-1) <= 2^-(t+1) relatively.  Each step v -= v // q^n
+      divides with both sides cut by s bits, so that q^n keeps 32 bits more
+      than the quotient can have; that and the floor cost under 2 units a
+      step, under 62 units in all (X <= 127, 31 primes), and v > 2^prec/2.
+    * (2pi)^n = M*2^e within 2^-(prec-14) relatively (``_two_pi_pow``).
+    * |N_n|*2^64 = a*2^(prec + 64 - e) / (v*M); the divisor v*M is cut to the
+      quotient's t + 64 bits plus 32, worth under a unit of the quotient.
+
+    So the estimate of |N_n| is off by under 2^(t-3) * 2^-(t+1) = 1/16 from
+    the tail and by under 2^-50 from the rest, and rounding gives N_n.
     """
     if n < 0:
         raise InvalidInput("index must be non-negative")
@@ -103,23 +165,28 @@ def exact_bernoulli(n: int) -> Fraction:
         raise CapExceeded(f"index {n} above exact cap {DEFAULT_EXACT_CAP}")
     if n in _bern_cache:
         return _bern_cache[n]
-    d = math.prod(k + 1 for k in range(1, n + 1) if n % k == 0 and is_prime(k + 1))
+    sieve = _prime_sieve()
+    divisors = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    d = math.prod(k + 1 for k in {*divisors, *(n // k for k in divisors)} if sieve[k + 1])
     a = 2 * math.factorial(n) * d
     t = max((2 * a).bit_length() - (6**n).bit_length() + 1, 0) + 3
     prec = t + 64
-    inv_zeta = 1 << prec  # 2^prec / zeta(n)
-    for q in filter(is_prime, itertools.count(2)):
-        inv_zeta -= inv_zeta // (qn := q**n)
+    v = 1 << prec  # 2^prec / zeta(n)
+    for q in itertools.compress(itertools.count(), sieve):
+        qn = q**n
+        # q^n keeps 32 bits more than the quotient; s <= prec, so a q^n past
+        # 2^(prec+32), where the quotient is 0, keeps its top 32 bits
+        s = min(max(2 * qn.bit_length() - prec - 33, 0), prec)
+        v -= (v >> s) // (qn >> s)
         if qn * (n - 1) >= q << (t + 1):
             break
-    x = _pi_fixed(prec) << 1  # 2*pi * 2^prec, and (2*pi)^n ~ m * 2^e
-    m, e = x, -prec
-    for bit in bin(n)[3:]:
-        m, e = (m * m * x, 2 * e - prec) if bit == "1" else (m * m, 2 * e)
-        s = max(m.bit_length() - prec, 0)
-        m, e = m >> s, e + s
-    # |N_n| * 2^64 = a * 2^(prec + 64 - e) / (inv_zeta * m), rounded
-    num = ((a << (prec + 64 - e)) // (inv_zeta * m) + (1 << 63)) >> 64
+    else:
+        raise InternalInconsistency(f"the Euler product for zeta({n}) ran out of primes")
+    m, e = _two_pi_pow(n, prec)
+    div = v * m
+    s = max(div.bit_length() - (t + 96), 0)
+    # |N_n| * 2^64 = a * 2^(prec + 64 - e) / (v * m), rounded
+    num = ((a << (prec + 64 - e - s)) // (div >> s) + (1 << 63)) >> 64
     _bern_cache[n] = b = Fraction(num if n % 4 == 2 else -num, d)
     return b
 
@@ -143,7 +210,7 @@ def kummer_reduce(index: int, p: int, r: int) -> int:
     """
     if r < 1:
         raise InvalidInput("precision r must be >= 1")
-    if p < 3 or not is_prime(p):
+    if not is_odd_prime(p):
         raise InvalidInput(f"{p} is not an odd prime")
     if index < 2 or index % 2:
         raise InvalidInput("index must be even and >= 2")
@@ -211,7 +278,7 @@ def bernoulli_mod_small(n: int, p: int, r: int, sums: PowerSums | None = None) -
         raise InvalidInput("precision r must be >= 1")
     if r > 5:
         raise PrecisionUnderflow("power-sum extraction supports r <= 5")
-    if p < 11 or not is_prime(p):
+    if p < 11 or not is_odd_prime(p):
         raise InvalidInput("extraction requires a prime p >= 11")
     if n < 2 or n % 2:
         raise InvalidInput("index must be even and >= 2")
@@ -280,7 +347,7 @@ def kummer_alternating_sum(m: int, p: int, r: int) -> int:
         raise InvalidInput("m must be even and >= 2")
     if r < 0 or r > m - 1:
         raise InvalidInput("need 0 <= r <= m-1")
-    if p < 3 or not is_prime(p):
+    if not is_odd_prime(p):
         raise InvalidInput(f"{p} is not an odd prime")
     if m % (p - 1) == 0:
         raise InvalidInput("m must not be divisible by p-1")

@@ -125,7 +125,7 @@ def _emit_reports(rows: Iterable[dict], fmt: str, out) -> int:
     for row in rows:
         failed += row.get("status") == "fail"
         if fmt == "jsonl":
-            out.write(json.dumps(row, separators=(", ", ": ")) + "\n")
+            out.write(json.dumps(row) + "\n")
         elif fmt == "csv":
             writer.writerow(["" if row.get(c) is None else row.get(c) for c in REPORT_COLUMNS])
         else:
@@ -222,7 +222,7 @@ def cmd_search(args) -> int:
         hi = cp.hi if args.max is None else args.max
         task = search.SearchTask(kind, lo, hi, args.chunk, args.resume)
         search.resume(args.resume, task=task, workers=args.workers,
-                      progress=_progress_printer(kind), on_hit=emit)
+                      progress=_progress_printer(args.kind), on_hit=emit)
     else:
         if args.max is None:
             print("error: search needs --max (or --resume)", file=sys.stderr)
@@ -230,7 +230,7 @@ def cmd_search(args) -> int:
         lo = args.min if args.min is not None else search.KIND_MIN[kind]
         task = search.SearchTask(kind, lo, args.max, args.chunk, checkpoint)
         search.run_search(task, workers=args.workers,
-                          progress=_progress_printer(kind), on_hit=emit)
+                          progress=_progress_printer(args.kind), on_hit=emit)
     return 0
 
 

@@ -13,13 +13,16 @@ integer and the report says ``identity``; a difference there is a bug.
 
 A per-prime CheckContext holds every value the rows share, as plain ints
 mod p^w_max, for every odd prime: the binomial, the R_n, the H_k and the
-Bernoulli residues (and their power-sum table).  It fills the first three from
-``sums.half_range_moments``: one pass over k <= (p-1)/2 gives C(2p-1, p-1)
-and the moments S_1, S_2, enough for the binomial, R_1, R_2 and H_2; a row
-that reads R_3 or beyond costs one more pass for S_1..S_7, and each R_n
-follows from the S_j by Dickson's identity.  H_k follows from the R_n by
-Newton's identities.  No row is judged above w = 8, so run_suite builds its
-context at p^8; a row with required exponent 8 needs only a p^9 context.
+Bernoulli residues (and their power-sum table).  Each row declares the
+largest R_n or H_k it reads (``harmonic_order``) and the largest Bernoulli
+precision (``bernoulli_prec``), and run_suite sizes its context from the
+selected rows.  The context fills the first three from one pass of
+``sums.half_range_moments`` over k <= (p-1)/2: C(2p-1, p-1) and the moments
+S_1..S_j, j = max(2, harmonic_order), so S_1..S_7 for every row and S_1, S_2
+for thm1.1 alone.  Each R_n follows from the S_j by Dickson's identity and
+H_k from the R_n by Newton's identities; a read above j is refused.  No row
+is judged above w = 8, so run_suite builds its context at p^8; a row with
+required exponent 8 needs only a p^9 context.
 
 ``binom_central_int`` (the unit product (1 + p/1)...(1 + p/(p-1)) over all
 p-1 terms, one deferred inversion) is the full-range route to the binomial
@@ -31,8 +34,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from . import bernoulli as bn
-from .errors import InternalInconsistency, InvalidInput, UnknownCheckName
-from .modring import inv_int, is_prime, range_inverses, residual_valuation
+from .errors import InternalInconsistency, InvalidInput, NotInvertible, UnknownCheckName
+from .modring import inv_int, is_odd_prime, range_inverses, residual_valuation
 from .report import CongruenceReport, make_report, not_applicable
 from .sums import half_range_moments, inverse_power_sum_from_moments, inverse_power_sums_ints, newton_elementary_ints
 
@@ -56,53 +59,36 @@ class CheckContext:
     """Per-prime cache of every value the checks share.
 
     Each value is computed once and returned mod m = p^w_max; a check judged
-    at w > w_max is refused by ``require``.  The binomial and the R_n come
-    from the half-range kernel, at every odd prime: they are p-integral at
-    any p, and Newton's identities divide by 1..k_max, so H_3..H_6 need
-    p >= 7 (no row reads them below p = 11).  Bernoulli residues B(index, r)
-    come from one power-sum table by extraction at p >= 11, and from exact
-    B_n at p = 5, 7; ``bernoulli_prec`` is the largest r the rows may read,
-    and sizes that table.
+    at w > w_max is refused by ``require``.  The binomial, R_1..R_j and
+    H_1..H_j come from one half-range pass at j = max(2, harmonic_order), on
+    the first read, at every odd prime: they are p-integral at any p, and
+    Newton's identities divide by 1..k, so H_k needs k < p (no row reads H_3
+    or beyond below p = 11).  A read of R_n or H_k above j raises
+    InternalInconsistency.  Bernoulli residues B(index, r) come from one
+    power-sum table by extraction at p >= 11, and from exact B_n at p = 5, 7;
+    ``bernoulli_prec`` is the largest r the rows may read, and sizes that
+    table.
     """
 
-    def __init__(self, p: int, w_max: int = 8, bernoulli_prec: int = 5):
-        if p < 3 or not is_prime(p):
+    def __init__(self, p: int, w_max: int = 8, bernoulli_prec: int = 5, harmonic_order: int = 2):
+        if not is_odd_prime(p):
             raise InvalidInput(f"{p} is not an odd prime")
         self.p = p
         self.w_max = w_max
         self.bernoulli_prec = bernoulli_prec
+        self.harmonic_order = max(harmonic_order, 2)
         self.m = p**w_max
         self._binom = 0
-        self._s: list[int] = []
         self._r: dict[int, int] = {}
         self._h: dict[int, int] = {}
         self._b: dict[tuple[int, int], int] = {}
         self._sums: bn.PowerSums | None = None
 
-    def _ensure_s(self, j: int) -> None:
-        """The binomial and S_1..S_j from one half-range pass.  The first
-        pass takes S_1, S_2 (all that binom, R_1, R_2 and H_2 need); a
-        request beyond that takes every moment R_1..R_7 need in one more."""
-        if len(self._s) > j:
-            return
-        j_max = 2 if j <= 2 else max(j, 7)
-        self._binom, self._s = half_range_moments(self.p, self.m, j_max)
-
-    def _ensure_r(self, n_max: int) -> None:
-        self._ensure_s(n_max)
-        for n in range(1, n_max + 1):
-            if n not in self._r:
-                self._r[n] = inverse_power_sum_from_moments(self._s, self.p, self.m, n)
-
-    def _ensure_h(self, k: int) -> None:
-        """H_1..H_k by Newton's identities, in the same two steps as the
-        moments: H_1, H_2 first (the main congruence's), then every H a row
-        reads, H_1..H_6, in one more run."""
-        if k in self._h:
-            return
-        k_max = 2 if k <= 2 else max(k, 6)
-        self._ensure_r(k_max)
-        self._h = newton_elementary_ints(self._r, k_max, self.m, self.p)
+    def _half_range_pass(self) -> None:
+        p, m, j = self.p, self.m, self.harmonic_order
+        self._binom, s = half_range_moments(p, m, j)
+        self._r = {n: inverse_power_sum_from_moments(s, p, m, n) for n in range(1, j + 1)}
+        self._h = newton_elementary_ints(self._r, min(j, p - 1), m, p)
 
     def require(self, w: int) -> None:
         """Refuse a check judged at p^w when the context holds less."""
@@ -110,15 +96,24 @@ class CheckContext:
             raise InvalidInput(f"context built at exponent {self.w_max}, asked for {w}")
 
     def binom(self) -> int:
-        self._ensure_s(2)
+        if not self._r:
+            self._half_range_pass()
         return self._binom
 
     def R(self, n: int) -> int:
-        self._ensure_r(n)
+        if not self._r:
+            self._half_range_pass()
+        if n not in self._r:
+            raise InternalInconsistency(f"R_{n} read from a context sized for R_{self.harmonic_order}")
         return self._r[n]
 
     def H(self, k: int) -> int:
-        self._ensure_h(k)
+        if not self._r:
+            self._half_range_pass()
+        if k not in self._h:
+            if self.p <= k <= self.harmonic_order:
+                raise NotInvertible(f"p={self.p} too small to divide by 1..{k}")
+            raise InternalInconsistency(f"H_{k} read from a context sized for H_{self.harmonic_order}")
         return self._h[k]
 
     def B(self, index: int, r: int) -> int:
@@ -201,8 +196,9 @@ class CheckDef(NamedTuple):
     """One registry row: ``sides(ctx, p, m)`` gives (lhs, rhs), each mod
     m = ctx.m, and ``_judge`` compares them at w = required + 1.  At each of
     ``identity_primes`` the two sides are one integer, reported as identity.
-    ``bernoulli_prec`` is the largest r of the ctx.B(index, r) the row reads,
-    0 for none."""
+    ``harmonic_order`` is the largest n of the ctx.R(n) and ctx.H(n) the row
+    (its applicability test included) reads, and ``bernoulli_prec`` the
+    largest r of the ctx.B(index, r); 0 for none."""
 
     name: str
     required: int
@@ -210,6 +206,7 @@ class CheckDef(NamedTuple):
     sides: Callable[[CheckContext, int, int], tuple[int, int]]
     data_only: bool = False
     identity_primes: tuple[int, ...] = ()
+    harmonic_order: int = 0
     bernoulli_prec: int = 0
 
 
@@ -229,55 +226,58 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
     # Glaisher's mod-p^4 forms.  The harmonic side takes the +2p sign, matching
     # the mod-p^5 form it weakens to; with -2p the difference is 4p^2*H_2,
     # which has valuation exactly 3 at a generic prime.
-    CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
+    CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1)), harmonic_order=1),
     CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, m: (
         c.binom(), 1 - 2 * inv_int(3, m) * p**3 * c.B(p - 3, 2)), bernoulli_prec=2),
     # the paper's Theorem 1.1; at p = 3, 5 both sides are the same integer
     CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11, lambda c, p, m: (
-        c.binom(), 1 - 2 * p * c.R(1) + 4 * p * p * c.H(2)), identity_primes=(3, 5)),
+        c.binom(), 1 - 2 * p * c.R(1) + 4 * p * p * c.H(2)), identity_primes=(3, 5), harmonic_order=2),
     CheckDef("eq1.3", 6, P11, _eq13, bernoulli_prec=4),
     CheckDef("eq1.5", 7, P11, _eq15, bernoulli_prec=5),
-    CheckDef("cor1.4-r2", 6, P7, _tauraso_r2),
-    CheckDef("cor1.4-r3", 6, P7, _tauraso_r3),
-    CheckDef("cor1.5-r1", 5, P7, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
-    CheckDef("cor1.5-r2", 5, P7, lambda c, p, m: (c.binom(), 1 - p * p * c.R(2))),
+    CheckDef("cor1.4-r2", 6, P7, _tauraso_r2, harmonic_order=2),
+    CheckDef("cor1.4-r3", 6, P7, _tauraso_r3, harmonic_order=3),
+    CheckDef("cor1.5-r1", 5, P7, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1)), harmonic_order=1),
+    CheckDef("cor1.5-r2", 5, P7, lambda c, p, m: (c.binom(), 1 - p * p * c.R(2)), harmonic_order=2),
     # Tauraso's two forms hold one level higher at Wolstenholme primes
-    CheckDef("eq1.6-r2", 7, _is_wolstenholme, _tauraso_r2),
-    CheckDef("eq1.6-r3", 7, _is_wolstenholme, _tauraso_r3),
+    CheckDef("eq1.6-r2", 7, _is_wolstenholme, _tauraso_r2, harmonic_order=2),
+    CheckDef("eq1.6-r3", 7, _is_wolstenholme, _tauraso_r3, harmonic_order=3),
     # 2R_1 - p*R_1^2 + p*R_2 + (p^2/3)*R_3 against 0, recorded for inspection
     # only: no prime is expected to satisfy it short of being a Wolstenholme
     # prime, and the converse is open.
     CheckDef("rem1.5-data", 6, P11, lambda c, p, m: (
         2 * c.R(1) - p * c.R(1) ** 2 + p * c.R(2) + inv_int(3, m) * p * p * c.R(3), 0),
-        data_only=True),
-    *[CheckDef(f"lemma2.1-n{n}", 2 if n % 2 else 1, P11, lambda c, p, m, n=n: (c.R(n), 0))
+        data_only=True, harmonic_order=3),
+    *[CheckDef(f"lemma2.1-n{n}", 2 if n % 2 else 1, P11, lambda c, p, m, n=n: (c.R(n), 0), harmonic_order=n)
       for n in range(1, 7)],
     CheckDef("lemma2.2-h3", 6, P11, lambda c, p, m: (
-        c.H(3), inv_int(3, m) * c.R(3) - inv_int(2, m) * c.R(1) * c.R(2))),
+        c.H(3), inv_int(3, m) * c.R(3) - inv_int(2, m) * c.R(1) * c.R(2)), harmonic_order=3),
     CheckDef("lemma2.2-h4", 4, P11, lambda c, p, m: (
-        c.H(4), -inv_int(4, m) * c.R(4) + inv_int(8, m) * c.R(2) ** 2)),
+        c.H(4), -inv_int(4, m) * c.R(4) + inv_int(8, m) * c.R(2) ** 2), harmonic_order=4),
     # 2*R_1 = -sum_{i=1}^{r} p^i * R_{i+1}  (mod p^(r+1))
     *[CheckDef(f"lemma2.3-r{r}", r + 1, P11, lambda c, p, m, r=r: (
-        2 * c.R(1), -sum(p**i * c.R(i + 1) for i in range(1, r + 1)))) for r in range(1, 7)],
-    CheckDef("lemma2.4-a", 4, P11, lambda c, p, m: (2 * c.R(1), -p * c.R(2))),
-    CheckDef("lemma2.4-b", 4, P11, lambda c, p, m: (2 * c.R(3), -3 * p * c.R(4))),
-    CheckDef("chain2.8", 7, P11, lambda c, p, m: (c.binom(), 1 + sum(p**k * c.H(k) for k in range(1, 5)))),
-    CheckDef("chain2.9", 7, P11, _chain29),
-    CheckDef("chain2.12", 7, P11, _chain212),
+        2 * c.R(1), -sum(p**i * c.R(i + 1) for i in range(1, r + 1))), harmonic_order=r + 1)
+      for r in range(1, 7)],
+    CheckDef("lemma2.4-a", 4, P11, lambda c, p, m: (2 * c.R(1), -p * c.R(2)), harmonic_order=2),
+    CheckDef("lemma2.4-b", 4, P11, lambda c, p, m: (2 * c.R(3), -3 * p * c.R(4)), harmonic_order=4),
+    CheckDef("chain2.8", 7, P11, lambda c, p, m: (
+        c.binom(), 1 + sum(p**k * c.H(k) for k in range(1, 5))), harmonic_order=4),
+    CheckDef("chain2.9", 7, P11, _chain29, harmonic_order=4),
+    CheckDef("chain2.12", 7, P11, _chain212, harmonic_order=3),
     CheckDef("chain2.13", 6, P11, lambda c, p, m: (
-        2 * c.R(1), -p * c.R(2) - p**2 * c.R(3) - p**3 * c.R(4))),
-    CheckDef("chain2.14", 7, P11, lambda c, p, m: (p**3 * c.R(3), -6 * p * c.R(1) - 3 * p * p * c.R(2))),
+        2 * c.R(1), -p * c.R(2) - p**2 * c.R(3) - p**3 * c.R(4)), harmonic_order=4),
+    CheckDef("chain2.14", 7, P11, lambda c, p, m: (
+        p**3 * c.R(3), -6 * p * c.R(1) - 3 * p * p * c.R(2)), harmonic_order=3),
     CheckDef("chain2.15", 7, P11, lambda c, p, m: (c.binom(), (
         1 - 2 * p * c.R(1) - 2 * p * p * c.R(2)
-        + inv_int(4, m) * p * p * c.R(1) * (2 * c.R(1) - 3 * p * c.R(2))))),
+        + inv_int(4, m) * p * p * c.R(1) * (2 * c.R(1) - 3 * p * c.R(2)))), harmonic_order=2),
     CheckDef("chain2.16", 7, P11, lambda c, p, m: (
-        c.binom(), 1 - 2 * p * c.R(1) + 2 * p * p * (c.R(1) ** 2 - c.R(2)))),
-    CheckDef("hsum-h5", 2, P11, lambda c, p, m: (c.H(5), 0)),
-    CheckDef("hsum-h6", 1, P11, lambda c, p, m: (c.H(6), 0)),
-    CheckDef("lemma3.5i", 6, P11, _lemma35i, bernoulli_prec=5),
+        c.binom(), 1 - 2 * p * c.R(1) + 2 * p * p * (c.R(1) ** 2 - c.R(2))), harmonic_order=2),
+    CheckDef("hsum-h5", 2, P11, lambda c, p, m: (c.H(5), 0), harmonic_order=5),
+    CheckDef("hsum-h6", 1, P11, lambda c, p, m: (c.H(6), 0), harmonic_order=6),
+    CheckDef("lemma3.5i", 6, P11, _lemma35i, harmonic_order=1, bernoulli_prec=5),
     CheckDef("lemma3.5ii", 5, P11, lambda c, p, m: (
-        c.R(1) ** 2, inv_int(9, m) * p**4 * c.B(p - 3, 2) ** 2), bernoulli_prec=2),
-    CheckDef("lemma3.5iii", 5, P11, _lemma35iii, bernoulli_prec=5),
+        c.R(1) ** 2, inv_int(9, m) * p**4 * c.B(p - 3, 2) ** 2), harmonic_order=1, bernoulli_prec=2),
+    CheckDef("lemma3.5iii", 5, P11, _lemma35iii, harmonic_order=2, bernoulli_prec=5),
     CheckDef("kummer3.3", 2, lambda p, c: 7 <= p and 4 + 2 * (p - 1) <= bn.DEFAULT_EXACT_CAP,
              lambda c, p, m: (bn.kummer_alternating_sum(4, p, 2), 0)),
 ]}
@@ -337,7 +337,9 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
     """
     names = expand_selection(selection)
     if ctx is None:
-        ctx = CheckContext(p, bernoulli_prec=max((REGISTRY[n].bernoulli_prec for n in names), default=0))
+        rows = [REGISTRY[n] for n in names]
+        ctx = CheckContext(p, bernoulli_prec=max((d.bernoulli_prec for d in rows), default=0),
+                           harmonic_order=max((d.harmonic_order for d in rows), default=0))
     out = []
     for name in names:
         d = REGISTRY[name]

@@ -14,6 +14,8 @@ code that nothing runs.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import InvalidInput, NotInvertible
 
 _SMALL_PRIMES = (
@@ -55,6 +57,13 @@ def is_prime(n: int) -> bool:
         if n % q == 0:
             return False
     return all(_miller_rabin(n, b) for b in _MR_BASES)
+
+
+@functools.lru_cache(maxsize=1)
+def is_odd_prime(p: int) -> bool:
+    """p >= 3 and prime.  The last answer is kept: a verify run asks it about
+    one p for every Bernoulli residue the rows read."""
+    return p >= 3 and is_prime(p)
 
 
 def residual_valuation(x: int, p: int, e: int) -> int:

@@ -10,7 +10,9 @@ The fast path pairs k with p-k.  With u_k = 1/(k(p-k)), 1/k + 1/(p-k) = p*u_k
 and 1/k * 1/(p-k) = u_k, so every R_n is a polynomial in the half-range
 moments S_j = sum of u_k^j over k=1..(p-1)/2 (``half_range_moments``,
 ``inverse_power_sum_from_moments``), and (1 + p/k)(1 + p/(p-k)) = 1 + 2p^2*u_k
-puts C(2p-1, p-1) on the same (p-1)/2 terms.  ``inverse_power_sums_ints``
+puts C(2p-1, p-1) on the same (p-1)/2 terms.  Past S_2 the moments are
+taken by columns, one list per power of a block of u_k; the tests compare
+them with one k at a time (``tests/oracles.py``).  ``inverse_power_sums_ints``
 walks all p-1 terms and stays as the slow oracle.
 
 The power sums P_n = sum of k^n share one pass too.  With n = q(p-1) + r,
@@ -47,14 +49,22 @@ def inverse_power_sums_ints(p: int, m: int, n_max: int) -> dict[int, int]:
     return {n: sums[n] % m for n in range(1, n_max + 1)}
 
 
+# Width of the blocks of k that PowerSums and half_range_moments walk by
+# columns.  A block's columns, one list per power and per moment, are alive
+# together; PowerSums takes a prime below 512 in one block.
+BLOCK = 512
+
+
 def half_range_moments(p: int, m: int, j_max: int) -> tuple[int, list[int]]:
     """C(2p-1, p-1) and S_1..S_{j_max} mod m from one pass over k <= (p-1)/2.
 
     m is a power of the odd prime p.  The binomial is
     prod (k(p-k) + 2p^2) / prod k(p-k); for j_max >= 2 the prefix products of
     the denominator are kept, so its single inversion also yields every
-    u_k = 1/(k(p-k)) on the way back down.  Returns (binom, s) with s[j] = S_j
-    and s[0] unused.
+    u_k = 1/(k(p-k)) on the way back down.  For j_max >= 3 each block of
+    ``BLOCK`` values of u_k is a column whose powers are lists, each S_j a
+    ``sum`` of one list a block, reduced mod m at the end.  Returns (binom, s)
+    with s[j] = S_j and s[0] unused.
     """
     if j_max < 1:
         raise InvalidInput("j_max must be >= 1")
@@ -80,10 +90,11 @@ def half_range_moments(p: int, m: int, j_max: int) -> tuple[int, list[int]]:
     inv = inv_int(den, m)
     binom = num * inv % m
     if j_max == 2:
-        # CheckContext's first pass (thm1.1 and the main-congruence rows) and
-        # the mod-p^8 confirmation at filter zeros.  The general loop costs
-        # 1.25-1.6x this one at p = 5003..16843 mod p^8 and p^9, and one
-        # j = 7 pass in its place made run_suite(p, ["thm1.1"]) over
+        # CheckContext's pass for thm1.1 and the main-congruence rows alone, and
+        # the mod-p^8 confirmation at filter zeros.  The per-k general loop
+        # cost 1.25-1.6x this one at p = 5003..16843 mod p^8 and p^9; the
+        # column loop below, run at j_max = 2, costs within 4% of it (best of
+        # 7).  One j = 7 pass in its place made run_suite(p, ["thm1.1"]) over
         # 11..3000 3.1x slower (best of 15 and of 3, Python 3.11.7, 2 vCPUs)
         s1 = s2 = 0
         for k in range(h, 0, -1):
@@ -93,16 +104,22 @@ def half_range_moments(p: int, m: int, j_max: int) -> tuple[int, list[int]]:
             s2 += u * u
         s = [0, s1, s2]
     else:
+        # By columns: the backward loop hands over BLOCK values of u_k at a
+        # time, and prefix is cut behind it, so no second whole-range list is
+        # alive.  Each power of the block is one list, its products unreduced
+        # as in PowerSums, and each S_j is reduced once, at the end.
         s = [0] * (j_max + 1)
-        powers = range(2, j_max + 1)
-        for k in range(h, 0, -1):
-            u = prefix[k] * inv % m
-            inv = inv * (k * (p - k)) % m
-            s[1] += u
-            w = u
-            for j in powers:
-                w = w * u % m
-                s[j] += w
+        for top in range(h, 0, -BLOCK):
+            block = []
+            for k in range(top, max(top - BLOCK, 0), -1):
+                block.append(prefix[k] * inv % m)
+                inv = inv * (k * (p - k)) % m
+            del prefix[top - len(block) + 1:]
+            col = block
+            s[1] += sum(col)
+            for j in range(2, j_max + 1):
+                col = list(map(mul, col, block))
+                s[j] += sum(col)
     return binom, [v % m for v in s]
 
 
@@ -132,12 +149,6 @@ def power_sum_int(p: int, e: int, n: int) -> int:
     for k in range(1, p):
         total += pow(k, r, m)
     return total % m
-
-
-# Width of the blocks of k that PowerSums walks.  A block's columns, one list
-# per power of k and per moment, are alive together; a prime below 512 takes
-# one block.
-BLOCK = 512
 
 
 def _base_powers(base: list[int], primes: list[int], r: int, m: int, lo: int, hi: int) -> list[int]:

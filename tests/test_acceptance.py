@@ -86,7 +86,7 @@ def test_criterion_04_oracle_equivalence(sweep_contexts):
 def test_criterion_05_corollary_chain(sweep_contexts):
     t0 = time.perf_counter()
     bad = []
-    ctx7 = CheckContext(7, 8)
+    ctx7 = CheckContext(7, 8, harmonic_order=3)
     for p, ctx in [(7, ctx7)] + list(sweep_contexts.items()):
         cor14 = run_suite(p, ["cor1.4"], ctx)
         cor15 = run_suite(p, ["cor1.5"], ctx)
@@ -171,7 +171,7 @@ def test_criterion_09_extended_mod_p8():
 def test_criterion_10_wolstenholme_prime_facts():
     t0 = time.perf_counter()
     p = 16843
-    ctx = CheckContext(p, 9)
+    ctx = CheckContext(p, 9, harmonic_order=3)
     pair = run_suite(p, ["eq1.6"], ctx)
     at8 = check_theorem_main(p, 8, ctx)
     ok = (

@@ -21,6 +21,7 @@ from wlab.bernoulli import (
 from wlab.errors import (
     CapExceeded,
     IndexDivisible,
+    InternalInconsistency,
     InvalidInput,
     KummerInapplicable,
     PrecisionUnderflow,
@@ -90,6 +91,36 @@ class TestExactBernoulli:
             want[2 * k] = b if k % 2 else -b
         for n in range(DEFAULT_EXACT_CAP + 1):
             assert exact_bernoulli(n) == want.get(n, 0), n
+
+    def test_euler_primes_cover_exact_domain(self, monkeypatch):
+        # from an empty cache every even n <= cap stops its Euler product on a
+        # prime of the sieved list; with the primes above 113 taken out, n = 2000
+        # (whose product stops at 127) runs out of primes and says so
+        monkeypatch.setattr(bernoulli, "_bern_cache", {0: Fraction(1), 1: Fraction(-1, 2)})
+        for n in range(2, DEFAULT_EXACT_CAP + 1, 2):
+            exact_bernoulli(n)
+        cut = bytearray(bernoulli._prime_sieve())
+        cut[114:] = bytes(len(cut) - 114)
+        monkeypatch.setattr(bernoulli, "_sieve", cut)
+        monkeypatch.setattr(bernoulli, "_bern_cache", {})
+        with pytest.raises(InternalInconsistency, match="ran out of primes"):
+            exact_bernoulli(DEFAULT_EXACT_CAP)
+
+    @pytest.mark.parametrize("bits", [64, 700, 2048])
+    def test_two_pi_powers_within_bound(self, monkeypatch, bits):
+        # (2pi)^n from the squared table against Machin's pi raised exactly,
+        # within the (5n + 4 popcount(n)) * 2^-bits relative bound
+        monkeypatch.setattr(bernoulli, "_two_pi_powers", (0, []))
+        two_pi = machin_pi(bits + 64) << 1  # 2pi * 2^(bits+64), within 4 units
+        for n in (1, 2, 3, 255, 1024, 1366, 2000):
+            m, e = bernoulli._two_pi_pow(n, bits)
+            assert m.bit_length() == bits
+            # exact: two_pi^n * 2^-(bits+64)n, so compare m * 2^e with it
+            shift = e + (bits + 64) * n
+            got = m << shift if shift >= 0 else m
+            want = two_pi**n if shift >= 0 else two_pi**n << -shift
+            bound = (5 * n + 4 * bin(n).count("1") + 1) * want >> bits
+            assert abs(got - want) <= bound, n
 
     def test_one_index_per_call(self, monkeypatch):
         monkeypatch.setattr(bernoulli, "_bern_cache", {0: Fraction(1), 1: Fraction(-1, 2)})

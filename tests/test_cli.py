@@ -210,6 +210,10 @@ class TestSearchCommand:
         for bound in ([], ["--min", "5"], ["--max", "300"]):
             assert run_cli(capsys, "search", "wolstenholme", "--resume", ck, *bound)[0] == 0
 
+    def test_progress_names_the_kind_as_typed(self, capsys):
+        code, out, err = run_cli(capsys, "search", "mod-p8", "--max", "500")
+        assert code == 0 and out == "" and err == "mod-p8: scanned up to 500 (1/1 chunks)\n"
+
     def test_resume_with_other_checkpoint_rejected(self, capsys, tmp_path, monkeypatch):
         ck, other = str(tmp_path / "ck.json"), str(tmp_path / "other.json")
         assert run_cli(capsys, "search", "wolstenholme", "--max", "300", "--checkpoint", ck)[0] == 0

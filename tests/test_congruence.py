@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from wlab import bernoulli, sums
+from wlab import bernoulli, congruence, sums
 from wlab.cli import main
 from wlab.congruence import (
     REGISTRY,
@@ -17,7 +17,7 @@ from wlab.congruence import (
     run_suite,
 )
 from wlab.errors import InternalInconsistency, InvalidInput, UnknownCheckName
-from wlab.search import primes_in
+from wlab.search import mod_p8_indicator, primes_in
 
 
 class TestBinomCentral:
@@ -102,7 +102,7 @@ class TestCorollaries:
 
 class TestWprimeConditional:
     def test_16843(self):
-        ctx = CheckContext(16843, 9)
+        ctx = CheckContext(16843, 9, harmonic_order=3)
         a, b = run_suite(16843, ["eq1.6"], ctx)
         assert a.holds and a.residual_valuation >= 7
         assert b.holds and b.residual_valuation >= 7
@@ -117,7 +117,7 @@ class TestWprimeConditional:
 class TestChainImplications:
     @pytest.mark.parametrize("p", [11, 13, 37, 101, 499])
     def test_descending_chain(self, p):
-        ctx = CheckContext(p, 9)
+        ctx = CheckContext(p, 9, harmonic_order=3)
         thm = check_theorem_main(p, 7, ctx)
         cor14 = run_suite(p, ["cor1.4"], ctx)
         cor15 = run_suite(p, ["cor1.5"], ctx)
@@ -192,6 +192,43 @@ class TestRunSuite:
     def test_context_below_working_exponent_refused(self, run):
         with pytest.raises(InvalidInput, match="context built at exponent"):
             run()
+
+    def test_one_half_range_pass_per_prime(self, monkeypatch):
+        # run_suite sizes its context's one pass from the selected rows: S_1..S_7
+        # for all of them, S_1, S_2 for thm1.1 alone, as for check_theorem_main
+        # and the mod-p^8 confirmation
+        passes = []
+        hrm = sums.half_range_moments
+        monkeypatch.setattr(congruence, "half_range_moments",
+                            lambda p, m, j: passes.append((p, j)) or hrm(p, m, j))
+        for p in (101, 2011):
+            run_suite(p)
+            run_suite(p, ["thm1.1"])
+            check_theorem_main(p)
+            mod_p8_indicator(p)
+        assert passes == [(p, j) for p in (101, 2011) for j in (7, 2, 2, 2)]
+
+    def test_declared_harmonic_order_is_the_largest_read(self, monkeypatch):
+        # each row alone, at primes below the exact cap, one above it and the
+        # Wolstenholme prime 16843 (where eq1.6 applies): the largest n of the
+        # R_n and H_n it reads, its applicability test included, is the order
+        # it declares (0 for none)
+        asked = []
+        r, h = CheckContext.R, CheckContext.H
+        monkeypatch.setattr(CheckContext, "R", lambda self, n: asked.append(n) or r(self, n))
+        monkeypatch.setattr(CheckContext, "H", lambda self, k: asked.append(k) or h(self, k))
+        for name, d in REGISTRY.items():
+            asked.clear()
+            for p in [*primes_in(5, 60), 2011, 16843]:
+                run_suite(p, [name])
+            assert max(asked, default=0) == d.harmonic_order, name
+
+    def test_read_beyond_harmonic_order_refused(self):
+        ctx = CheckContext(101, harmonic_order=3)
+        assert ctx.R(3) == sums.inverse_power_sums_ints(101, 101**8, 3)[3]
+        for read in (ctx.R, ctx.H):
+            with pytest.raises(InternalInconsistency, match="sized for [RH]_3"):
+                read(4)
 
     def test_bernoulli_residues_computed_once_per_prime(self, monkeypatch):
         # every B the rows read is extracted from one PowerSums pass over k,

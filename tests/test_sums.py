@@ -20,7 +20,7 @@ from wlab.sums import (
     power_sum_int,
 )
 
-from oracles import symmetric_coeffs_ints
+from oracles import half_range_moments_per_k, symmetric_coeffs_ints
 
 
 def frac_mod(fr: Fraction, m: int) -> int:
@@ -73,6 +73,20 @@ class TestHalfRangeMoments:
             binom, s = half_range_moments(p, m, 7)
             assert half_range_moments(p, m, 2) == (binom, s[:3])
             assert half_range_moments(p, m, 1) == (binom, s[:2])
+
+    def test_columns_match_per_k_loop_every_prime_3_to_2000(self, monkeypatch):
+        # the general case by columns against one k at a time; blocks of 7 make
+        # every p >= 17 span several blocks and end on a partial one
+        monkeypatch.setattr(sums, "BLOCK", 7)
+        for p in primes_in(3, 2000):
+            m = p**8
+            for j in (3, 7):
+                assert half_range_moments(p, m, j)[1] == half_range_moments_per_k(p, m, j), (p, j)
+
+    @pytest.mark.parametrize("p", [5003, 16843])
+    def test_columns_match_per_k_loop_mod_p9(self, p):
+        m = p**9
+        assert half_range_moments(p, m, 7) == (binom_central_int(p, m), half_range_moments_per_k(p, m, 7))
 
     def test_j_max_validated(self):
         with pytest.raises(InvalidInput):
@@ -241,6 +255,13 @@ class TestSumTable:
             assert self.h_valuation(p, 7, 6) >= 1
 
     def test_small_p_rejected(self):
-        # Newton's identities divide by 1..6, so the context refuses H_3..H_6 at p = 5
-        with pytest.raises(NotInvertible):
-            CheckContext(5).H(3)
+        # Newton's identities divide by 1..k, so a context sized for H_6 refuses
+        # H_5 and H_6 at p = 5, and still serves H_4 and the binomial there
+        ctx = CheckContext(5, harmonic_order=6)
+        assert ctx.binom() == 126 % 5**8
+        assert ctx.H(4) == symmetric_coeffs_ints(5, 5**8, 4)[4]
+        for k in (5, 6):
+            with pytest.raises(NotInvertible):
+                ctx.H(k)
+        with pytest.raises(InternalInconsistency):
+            ctx.H(7)
