@@ -6,9 +6,13 @@ Three layers:
   |B_n| = 2*n!*zeta(n)/(2pi)^n (the oracle all modular paths are checked
   against),
 * index reduction modulo p^(r-1)*(p-1), which shrinks astronomically
-  large indices to workable representatives while preserving B_n/n mod p^r,
+  large indices to workable representatives while preserving
+  (1 - p^(n-1))*B_n/n mod p^r, that is B_n/n for n > r,
 * extraction of B_n mod p^r from the power sums P_n(p), valid for p >= 11
   and r <= 5.
+
+``bernoulli_mod`` is the one entry point to the last two.  It checks every
+extraction within the exact cap against the exact value.
 
 Extraction rests on the expansion of P_n(p) in Bernoulli numbers
 
@@ -205,8 +209,11 @@ def fraction_mod(fr: Fraction, m: int) -> int:
 def kummer_reduce(index: int, p: int, r: int) -> int:
     """Least even n >= r+1 with n = index mod p^(r-1)*(p-1).
 
-    B_index/index and B_n/n agree mod p^r; inputs the congruence does not
-    cover raise instead.
+    Kummer's congruence makes (1 - p^(m-1))*B_m/m agree mod p^r across such
+    m, and the factor is 1 mod p^r for m >= r + 1.  So B_index/index and
+    B_n/n agree mod p^r when index >= r + 1; a smaller index keeps its factor
+    (``bernoulli_mod`` divides by it).  Inputs the congruence does not cover
+    raise instead.
     """
     if r < 1:
         raise InvalidInput("precision r must be >= 1")
@@ -268,48 +275,17 @@ def _extract(n: int, p: int, j: int, sums: PowerSums) -> int:
     return total
 
 
-def bernoulli_mod_small(n: int, p: int, r: int, sums: PowerSums | None = None) -> int:
-    """B_n mod p^r extracted from power sums; p >= 11, r <= 5.
-
-    Whenever n is within the exact cap the result is verified against the
-    exact rational oracle; a mismatch means an implementation bug.
-    """
-    if r < 1:
-        raise InvalidInput("precision r must be >= 1")
-    if r > 5:
-        raise PrecisionUnderflow("power-sum extraction supports r <= 5")
-    if p < 11 or not is_odd_prime(p):
-        raise InvalidInput("extraction requires a prime p >= 11")
-    if n < 2 or n % 2:
-        raise InvalidInput("index must be even and >= 2")
-    if n % (p - 1) == 0:
-        raise KummerInapplicable(f"B_{n} is not p-integral for p={p}")
-    return _extract_checked(n, p, r, sums)
-
-
-def _extract_checked(n: int, p: int, r: int, sums: PowerSums | None) -> int:
-    """``bernoulli_mod_small`` past its input checks, for callers that have
-    made them: bernoulli_mod, once kummer_reduce has tested p for primality."""
-    val = _extract(n, p, r, power_sum_table(n, p, r) if sums is None else sums)
-    if n <= DEFAULT_EXACT_CAP:
-        expected = fraction_mod(exact_bernoulli(n), p**r)
-        if expected != val:
-            raise InternalInconsistency(
-                f"extraction B_{n} mod {p}^{r} = {val}, exact oracle gives {expected}"
-            )
-    return val
-
-
 def bernoulli_mod(index: int, p: int, r: int, *, sums: PowerSums | None = None) -> int:
     """B_index mod p^r for an arbitrarily large even index.
 
-    Reduces the index to a representative n, takes B_n mod p^r, then scales
-    by index/n (the B/m ratio preserved by the reduction).  ``sums`` picks
-    the route.  With a table (``power_sum_table`` of n at r, or one that
-    holds its sums) B_n is extracted from it, and checked against the exact
-    value when n is within the exact cap.  Without one, an index or
-    representative within the cap takes the exact value, and any other n is
-    extracted from a table built here.
+    Reduces the index to a representative n >= r + 1 (``kummer_reduce``),
+    takes B_n mod p^r, then scales by index/n, and for index <= r also by
+    1/(1 - p^(index-1)), Kummer's factor, which is 1 mod p^r past r.  ``sums``
+    picks the route.  With a table (``power_sum_table`` of n at r, or one that
+    holds its sums) B_n is extracted from it, at p >= 11 and r <= 5, and
+    checked against the exact value when n is within the exact cap.  Without
+    one, an index or representative within the cap takes the exact value, and
+    any other n is extracted from a table built here.
     """
     n = kummer_reduce(index, p, r)
     mr = p**r
@@ -318,7 +294,9 @@ def bernoulli_mod(index: int, p: int, r: int, *, sums: PowerSums | None = None) 
     if sums is None and n <= DEFAULT_EXACT_CAP:
         bn = fraction_mod(exact_bernoulli(n), mr)
     elif r <= 5 and p >= 11:
-        bn = _extract_checked(n, p, r, sums)
+        bn = _extract(n, p, r, power_sum_table(n, p, r) if sums is None else sums)
+        if n <= DEFAULT_EXACT_CAP and bn != (want := fraction_mod(exact_bernoulli(n), mr)):
+            raise InternalInconsistency(f"extraction B_{n} mod {p}^{r} = {bn}, exact oracle gives {want}")
     else:
         raise KummerInapplicable(
             f"modular extraction needs p >= 11 and r <= 5 (got p={p}, r={r})"
@@ -329,7 +307,10 @@ def bernoulli_mod(index: int, p: int, r: int, *, sums: PowerSums | None = None) 
         raise KummerInapplicable(
             f"representative {n} shares a factor with p={p}; cannot rescale"
         )
-    return index % mr * inv_int(n % mr, mr) % mr * bn % mr
+    scale = index % mr * inv_int(n % mr, mr)
+    if index <= r:
+        scale *= inv_int(1 - p ** (index - 1), mr)
+    return scale % mr * bn % mr
 
 
 # ---------------------------------------------------------------------------

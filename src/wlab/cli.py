@@ -150,7 +150,7 @@ def _verify_prime(p: int, checks: tuple[str, ...] | None, exp: int | None) -> li
 
 def cmd_verify(args) -> int:
     if args.list_checks:
-        for name in congruence.registry_names():
+        for name in congruence.REGISTRY:
             print(name)
         return 0
     checks = tuple(args.check) if args.check else None
@@ -207,7 +207,7 @@ def cmd_search(args) -> int:
         # stream hits as the ordered merge advances; long scans are rare-hit
         row = hit.to_json_dict()
         if args.format == "jsonl":
-            print(json.dumps(row, separators=(", ", ": ")), flush=True)
+            print(json.dumps(row), flush=True)
         elif args.format == "csv":
             csv_writer.writerow((row["kind"], row["p"], json.dumps(row["witness"])))
             sys.stdout.flush()

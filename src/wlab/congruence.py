@@ -58,8 +58,8 @@ def binom_central_int(p: int, m: int) -> int:
 class CheckContext:
     """Per-prime cache of every value the checks share.
 
-    Each value is computed once and returned mod m = p^w_max; a check judged
-    at w > w_max is refused by ``require``.  The binomial, R_1..R_j and
+    Each value is computed once and returned mod m = p^w_max; ``_judge``
+    refuses a check judged at w > w_max.  The binomial, R_1..R_j and
     H_1..H_j come from one half-range pass at j = max(2, harmonic_order), on
     the first read, at every odd prime: they are p-integral at any p, and
     Newton's identities divide by 1..k, so H_k needs k < p (no row reads H_3
@@ -89,11 +89,6 @@ class CheckContext:
         self._binom, s = half_range_moments(p, m, j)
         self._r = {n: inverse_power_sum_from_moments(s, p, m, n) for n in range(1, j + 1)}
         self._h = newton_elementary_ints(self._r, min(j, p - 1), m, p)
-
-    def require(self, w: int) -> None:
-        """Refuse a check judged at p^w when the context holds less."""
-        if w > self.w_max:
-            raise InvalidInput(f"context built at exponent {self.w_max}, asked for {w}")
 
     def binom(self) -> int:
         if not self._r:
@@ -297,30 +292,27 @@ GROUP_ALIASES = {
 }
 
 
-def registry_names() -> list[str]:
-    return list(REGISTRY)
-
-
 def expand_selection(selection: Iterable[str] | None) -> list[str]:
     """Resolve names and group aliases into registry order; None means all."""
     if selection is None:
-        return registry_names()
+        return list(REGISTRY)
     wanted: set[str] = set()
     for name in selection:
         if name == "all":
-            return registry_names()
+            return list(REGISTRY)
         if name in GROUP_ALIASES:
             wanted.update(GROUP_ALIASES[name])
         elif name in REGISTRY:
             wanted.add(name)
         else:
             raise UnknownCheckName(f"unknown check {name!r}")
-    return [n for n in registry_names() if n in wanted]
+    return [n for n in REGISTRY if n in wanted]
 
 
 def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> CongruenceReport:
     """Row d's sides at p, judged by make_report at w = required + 1."""
-    ctx.require(required + 1)
+    if required + 1 > ctx.w_max:
+        raise InvalidInput(f"context built at exponent {ctx.w_max}, asked for {required + 1}")
     lhs, rhs = d.sides(ctx, p, ctx.m)
     identity = p in d.identity_primes
     if identity and (lhs - rhs) % ctx.m:

@@ -95,7 +95,7 @@ def machin_pi(bits: int) -> int:
 def half_range_moments_per_k(p: int, m: int, j_max: int) -> list[int]:
     """[0, S_1, ..., S_{j_max}] mod m, S_j = sum of u_k^j over k <= (p-1)/2
     with u_k = 1/(k(p-k)), one k at a time with every power reduced mod m:
-    ``sums.half_range_moments`` takes its general case by columns."""
+    ``sums.half_range_moments`` takes every j_max >= 2 by columns."""
     us = batch_inv_ints([k * (p - k) for k in range(1, (p - 1) // 2 + 1)], m, p)
     s = [0] * (j_max + 1)
     for u in us:

@@ -11,7 +11,6 @@ from wlab.bernoulli import (
     DEFAULT_EXACT_CAP,
     _extract,
     bernoulli_mod,
-    bernoulli_mod_small,
     exact_bernoulli,
     fraction_mod,
     kummer_alternating_check,
@@ -24,14 +23,19 @@ from wlab.errors import (
     InternalInconsistency,
     InvalidInput,
     KummerInapplicable,
-    PrecisionUnderflow,
 )
 from wlab.modring import inv_int
 from wlab.search import primes_in
 from wlab.sums import power_sum_int
 
 
-def bernoulli_mod_small_two_term(n: int, p: int, r: int) -> int:
+def extracted(n: int, p: int, r: int) -> int:
+    """B_n mod p^r by bernoulli_mod's extraction route, from the table of n's
+    representative."""
+    return bernoulli_mod(n, p, r, sums=power_sum_table(kummer_reduce(n, p, r), p, r))
+
+
+def bernoulli_mod_two_term(n: int, p: int, r: int) -> int:
     """Cross-check oracle: B_n mod p^r (r <= 3, even n >= 4, p >= 11) from the
     two-term expansion P_n = p*B_n + p^3/6 * n(n-1) * B_{n-2} (valid mod p^5)."""
     m = p ** (r + 1)
@@ -160,31 +164,33 @@ class TestKummerReduce:
 class TestExtraction:
     def test_b10_mod_13(self):
         # B_10 = 5/66 and 66 = 1 mod 13
-        assert bernoulli_mod_small(10, 13, 1) == 5
+        assert extracted(10, 13, 1) == 5
 
     def test_b2_mod_11(self):
-        assert bernoulli_mod_small(2, 11, 1) == inv_int(6, 11)
+        assert extracted(2, 11, 1) == inv_int(6, 11)
 
     def test_oracle_equivalence_sweep(self):
-        # even n <= 60, primes 11..97, r <= 3
+        # even n <= 60, primes 11..97, r <= 3; n = 2 at r = 2, 3 rescales
+        # from a representative past r by Kummer's factor
         for p in primes_in(11, 97):
             for n in range(2, 61, 2):
                 if n % (p - 1) == 0:
                     continue
                 for r in (1, 2, 3):
-                    got = bernoulli_mod_small(n, p, r)
+                    got = extracted(n, p, r)
                     want = fraction_mod(exact_bernoulli(n), p**r)
                     assert got == want, (n, p, r)
 
     def test_oracle_equivalence_high_precision(self):
         # r = 4 and 5 exercise the deepest recursion (these are the
-        # precisions the mod-p^7 Bernoulli form needs)
+        # precisions the mod-p^7 Bernoulli form needs), and n = 2, 4 <= r
+        # rescale from a representative past r by Kummer's factor
         for p in primes_in(11, 97):
             for n in range(2, 61, 2):
                 if n % (p - 1) == 0:
                     continue
                 for r in (4, 5):
-                    got = bernoulli_mod_small(n, p, r)
+                    got = extracted(n, p, r)
                     want = fraction_mod(exact_bernoulli(n), p**r)
                     assert got == want, (n, p, r)
 
@@ -194,10 +200,7 @@ class TestExtraction:
                 if n % (p - 1) == 0:
                     continue
                 for r in (1, 2, 3):
-                    assert (
-                        bernoulli_mod_small_two_term(n, p, r)
-                        == bernoulli_mod_small(n, p, r)
-                    ), (p, n, r)
+                    assert bernoulli_mod_two_term(n, p, r) == extracted(n, p, r), (p, n, r)
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_divisible_index_extracts_p_times_b(self, p):
@@ -207,17 +210,13 @@ class TestExtraction:
                 got = _extract(n, p, j, power_sum_table(n, p, j - 1))
                 assert got == fraction_mod(p * exact_bernoulli(n), p**j), (n, j)
 
-    def test_non_integral_index_rejected(self):
-        with pytest.raises(KummerInapplicable):
-            bernoulli_mod_small(10, 11, 2)
-
     def test_precision_cap(self):
-        with pytest.raises(PrecisionUnderflow):
-            bernoulli_mod_small(14, 11, 6)
+        with pytest.raises(KummerInapplicable):
+            extracted(14, 11, 6)
 
     def test_small_prime_rejected(self):
-        with pytest.raises(InvalidInput):
-            bernoulli_mod_small(4, 7, 1)
+        with pytest.raises(KummerInapplicable):
+            extracted(4, 7, 1)
 
 
 class TestBernoulliMod:
@@ -275,8 +274,6 @@ class TestBernoulliMod:
         table = power_sum_table(p - 3, p, 2)
         calls = [
             lambda: kummer_reduce(p - 3, p, 2),
-            lambda: bernoulli_mod_small(p - 3, p, 2),
-            lambda: bernoulli_mod_small(p - 3, p, 2, table),
             lambda: bernoulli_mod(p - 3, p, 2),
             lambda: bernoulli_mod(p**4 - p**3 - 2, p, 2),
             lambda: bernoulli_mod(p - 3, p, 2, sums=table),

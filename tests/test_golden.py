@@ -1,4 +1,4 @@
-"""Byte-identical outputs: sha256 of seven CLI streams, pinned.
+"""Byte-identical outputs: sha256 of eight CLI streams, pinned.
 
 The first two digests were recorded before the half-range moment kernel
 replaced the full-range sums, the next two (p = 3..60 and p = 7 at e = 6)
@@ -10,8 +10,11 @@ extraction against exact values) while each power sum P_n still took its
 own pass over k.  The seventh (eq1.2 and thm1.1 over p = 2003..2111) was
 recorded while eq1.2-bernoulli still extracted B_{p-3} from a power-sum
 table of its own, and thm1.1 at p = 3, 5 still took math.comb and exact
-rationals.  A change to any per-prime kernel that alters one byte of these
-reports or hit lists fails here.
+rationals.  The eighth (the jsonl Wolstenholme hit stream over
+14000..18400, which holds 16843) was recorded while the search's hit writer
+still passed json.dumps its default separators; until then only the csv
+search stream was pinned.  A change to any per-prime kernel that alters one
+byte of these reports or hit lists fails here.
 """
 
 import hashlib
@@ -38,6 +41,8 @@ GOLDEN = {
     ("--format", "jsonl", "verify", "--p", "2003..2111", "--check", "eq1.2",
      "--check", "thm1.1"):
         "54205a1650bebd3667ffb88eeac9f8fbb8dd41441d741a038fda4d043503a8f4",
+    ("--format", "jsonl", "search", "wolstenholme", "--min", "14000", "--max", "18400"):
+        "30c81a2cd4ad43e4da30c7f2ad0cd6e7aa2d5a92635378233c87205f28c88beb",
 }
 
 

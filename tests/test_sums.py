@@ -75,12 +75,12 @@ class TestHalfRangeMoments:
             assert half_range_moments(p, m, 1) == (binom, s[:2])
 
     def test_columns_match_per_k_loop_every_prime_3_to_2000(self, monkeypatch):
-        # the general case by columns against one k at a time; blocks of 7 make
+        # every j >= 2 by columns against one k at a time; blocks of 7 make
         # every p >= 17 span several blocks and end on a partial one
         monkeypatch.setattr(sums, "BLOCK", 7)
         for p in primes_in(3, 2000):
             m = p**8
-            for j in (3, 7):
+            for j in (2, 3, 7):
                 assert half_range_moments(p, m, j)[1] == half_range_moments_per_k(p, m, j), (p, j)
 
     @pytest.mark.parametrize("p", [5003, 16843])
