@@ -4,7 +4,8 @@ Three layers:
 
 * exact rationals B_n for n <= 2000, each index on its own from
   |B_n| = 2*n!*zeta(n)/(2pi)^n (the oracle all modular paths are checked
-  against),
+  against), with pi computed by Chudnovsky's series where the table of
+  (2pi)^(2^i) is built (``_two_pi_pow``),
 * index reduction modulo p^(r-1)*(p-1), which shrinks astronomically
   large indices to workable representatives while preserving
   (1 - p^(n-1))*B_n/n mod p^r, that is B_n/n for n > r,
@@ -44,9 +45,8 @@ from .errors import (
     InvalidInput,
     KummerInapplicable,
     NotInvertible,
-    PrecisionUnderflow,
 )
-from .modring import inv_int, is_odd_prime
+from .modring import inv_int, is_odd_prime, primes_in
 from .report import CongruenceReport, make_report
 from .sums import PowerSums, power_sum_int
 
@@ -60,7 +60,6 @@ DEFAULT_EXACT_CAP = 2000
 
 # One entry per index asked for; a racing thread can only store a value twice.
 _bern_cache: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
-_pi = (0, 3)  # (bits, pi * 2^bits), computed on first use
 # (bits, [(m_i, e_i)]) with (2pi)^(2^i) ~ m_i * 2^e_i for 2^i <= DEFAULT_EXACT_CAP,
 # each m_i of `bits` bits; built on first use, rebuilt when more bits are asked for
 _two_pi_powers: tuple[int, list[tuple[int, int]]] = (0, [])
@@ -80,33 +79,26 @@ def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
-def _pi_fixed(bits: int) -> int:
-    """pi * 2^bits within 2 units, by Chudnovsky: pi = 426880 sqrt(10005) Q / T.
-    At about 47.1 bits a term, w // 47 + 2 terms leave a tail below 2^-(w+40);
-    with 32 guard bits the floors of isqrt and // cost under a unit."""
-    global _pi
-    if bits > _pi[0]:
-        w = 1 << (bits - 1).bit_length()  # powers of two: a rising n recomputes rarely
-        _, q, t = _chudnovsky(0, w // 47 + 2)
-        _pi = (w, 426880 * math.isqrt(10005 << (2 * w + 64)) * q // t >> 32)
-    return _pi[1] >> (_pi[0] - bits)
-
-
 def _two_pi_pow(n: int, bits: int) -> tuple[int, int]:
     """(m, e) with (2pi)^n ~ m * 2^e, m of `bits` bits, relative error below
     (5n + 4 popcount(n)) * 2^-bits, for 1 <= n <= DEFAULT_EXACT_CAP.
 
     The product of the table's (2pi)^(2^i) over the bits i of n.  The table
-    is built at w >= bits bits from 2pi * 2^(w-3) (within 1.5 units, so
-    3 * 2^-w relatively) by squaring, and holds (2pi)^(2^i) within
-    5 * 2^i * 2^-w: each squaring doubles the error and its truncation to w
-    bits adds under 2^-(w-1).  Cutting an entry to `bits` bits, and the
-    product back to `bits` bits after each factor, add under 2^-(bits-1)
-    each."""
+    is built at a power of two w >= bits (so a rising n rebuilds it rarely)
+    from pi * 2^w within 2 units by Chudnovsky, pi = 426880 sqrt(10005) Q / T:
+    at about 47.1 bits a term, w // 47 + 2 terms leave a tail below
+    2^-(w+40), and with 32 guard bits the floors of isqrt and // cost under a
+    unit.  So 2pi * 2^(w-3) is within 1.5 units (3 * 2^-w relatively), and
+    squaring gives (2pi)^(2^i) within 5 * 2^i * 2^-w: each squaring doubles
+    the error and its truncation to w bits adds under 2^-(w-1).  Cutting an
+    entry to `bits` bits, and the product back to `bits` bits after each
+    factor, add under 2^-(bits-1) each."""
     global _two_pi_powers
     if bits > _two_pi_powers[0]:
         w = 1 << (bits - 1).bit_length()
-        table = [(_pi_fixed(w) >> 2, 3 - w)]
+        _, q, t = _chudnovsky(0, w // 47 + 2)
+        pi = 426880 * math.isqrt(10005 << (2 * w + 64)) * q // t >> 32
+        table = [(pi >> 2, 3 - w)]
         while 1 << len(table) <= DEFAULT_EXACT_CAP:
             m, e = table[-1]
             m *= m
@@ -129,12 +121,9 @@ def _prime_sieve() -> bytearray:
     denominator D_n in the exact domain or that an Euler product reaches."""
     global _sieve
     if not _sieve:
-        top = DEFAULT_EXACT_CAP + 2
-        sieve = bytearray([1]) * top
-        sieve[:2] = b"\0\0"
-        for q in range(2, math.isqrt(top - 1) + 1):
-            if sieve[q]:
-                sieve[q * q::q] = bytes(len(range(q * q, top, q)))
+        sieve = bytearray(DEFAULT_EXACT_CAP + 2)
+        for q in primes_in(2, DEFAULT_EXACT_CAP + 1):
+            sieve[q] = 1
         _sieve = sieve
     return _sieve
 
@@ -253,8 +242,6 @@ def _extract(n: int, p: int, j: int, sums: PowerSums) -> int:
         return 0
     d = 1 if n % (p - 1) == 0 else 0
     w = j + 1 - d
-    if w > 6:
-        raise PrecisionUnderflow(f"extraction valid only mod p^6, asked for p^{w}")
     m = p**w
     total = sums(n, w)
     for s in range(2, min(n + 1, w) + 1):

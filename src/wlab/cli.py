@@ -221,8 +221,7 @@ def cmd_search(args) -> int:
         lo = cp.lo if args.min is None else args.min
         hi = cp.hi if args.max is None else args.max
         task = search.SearchTask(kind, lo, hi, args.chunk, args.resume)
-        search.resume(args.resume, task=task, workers=args.workers,
-                      progress=_progress_printer(args.kind), on_hit=emit)
+        search.resume(task, workers=args.workers, progress=_progress_printer(args.kind), on_hit=emit)
     else:
         if args.max is None:
             print("error: search needs --max (or --resume)", file=sys.stderr)
@@ -294,6 +293,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    if args.workers < 1:
+        print("error: workers must be >= 1", file=sys.stderr)
+        return 1
     try:
         if args.command == "verify":
             code = cmd_verify(args)

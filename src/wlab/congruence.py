@@ -20,9 +20,9 @@ selected rows.  The context fills the first three from one pass of
 ``sums.half_range_moments`` over k <= (p-1)/2: C(2p-1, p-1) and the moments
 S_1..S_j, j = max(2, harmonic_order), so S_1..S_7 for every row and S_1, S_2
 for thm1.1 alone.  Each R_n follows from the S_j by Dickson's identity and
-H_k from the R_n by Newton's identities; a read above j is refused.  No row
-is judged above w = 8, so run_suite builds its context at p^8; a row with
-required exponent 8 needs only a p^9 context.
+H_k from the R_n by Newton's identities; a read above j is refused.  One
+rule sizes every context: p^(e+1), e the largest required exponent it
+judges (p^9 for the mod-p^8 search's check_theorem_main(p, 8)).
 
 ``binom_central_int`` (the unit product (1 + p/1)...(1 + p/(p-1)) over all
 p-1 terms, one deferred inversion) is the full-range route to the binomial
@@ -58,7 +58,8 @@ def binom_central_int(p: int, m: int) -> int:
 class CheckContext:
     """Per-prime cache of every value the checks share.
 
-    Each value is computed once and returned mod m = p^w_max; ``_judge``
+    Each value is computed once and returned mod m = p^w_max, w_max one
+    above the largest required exponent the context judges; ``_judge``
     refuses a check judged at w > w_max.  The binomial, R_1..R_j and
     H_1..H_j come from one half-range pass at j = max(2, harmonic_order), on
     the first read, at every odd prime: they are p-integral at any p, and
@@ -70,7 +71,7 @@ class CheckContext:
     table.
     """
 
-    def __init__(self, p: int, w_max: int = 8, bernoulli_prec: int = 5, harmonic_order: int = 2):
+    def __init__(self, p: int, w_max: int, bernoulli_prec: int = 5, harmonic_order: int = 2):
         if not is_odd_prime(p):
             raise InvalidInput(f"{p} is not an odd prime")
         self.p = p
@@ -126,10 +127,6 @@ class CheckContext:
                 self._sums = bn.power_sum_table(self.p - 3, self.p, self.bernoulli_prec)
             self._b[index, r] = bn.bernoulli_mod(index, self.p, r, sums=self._sums)
         return self._b[index, r]
-
-    def wolstenholme_valuation(self) -> int:
-        """v_p(R_1) seen in Z/p^4, saturated at 4."""
-        return residual_valuation(self.R(1), self.p, 4)
 
 
 def _eq13(c: CheckContext, p: int, m: int) -> tuple[int, int]:
@@ -213,7 +210,7 @@ P5, P7, P11 = _min_p(5), _min_p(7), _min_p(11)
 
 
 def _is_wolstenholme(p: int, c: CheckContext) -> bool:
-    return p >= 5 and c.wolstenholme_valuation() >= 3
+    return p >= 5 and residual_valuation(c.R(1), p, 4) >= 3
 
 
 REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
@@ -324,13 +321,15 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
     """Run the selected checks for one prime, in registry order.
 
     Checks whose preconditions exclude the prime yield not-applicable
-    reports rather than pass/fail.  A context built here holds the Bernoulli
-    residues the selected rows read, and no more.
+    reports rather than pass/fail.  A context built here is sized by the
+    selected rows: the largest required exponent, Bernoulli precision and
+    harmonic order they declare, and no more.
     """
     names = expand_selection(selection)
     if ctx is None:
         rows = [REGISTRY[n] for n in names]
-        ctx = CheckContext(p, bernoulli_prec=max((d.bernoulli_prec for d in rows), default=0),
+        ctx = CheckContext(p, max((d.required for d in rows), default=0) + 1,
+                           bernoulli_prec=max((d.bernoulli_prec for d in rows), default=0),
                            harmonic_order=max((d.harmonic_order for d in rows), default=0))
     out = []
     for name in names:
@@ -352,5 +351,5 @@ def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> C
     if e < 1:
         raise InvalidInput("exponent must be >= 1")
     if ctx is None:
-        ctx = CheckContext(p, max(e + 1, 8))
+        ctx = CheckContext(p, e + 1)
     return _judge(REGISTRY["thm1.1"], p, ctx, e)

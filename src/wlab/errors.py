@@ -26,10 +26,6 @@ class KummerInapplicable(WlabError):
     """Requested Bernoulli residue is not p-integral or outside the method's reach."""
 
 
-class PrecisionUnderflow(WlabError):
-    """Extraction bookkeeping cannot deliver the requested precision."""
-
-
 class InvalidInput(WlabError):
     """Operation preconditions violated."""
 

@@ -1,9 +1,11 @@
-"""Exact arithmetic in Z/p^e: primality, valuations, inversion.
+"""Exact arithmetic in Z/p^e: primality, prime lists, valuations, inversion.
 
 Every other module builds on the primitives here.  Residues are plain ints
 in [0, p^e) and the modulus travels beside them as an int: ``inv_int`` and
 ``range_inverses`` take it as an argument, and ``residual_valuation`` reads
-v_p of a residue.
+v_p of a residue.  ``primes_in`` is the package's one sieve: the searches,
+``verify`` ranges, the power-sum pass and the exact B_n oracle all take
+their primes from it.
 
 ``is_prime`` is Miller-Rabin with the first twelve prime bases, which is
 deterministic below PRIME_BOUND (about 3.3e24), and it raises InvalidInput
@@ -15,6 +17,8 @@ code that nothing runs.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
 from .errors import InvalidInput, NotInvertible
 
@@ -26,6 +30,7 @@ _SMALL_PRIMES = (
 # Miller-Rabin with these bases is deterministic below PRIME_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+SEGMENT = 1 << 17  # numbers primes_in sieves at a time
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -64,6 +69,26 @@ def is_odd_prime(p: int) -> bool:
     """p >= 3 and prime.  The last answer is kept: a verify run asks it about
     one p for every Bernoulli residue the rows read."""
     return p >= 3 and is_prime(p)
+
+
+def primes_in(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], inclusive, by segmented sieve: SEGMENT numbers
+    at a time, crossed off by the primes up to isqrt(hi), which come from a
+    call of its own."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    base = primes_in(2, math.isqrt(hi))
+    out: list[int] = []
+    for start in range(lo, hi + 1, SEGMENT):
+        end = min(start + SEGMENT - 1, hi)
+        flags = bytearray(b"\x01") * (end - start + 1)
+        for q in base:
+            first = max(q * q, (start + q - 1) // q * q)
+            if first <= end:
+                flags[first - start :: q] = b"\x00" * ((end - first) // q + 1)
+        out.extend(itertools.compress(range(start, end + 1), flags))
+    return out
 
 
 def residual_valuation(x: int, p: int, e: int) -> int:

@@ -1,4 +1,4 @@
-"""Segmented prime generation and checkpointed, parallel range searches.
+"""Checkpointed, parallel range searches.
 
 Both search kinds filter each prime with the Lehmer interval sum
 sum_{p/4 < k <= p/3} 1/k^n mod p, about p/12 terms (D. H. Lehmer, Ann. of
@@ -34,16 +34,15 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import json
 import math
 import os
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .congruence import CheckContext, binom_central_int, check_theorem_main
+from .congruence import binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
-from .modring import PRIME_BOUND, is_prime, residual_valuation
+from .modring import PRIME_BOUND, is_prime, primes_in, residual_valuation
 from .sums import half_range_moments
 
 SCHEMA_VERSION = 1
@@ -56,31 +55,6 @@ DEFAULT_CHUNK = 256
 # edges, narrower ones share little (1/64 measured best or near it, p <= 2e5)
 BATCH_SPAN = 64
 BATCH_BLOCK = 16  # core k^n folded into one step of the batch's running fraction
-SEGMENT = 1 << 17  # numbers primes_in sieves at a time
-
-
-# ---------------------------------------------------------------------------
-# prime generation
-# ---------------------------------------------------------------------------
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], inclusive, by segmented sieve: SEGMENT numbers
-    at a time, crossed off by the primes up to isqrt(hi), which come from a
-    call of its own."""
-    lo = max(lo, 2)
-    if hi < lo:
-        return []
-    base = primes_in(2, math.isqrt(hi))
-    out: list[int] = []
-    for start in range(lo, hi + 1, SEGMENT):
-        end = min(start + SEGMENT - 1, hi)
-        flags = bytearray(b"\x01") * (end - start + 1)
-        for q in base:
-            first = max(q * q, (start + q - 1) // q * q)
-            if first <= end:
-                flags[first - start :: q] = b"\x00" * ((end - first) // q + 1)
-        out.extend(itertools.compress(range(start, end + 1), flags))
-    return out
 
 
 def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
@@ -150,8 +124,7 @@ def mod_p8_indicator(p: int) -> int:
     """Residual valuation of the central congruence at exponent 8, in Z/p^9."""
     if p < 7:
         raise InvalidInput("requires p >= 7")
-    report = check_theorem_main(p, 8, CheckContext(p, 9))
-    return report.residual_valuation
+    return check_theorem_main(p, 8).residual_valuation
 
 
 # ---------------------------------------------------------------------------
@@ -335,28 +308,26 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None) -
     return _execute(task, workers, progress, on_hit, resume_from=None)
 
 
-def resume(checkpoint_path: str, task: SearchTask | None = None, workers: int = 1,
-           progress=None, on_hit=None) -> list[SearchHit]:
-    """Continue a checkpointed search to completion.
+def resume(task: SearchTask, workers: int = 1, progress=None, on_hit=None) -> list[SearchHit]:
+    """Continue the checkpointed search ``task`` to completion.
 
-    If ``task`` is given its (kind, lo, hi) must match the checkpoint.
+    The checkpoint is read from ``task.checkpoint_path`` (a task without one
+    raises ``InvalidInput``), and its (kind, lo, hi) must be the task's.
     Hits carried over from the checkpoint are re-verified first; one that
     fails, witness included, raises ``CheckpointCorrupt``.  A checkpoint
     that already covers the range returns its stored hits.  ``on_hit`` also
     fires for hits carried over from the checkpoint.
     """
-    cp = load_checkpoint(checkpoint_path)
-    if task is not None:
-        if (task.kind, task.lo, task.hi) != (cp.kind, cp.lo, cp.hi):
-            # the kinds as the CLI spells them (mod-p8, not mod_p8)
-            raise TaskMismatch(
-                f"checkpoint is for {cp.kind.replace('_', '-')} [{cp.lo}, {cp.hi}], "
-                f"requested {task.kind.replace('_', '-')} [{task.lo}, {task.hi}]"
-            )
-        merged = SearchTask(cp.kind, cp.lo, cp.hi, task.chunk, checkpoint_path)
-    else:
-        merged = SearchTask(cp.kind, cp.lo, cp.hi, DEFAULT_CHUNK, checkpoint_path)
-    return _execute(merged, workers, progress, on_hit, resume_from=cp)
+    if task.checkpoint_path is None:
+        raise InvalidInput("resume needs a task with a checkpoint path")
+    cp = load_checkpoint(task.checkpoint_path)
+    if (task.kind, task.lo, task.hi) != (cp.kind, cp.lo, cp.hi):
+        # the kinds as the CLI spells them (mod-p8, not mod_p8)
+        raise TaskMismatch(
+            f"checkpoint is for {cp.kind.replace('_', '-')} [{cp.lo}, {cp.hi}], "
+            f"requested {task.kind.replace('_', '-')} [{task.lo}, {task.hi}]"
+        )
+    return _execute(task, workers, progress, on_hit, resume_from=cp)
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int, chunksize: int = 1) -> Iterator:

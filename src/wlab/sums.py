@@ -32,7 +32,7 @@ from operator import mul
 from typing import Mapping
 
 from .errors import InternalInconsistency, InvalidInput, NotInvertible
-from .modring import inv_int, range_inverses
+from .modring import inv_int, primes_in, range_inverses
 
 
 def inverse_power_sums_ints(p: int, m: int, n_max: int) -> dict[int, int]:
@@ -164,7 +164,7 @@ class PowerSums:
         m = p ** max(precision.values())
         h = (p - 1) // 2
         steps = [b - a for a, b in zip(rs, rs[1:] + [p - 1])]
-        primes = [q for q in range(2, math.isqrt(p - 1) + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+        primes = primes_in(2, math.isqrt(p - 1))
         base = [0, 1]  # base[k] = k^(r_0) for k <= h, built in doubling ranges
         while len(base) <= h:
             base += _base_powers(base, primes, rs[0], m, len(base), min(2 * len(base), h + 1))

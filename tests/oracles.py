@@ -81,7 +81,7 @@ def tangent_numbers(n: int) -> list[int]:
 def machin_pi(bits: int) -> int:
     """pi * 2^bits within 2 units, by Machin: pi = 16 atan(1/5) - 4 atan(1/239).
 
-    About 4.6 bits a term; ``bernoulli._pi_fixed`` takes Chudnovsky's series.
+    About 4.6 bits a term; ``bernoulli._two_pi_pow`` takes Chudnovsky's series.
     """
     one, acc = 1 << (bits + 32), 0
     for c, x in ((16, 5), (-4, 239)):

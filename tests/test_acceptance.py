@@ -231,7 +231,7 @@ def test_criterion_12_determinism(tmp_path, capsys):
         interrupted = False
     except KeyboardInterrupt:
         interrupted = True
-    resumed = [h.p for h in resume(ck)]
+    resumed = [h.p for h in resume(task)]
     uninterrupted = [h.p for h in run_search(SearchTask("wolstenholme", 5, 30000, chunk=150))]
 
     ok = (

@@ -133,10 +133,12 @@ class TestExactBernoulli:
 
     @pytest.mark.parametrize("bits", [64, 1024, 8192, 16384])
     def test_pi_against_machin(self, monkeypatch, bits):
-        # an empty cache, so the series runs at this width; Machin 64 bits wider is within a unit
-        monkeypatch.setattr(bernoulli, "_pi", (0, 3))
-        assert abs(bernoulli._pi_fixed(bits) - (machin_pi(bits + 64) >> 64)) <= 2
-        assert bernoulli._pi[0] == bits
+        # an empty table, so the series runs at this width; its first entry is
+        # pi * 2^(bits-2), and Machin 64 bits wider is within a unit
+        monkeypatch.setattr(bernoulli, "_two_pi_powers", (0, []))
+        bernoulli._two_pi_pow(1, bits)
+        assert bernoulli._two_pi_powers[0] == bits
+        assert abs(bernoulli._two_pi_powers[1][0][0] - (machin_pi(bits + 64) >> 66)) <= 2
 
 
 class TestKummerReduce:

@@ -324,10 +324,14 @@ class TestUsage:
             assert code == 1 and out == ""
             assert "usage:" in err and "Traceback" not in err
 
-    def test_workers_below_one_rejected(self, capsys):
+    def test_workers_below_one_rejected(self, capsys, tmp_path):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text('{"check": "eq1.1", "p": 11, "required_exp": 3, "status": "pass"}\n')
         for workers in ("0", "-3"):
             for argv in (["verify", "--p", "11", "--check", "eq1.1"],
-                         ["search", "wolstenholme", "--max", "100"]):
+                         ["search", "wolstenholme", "--max", "100"],
+                         ["bernoulli", "--p", "13", "--index", "p-3", "--prec", "1"],
+                         ["report", str(rows)]):
                 code, out, err = run_cli(capsys, "--workers", workers, *argv)
                 assert code == 1 and out == ""
                 assert err == "error: workers must be >= 1\n"

@@ -207,6 +207,23 @@ class TestRunSuite:
             mod_p8_indicator(p)
         assert passes == [(p, j) for p in (101, 2011) for j in (7, 2, 2, 2)]
 
+    def test_context_sized_by_what_it_judges(self, monkeypatch):
+        # every context is built at p^(e+1), e the largest required exponent
+        # it judges: the selected rows' largest for run_suite, e itself for
+        # check_theorem_main, and 8 for the mod-p^8 confirmation
+        built = []
+        init = CheckContext.__init__
+        monkeypatch.setattr(CheckContext, "__init__",
+                            lambda self, *a, **kw: init(self, *a, **kw) or built.append(self.w_max))
+        for p in (13, 101):
+            built.clear()
+            run_suite(p)
+            run_suite(p, ["eq1.2"])
+            run_suite(p, ["kummer3.3"])
+            check_theorem_main(p, 6)
+            mod_p8_indicator(p)
+            assert built == [8, 5, 3, 7, 9], p
+
     def test_declared_harmonic_order_is_the_largest_read(self, monkeypatch):
         # each row alone, at primes below the exact cap, one above it and the
         # Wolstenholme prime 16843 (where eq1.6 applies): the largest n of the
@@ -223,7 +240,7 @@ class TestRunSuite:
             assert max(asked, default=0) == d.harmonic_order, name
 
     def test_read_beyond_harmonic_order_refused(self):
-        ctx = CheckContext(101, harmonic_order=3)
+        ctx = CheckContext(101, 8, harmonic_order=3)
         assert ctx.R(3) == sums.inverse_power_sums_ints(101, 101**8, 3)[3]
         for read in (ctx.R, ctx.H):
             with pytest.raises(InternalInconsistency, match="sized for [RH]_3"):
@@ -270,12 +287,12 @@ class TestRunSuite:
         assert built == []
 
     def test_bernoulli_read_beyond_declared_refused(self):
-        ctx = CheckContext(101, bernoulli_prec=2)
+        ctx = CheckContext(101, 8, bernoulli_prec=2)
         assert ctx.B(98, 2) == bernoulli.bernoulli_mod(98, 101, 2)
         with pytest.raises(InternalInconsistency, match="sized for p\\^2"):
             ctx.B(98, 3)
         with pytest.raises(InternalInconsistency):
-            CheckContext(7, bernoulli_prec=0).B(4, 1)
+            CheckContext(7, 8, bernoulli_prec=0).B(4, 1)
 
     @pytest.mark.parametrize("p", [11, 13, 101, 2011])
     def test_context_table_serves_every_row(self, p, monkeypatch):

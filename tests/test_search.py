@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlab.search as search_mod
+from wlab import modring
 from wlab.bernoulli import bernoulli_mod
 from wlab.congruence import REGISTRY, binom_central_int
 from wlab.errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
@@ -70,7 +71,7 @@ class TestPrimesIn:
         # windows straddling segment edges; at SEGMENT 64 the base primes'
         # own sieve crosses them too
         for seg in (1 << 17, 64):
-            monkeypatch.setattr(search_mod, "SEGMENT", seg)
+            monkeypatch.setattr(modring, "SEGMENT", seg)
             assert primes_in(seg - 50, seg + 50) == trial_division_primes(seg - 50, seg + 50), seg
         assert primes_in(2, 5000) == trial_division_primes(2, 5000)
 
@@ -88,7 +89,7 @@ class TestIndicators:
 
         for p in (7, 11, 13, 101, 16843):
             ctx = CheckContext(p, 8)
-            assert wolstenholme_indicator(p) == ctx.wolstenholme_valuation(), p
+            assert wolstenholme_indicator(p) == residual_valuation(ctx.R(1), p, 4), p
 
     def test_mod_p8_values(self):
         assert mod_p8_indicator(7) == 6
@@ -344,20 +345,24 @@ class TestCheckpointing:
         path = str(tmp_path / "ck.json")
         task = SearchTask("wolstenholme", 16000, 17000, chunk=10, checkpoint_path=path)
         full = run_search(task)
-        again = resume(path)
+        again = resume(task)
         assert [h.p for h in again] == [h.p for h in full] == [16843]
 
     def test_resume_mismatched_bounds(self, tmp_path):
         path = str(tmp_path / "ck.json")
         run_search(SearchTask("wolstenholme", 5, 500, chunk=50, checkpoint_path=path))
         with pytest.raises(TaskMismatch):
-            resume(path, task=SearchTask("wolstenholme", 5, 600))
+            resume(SearchTask("wolstenholme", 5, 600, checkpoint_path=path))
         with pytest.raises(TaskMismatch):
-            resume(path, task=SearchTask("mod_p8", 5, 500))
+            resume(SearchTask("mod_p8", 5, 500, checkpoint_path=path))
 
     def test_missing_file(self):
         with pytest.raises(CheckpointCorrupt):
-            resume("/nonexistent/checkpoint.json")
+            resume(SearchTask("wolstenholme", 5, 500, checkpoint_path="/nonexistent/checkpoint.json"))
+
+    def test_task_without_checkpoint_path_refused(self):
+        with pytest.raises(InvalidInput, match="checkpoint path"):
+            resume(SearchTask("wolstenholme", 5, 500))
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -392,6 +397,13 @@ def write_checkpoint(tmp_path, **fields) -> str:
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def task_for(path: str) -> SearchTask:
+    """A task with the kind and bounds of the checkpoint file at ``path``."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    return SearchTask(raw["kind"], raw["lo"], raw["hi"], checkpoint_path=path)
 
 
 JSON_VALUES = st.recursive(
@@ -453,7 +465,7 @@ class TestCheckpointSemantics:
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(path)
         with pytest.raises(CheckpointCorrupt):
-            resume(path)
+            resume(task_for(path))
 
     def test_non_integer_hit(self, tmp_path):
         with pytest.raises(CheckpointCorrupt):
@@ -489,19 +501,19 @@ class TestCheckpointSemantics:
         assert load_checkpoint(path).hits[0]["p"] == 16829
         seen = []
         with pytest.raises(CheckpointCorrupt, match="re-verification"):
-            resume(path, on_hit=seen.append)
+            resume(task_for(path), on_hit=seen.append)
         assert seen == []
 
     def test_wrong_witness_rejected(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": {"r1_valuation": 4,
                                                                          "binom_residual_valuation": 4}}])
         with pytest.raises(CheckpointCorrupt, match="re-verification"):
-            resume(path)
+            resume(task_for(path))
 
     def test_verified_hit_carried_over(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": WITNESS_16843}])
         seen = []
-        hits = resume(path, on_hit=seen.append)
+        hits = resume(task_for(path), on_hit=seen.append)
         assert [h.p for h in hits] == [h.p for h in seen] == [16843]
         assert hits[0].witness == WITNESS_16843
 
@@ -520,7 +532,7 @@ class TestKillAndResume:
         cp = load_checkpoint(path)
         assert 5 <= cp.last_completed_prime < 20000
 
-        resumed = resume(path)
+        resumed = resume(task)
         uninterrupted = run_search(SearchTask("wolstenholme", 5, 20000, chunk=200))
         assert [h.p for h in resumed] == [h.p for h in uninterrupted] == [16843]
 
@@ -543,7 +555,7 @@ class TestKillAndResume:
 
         monkeypatch.setattr(search_mod, "_scan_chunk", explode)
         with pytest.raises(KeyboardInterrupt):
-            resume(path)
+            resume(task)
         after = load_checkpoint(path)
         assert after.last_completed_prime == first
         assert [h["p"] for h in after.hits] == [16843]
@@ -560,7 +572,7 @@ class TestKillAndResume:
         first_chunk = primes_in(16000, 17500)[:40]
         assert load_checkpoint(path).last_completed_prime == first_chunk[-1]
 
-        resumed = resume(path, workers=2)
+        resumed = resume(task, workers=2)
         uninterrupted = run_search(SearchTask("wolstenholme", 16000, 17500, chunk=40))
         assert [h.p for h in resumed] == [h.p for h in uninterrupted] == [16843]
 
@@ -569,10 +581,11 @@ class TestKillAndResume:
         with pytest.raises(InvalidInput, match="workers"):
             run_search(SearchTask("wolstenholme", 24, 28, checkpoint_path=str(path)), workers=0)
         assert not path.exists()  # an empty range is not even flushed
-        run_search(SearchTask("wolstenholme", 16800, 16900, checkpoint_path=str(path)))
+        task = SearchTask("wolstenholme", 16800, 16900, checkpoint_path=str(path))
+        run_search(task)
         seen = []
         with pytest.raises(InvalidInput, match="workers"):
-            resume(str(path), workers=-3, on_hit=seen.append)  # nothing left to scan
+            resume(task, workers=-3, on_hit=seen.append)  # nothing left to scan
         assert seen == []
 
     def test_resume_does_not_rescan_completed_prefix(self, tmp_path):
@@ -581,5 +594,5 @@ class TestKillAndResume:
                         hits=[{"p": 16843, "witness": {"r1_valuation": 3, "binom_residual_valuation": 4}}],
                         updated_at="x")
         save_checkpoint(path, cp)
-        hits = resume(path)
+        hits = resume(SearchTask("wolstenholme", 16000, 17000, checkpoint_path=path))
         assert [h.p for h in hits] == [16843]
