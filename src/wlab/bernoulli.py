@@ -225,8 +225,11 @@ def kummer_reduce(index: int, p: int, r: int) -> int:
 
 def power_sum_table(n: int, p: int, r: int) -> PowerSums:
     """The power sums extraction of B_n mod p^r reads (p >= 11): P_n to p^(r+1),
-    P_(n-2) to p^(r-1) and P_(n-4) to p^(r-3)."""
-    return PowerSums(p, {(n - i) % (p - 1): r + 1 - i for i in (0, 2, 4) if i <= r})
+    P_(n-2) to p^(r-1) and P_(n-4) to p^(r-3), each only at an exponent of 2
+    or more, but for P_(n-r) to p^1 when (p-1) | (n-r): ``_extract`` returns
+    at j <= 0 before any other read at p^1."""
+    return PowerSums(p, {(n - i) % (p - 1): r + 1 - i for i in (0, 2, 4)
+                         if i < r or i == r and (n - i) % (p - 1) == 0})
 
 
 def _extract(n: int, p: int, j: int, sums: PowerSums) -> int:

@@ -221,7 +221,8 @@ def cmd_search(args) -> int:
         lo = cp.lo if args.min is None else args.min
         hi = cp.hi if args.max is None else args.max
         task = search.SearchTask(kind, lo, hi, args.chunk, args.resume)
-        search.resume(task, workers=args.workers, progress=_progress_printer(args.kind), on_hit=emit)
+        search.resume(task, workers=args.workers, progress=_progress_printer(args.kind), on_hit=emit,
+                      checkpoint=cp)
     else:
         if args.max is None:
             print("error: search needs --max (or --resume)", file=sys.stderr)

@@ -196,7 +196,6 @@ class CheckDef(NamedTuple):
     required: int
     applicable: Callable[[int, CheckContext], bool]
     sides: Callable[[CheckContext, int, int], tuple[int, int]]
-    data_only: bool = False
     identity_primes: tuple[int, ...] = ()
     harmonic_order: int = 0
     bernoulli_prec: int = 0
@@ -233,12 +232,11 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
     # Tauraso's two forms hold one level higher at Wolstenholme primes
     CheckDef("eq1.6-r2", 7, _is_wolstenholme, _tauraso_r2, harmonic_order=2),
     CheckDef("eq1.6-r3", 7, _is_wolstenholme, _tauraso_r3, harmonic_order=3),
-    # 2R_1 - p*R_1^2 + p*R_2 + (p^2/3)*R_3 against 0, recorded for inspection
-    # only: no prime is expected to satisfy it short of being a Wolstenholme
-    # prime, and the converse is open.
-    CheckDef("rem1.5-data", 6, P11, lambda c, p, m: (
-        2 * c.R(1) - p * c.R(1) ** 2 + p * c.R(2) + inv_int(3, m) * p * p * c.R(3), 0),
-        data_only=True, harmonic_order=3),
+    # E = 2R_1 - p*R_1^2 + p*R_2 + (p^2/3)*R_3 = -(1/9)p^5*B_{p-3}^2 (derived in
+    # README), so E = 0 mod p^6 exactly at Wolstenholme primes; B at w - 5, w = 7
+    CheckDef("rem1.5", 6, P11, lambda c, p, m: (
+        2 * c.R(1) - p * c.R(1) ** 2 + p * c.R(2) + inv_int(3, m) * p * p * c.R(3),
+        -inv_int(9, m) * p**5 * c.B(p - 3, 2) ** 2), harmonic_order=3, bernoulli_prec=2),
     *[CheckDef(f"lemma2.1-n{n}", 2 if n % 2 else 1, P11, lambda c, p, m, n=n: (c.R(n), 0), harmonic_order=n)
       for n in range(1, 7)],
     CheckDef("lemma2.2-h3", 6, P11, lambda c, p, m: (
@@ -314,7 +312,7 @@ def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> CongruenceR
     identity = p in d.identity_primes
     if identity and (lhs - rhs) % ctx.m:
         raise InternalInconsistency(f"identity case failed at p={p}: {rhs % ctx.m} vs {lhs % ctx.m}")
-    return make_report(d.name, p, required, lhs, rhs, identity=identity, data_only=d.data_only)
+    return make_report(d.name, p, required, lhs, rhs, identity=identity)
 
 
 def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext | None = None) -> list[CongruenceReport]:

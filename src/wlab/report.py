@@ -10,12 +10,10 @@ from .modring import residual_valuation
 #   pass / fail  - congruence computed and judged against required_exponent
 #   identity     - both sides equal as exact integers (small-prime cases)
 #   n/a          - preconditions exclude this prime; nothing computed
-#   data         - value recorded for inspection, never gates an exit code
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_IDENTITY = "identity"
 STATUS_NA = "n/a"
-STATUS_DATA = "data"
 
 
 class CongruenceReport(NamedTuple):
@@ -52,7 +50,6 @@ def make_report(
     rhs: int,
     *,
     identity: bool = False,
-    data_only: bool = False,
 ) -> CongruenceReport:
     """Judge lhs against rhs in Z/p^w, w = required + 1, and package the outcome.
 
@@ -65,12 +62,7 @@ def make_report(
     m = p**working
     v = residual_valuation(lhs - rhs, p, working)
     holds = v >= required
-    if identity:
-        status = STATUS_IDENTITY
-    elif data_only:
-        status = STATUS_DATA
-    else:
-        status = STATUS_PASS if holds else STATUS_FAIL
+    status = STATUS_IDENTITY if identity else STATUS_PASS if holds else STATUS_FAIL
     return CongruenceReport(
         name=name,
         p=p,

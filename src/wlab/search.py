@@ -308,11 +308,13 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None) -
     return _execute(task, workers, progress, on_hit, resume_from=None)
 
 
-def resume(task: SearchTask, workers: int = 1, progress=None, on_hit=None) -> list[SearchHit]:
+def resume(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
+           checkpoint: Checkpoint | None = None) -> list[SearchHit]:
     """Continue the checkpointed search ``task`` to completion.
 
     The checkpoint is read from ``task.checkpoint_path`` (a task without one
-    raises ``InvalidInput``), and its (kind, lo, hi) must be the task's.
+    raises ``InvalidInput``), unless the caller passes the ``checkpoint`` it
+    has already loaded from that path, and its (kind, lo, hi) must be the task's.
     Hits carried over from the checkpoint are re-verified first; one that
     fails, witness included, raises ``CheckpointCorrupt``.  A checkpoint
     that already covers the range returns its stored hits.  ``on_hit`` also
@@ -320,7 +322,7 @@ def resume(task: SearchTask, workers: int = 1, progress=None, on_hit=None) -> li
     """
     if task.checkpoint_path is None:
         raise InvalidInput("resume needs a task with a checkpoint path")
-    cp = load_checkpoint(task.checkpoint_path)
+    cp = load_checkpoint(task.checkpoint_path) if checkpoint is None else checkpoint
     if (task.kind, task.lo, task.hi) != (cp.kind, cp.lo, cp.hi):
         # the kinds as the CLI spells them (mod-p8, not mod_p8)
         raise TaskMismatch(

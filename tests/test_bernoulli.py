@@ -26,7 +26,7 @@ from wlab.errors import (
 )
 from wlab.modring import inv_int
 from wlab.search import primes_in
-from wlab.sums import power_sum_int
+from wlab.sums import PowerSums, power_sum_int
 
 
 def extracted(n: int, p: int, r: int) -> int:
@@ -41,11 +41,10 @@ def bernoulli_mod_two_term(n: int, p: int, r: int) -> int:
     m = p ** (r + 1)
     total = power_sum_int(p, r + 1, n)
     coef = n * (n - 1) * inv_int(6, m) % m
-    sums = power_sum_table(n - 2, p, r - 1)
     if (n - 2) % (p - 1) == 0:
-        total -= coef * p * p * _extract(n - 2, p, r - 1, sums)
+        total -= coef * p * p * _extract(n - 2, p, r - 1, power_sum_table(n - 2, p, r - 1))
     elif r >= 3:
-        total -= coef * p**3 * _extract(n - 2, p, r - 2, sums)
+        total -= coef * p**3 * _extract(n - 2, p, r - 2, power_sum_table(n - 2, p, r - 2))
     total %= m
     assert total % p == 0, (n, p)
     return total // p % p**r
@@ -211,6 +210,26 @@ class TestExtraction:
             for j in range(1, 7):
                 got = _extract(n, p, j, power_sum_table(n, p, j - 1))
                 assert got == fraction_mod(p * exact_bernoulli(n), p**j), (n, j)
+
+    @pytest.mark.parametrize("p", [11, 13, 101])
+    def test_table_holds_exactly_what_extraction_reads(self, p, monkeypatch):
+        # the largest precision read per residue is the table's precision map:
+        # no entry goes unread (the i = r entry at p^1 of an even r is read
+        # only when (p-1) | (n-r): p+1 and p+3 here) and no read is refused
+        reads = {}
+        call = PowerSums.__call__
+
+        def record(self, n, e):
+            reads[n % (p - 1)] = max(reads.get(n % (p - 1), 0), e)
+            return call(self, n, e)
+
+        monkeypatch.setattr(PowerSums, "__call__", record)
+        for index in (p - 3, p - 5, p**2 - p - 4, p**4 - p**3 - 2, p + 1, p + 3):
+            for r in range(1, 6):
+                table = power_sum_table(kummer_reduce(index, p, r), p, r)
+                reads.clear()
+                bernoulli_mod(index, p, r, sums=table)
+                assert reads == {k: len(v) for k, v in table.moments.items()}, (index, r)
 
     def test_precision_cap(self):
         with pytest.raises(KummerInapplicable):

@@ -210,6 +210,18 @@ class TestSearchCommand:
         for bound in ([], ["--min", "5"], ["--max", "300"]):
             assert run_cli(capsys, "search", "wolstenholme", "--resume", ck, *bound)[0] == 0
 
+    def test_resume_loads_checkpoint_once(self, capsys, tmp_path, monkeypatch):
+        # the bounds not given and the resume read one load of the file
+        ck = str(tmp_path / "ck.json")
+        assert run_cli(capsys, "search", "wolstenholme", "--min", "16000", "--max", "17000",
+                       "--checkpoint", ck)[0] == 0
+        loads = []
+        load = search_mod.load_checkpoint
+        monkeypatch.setattr(search_mod, "load_checkpoint", lambda path: loads.append(path) or load(path))
+        code, out, _ = run_cli(capsys, "search", "wolstenholme", "--resume", ck)
+        assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [16843]
+        assert loads == [ck]
+
     def test_progress_names_the_kind_as_typed(self, capsys):
         code, out, err = run_cli(capsys, "search", "mod-p8", "--max", "500")
         assert code == 0 and out == "" and err == "mod-p8: scanned up to 500 (1/1 chunks)\n"

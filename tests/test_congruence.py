@@ -175,14 +175,6 @@ class TestRunSuite:
         reports = {r.name: r for r in run_suite(11, ["eq1.6"])}
         assert reports["eq1.6-r2"].status == "n/a"
 
-    def test_data_check_never_gates(self, capsys):
-        (r,) = run_suite(11, ["rem1.5-data"])
-        assert r.status == "data"
-        # a data row that does not hold still leaves the exit code at 0
-        assert not r.holds
-        assert main(["verify", "--p", "11", "--check", "rem1.5-data"]) == 0
-        assert json.loads(capsys.readouterr().out)["status"] == "data"
-
     @pytest.mark.parametrize("run", [
         lambda: run_suite(11, ["thm1.1"], CheckContext(11, 7)),
         lambda: run_suite(11, ["eq1.5"], CheckContext(11, 7)),  # a sides row, judged at p^8
@@ -308,6 +300,52 @@ class TestRunSuite:
             own = bernoulli.power_sum_table(bernoulli.kummer_reduce(i, p, r), p, r)
             assert (bernoulli.bernoulli_mod(i, p, r, sums=table)
                     == bernoulli.bernoulli_mod(i, p, r, sums=own)), (i, r)
+
+
+class TestRemark15:
+    # E = 2R_1 - p*R_1^2 + p*R_2 + (p^2/3)*R_3 = -(1/9)p^5*B_{p-3}^2 mod p^6
+
+    def test_holds_exactly_at_p6_over_a_range(self):
+        reports = [r for p in primes_in(11, 1500) for r in run_suite(p, ["rem1.5"])]
+        assert len(reports) == 235 and all(r.status == "pass" for r in reports)
+        # one level higher only at p = 23, where it is 7 in Z/p^8 too
+        assert {r.p: r.residual_valuation for r in reports if r.residual_valuation != 6} == {23: 7}
+
+    def test_at_wolstenholme_prime(self):
+        # both sides vanish mod p^6 there; E itself has valuation exactly 6
+        (r,) = run_suite(16843, ["rem1.5"])
+        assert r.status == "pass" and r.residual_valuation == 6 and r.rhs == 0
+
+    def test_fails_with_b_off_by_one(self, capsys, monkeypatch):
+        b = CheckContext.B
+        monkeypatch.setattr(CheckContext, "B", lambda self, i, r: b(self, i, r) + (i == self.p - 3))
+        (r,) = run_suite(11, ["rem1.5"])
+        assert r.status == "fail" and r.residual_valuation == 5
+        assert main(["verify", "--p", "11", "--check", "rem1.5"]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
+class TestSharpness:
+    # rows that hold one level above their stated exponent at every prime
+    ONE_LEVEL_HIGHER = {
+        # the same sides as cor1.5-r1, which is judged at p^5
+        "eq1.2-harmonic",
+        # 2R_1 = -sum_{i<=r} p^i*R_{i+1} mod p^(r+1): the tail starts at
+        # p^(r+1)*R_{r+2}, and p | R_{r+2}, so each holds mod p^(r+2)
+        *(f"lemma2.3-r{r}" for r in range(1, 7)),
+    }
+
+    def test_every_row_holds_and_reaches_its_exponent(self):
+        valuations = {}
+        for p in primes_in(11, 1000):
+            for r in run_suite(p):
+                if r.status != "n/a":
+                    valuations.setdefault(r.name, []).append(r.residual_valuation)
+        # every row but the eq1.6 pair, which applies only at Wolstenholme primes
+        assert set(valuations) == set(REGISTRY) - {"eq1.6-r2", "eq1.6-r3"}
+        assert all(v >= REGISTRY[name].required for name, vs in valuations.items() for v in vs)
+        never_exact = {name for name, vs in valuations.items() if REGISTRY[name].required not in vs}
+        assert never_exact == self.ONE_LEVEL_HIGHER
 
 
 class TestDeepInvariantSweep:

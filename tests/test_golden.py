@@ -13,23 +13,33 @@ table of its own, and thm1.1 at p = 3, 5 still took math.comb and exact
 rationals.  The eighth (the jsonl Wolstenholme hit stream over
 14000..18400, which holds 16843) was recorded while the search's hit writer
 still passed json.dumps its default separators; until then only the csv
-search stream was pinned.  A change to any per-prime kernel that alters one
-byte of these reports or hit lists fails here.
+search stream was pinned.  The two ``--check all`` streams (p = 11..200
+and 3..60) were re-recorded when the recorded-only row rem1.5-data became
+the gating row rem1.5: against the earlier streams only the rem1.5 lines
+differ.  A change to any per-prime kernel that alters one byte of these
+reports or hit lists fails here.
+
+An extended digest pins ``--check all`` at 2124679, the second Wolstenholme
+prime (10–13 s on a shared 2-vCPU VM), recorded with rem1.5 already gating.
 """
 
 import hashlib
+import json
+import os
 
 import pytest
 
 from wlab.cli import main
 
+EXTENDED = os.environ.get("WLAB_EXTENDED") == "1"
+
 GOLDEN = {
     ("--format", "jsonl", "verify", "--p", "11..200", "--check", "all"):
-        "a6a8e1cd05754e7bac2da61131982202c393261cbcfda110b983b73e57c9b011",
+        "582604f361df46d2fcea2a1d1441658e245ffd54f7d11f15d22b35685df612de",
     ("--format", "csv", "search", "mod-p8", "--min", "5", "--max", "3000"):
         "1201423da8c91346cafc3b405555c4597463ae7a782bf2a62b25bedbd28ebb32",
     ("--format", "jsonl", "verify", "--p", "3..60", "--check", "all"):
-        "a807b4b9b8723e4bdf7a4c7f0635affcd9f6ae8bf7538e977704f8fd403ef018",
+        "ab914df9b9fb5bbbb4b47f7de04be7fda464c971223a6c682a0a0d4297e6f9de",
     ("--format", "jsonl", "verify", "--p", "7", "--check", "thm1.1", "--exp", "6"):
         "10067a0a297b2cdf382f1b7549a4be601ffd80f0ad7b84e76104e86753df1f9a",
     ("--format", "jsonl", "verify", "--p", "503..1009", "--check", "kummer3.3",
@@ -51,3 +61,16 @@ def test_output_digest(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for --check all at 2124679")
+def test_every_row_at_second_wolstenholme_prime(capsys):
+    assert main(["--format", "jsonl", "verify", "--p", "2124679", "--check", "all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "49dd25f737cde9b6005efa768b77527a010a5ff133af9270ce0d4c39517b8b66")
+    rows = {row["check"]: row for row in map(json.loads, out.splitlines())}
+    assert all(rows[name]["status"] == "pass" for name in ("eq1.6-r2", "eq1.6-r3", "rem1.5"))
+    # Tauraso's two forms hold exactly at p^7 there, as at 16843
+    assert rows["eq1.6-r2"]["residual_valuation"] == rows["eq1.6-r3"]["residual_valuation"] == 7
