@@ -3,12 +3,12 @@
 Both search kinds filter each prime with the Lehmer interval sum
 sum_{p/4 < k <= p/3} 1/k^n mod p, about p/12 terms (D. H. Lehmer, Ann. of
 Math. 1938).  ``lehmer_batch`` shares it across neighbouring primes, as Costa,
-Gerbicz and Harvey (Math. Comp. 83, 2014) share work: a batch spans at most
-p_1/BATCH_SPAN, its intervals share a core summed once modulo the product of
-its primes, and each prime adds its two short edges by ``lehmer_sum``, which a
-lone prime or a batch with no core (small p) uses alone.  Only a zero of the
-filter, or a prime where the filter degenerates, goes on to the full check; a
-filter zero that fails it raises ``InternalInconsistency``.
+Gerbicz and Harvey (Math. Comp. 83, 2014) share work: a batch is a run of
+primes below 3*p_1, and one running fraction modulo their product walks
+p_1//4 < k <= p_B//3 once, each prime reading it at its own p//4 and p//3.
+A lone prime runs ``lehmer_sum`` instead.  Only a zero of the filter, or a
+prime where the filter degenerates, goes on to the full check; a filter zero
+that fails it raises ``InternalInconsistency``.
 
 * ``wolstenholme``: primes with C(2p-1, p-1) = 1 mod p^4, equivalently
   p | B_{p-3}.  With n = 3 the sum is 5 * B_{p-3} (mod p), so for p >= 7 a
@@ -33,7 +33,9 @@ so hit lists are a pure function of (kind, lo, hi).
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
+import heapq
 import json
 import math
 import os
@@ -51,10 +53,7 @@ KIND_MIN = {"wolstenholme": 5, "mod_p8": 7}
 # of B_{p-n} degenerates mod p, which skip the filter
 FILTERS = {"wolstenholme": (3, (5,)), "mod_p8": (7, (7, 67))}
 DEFAULT_CHUNK = 256
-# a filter batch spans at most 1/BATCH_SPAN of its first prime; wider ones have long
-# edges, narrower ones share little (1/64 measured best or near it, p <= 2e5)
-BATCH_SPAN = 64
-BATCH_BLOCK = 16  # core k^n folded into one step of the batch's running fraction
+BATCH_BLOCK = 16  # exact k^n folded into one step of a batch's running fraction
 
 
 def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
@@ -63,7 +62,8 @@ def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
     Needs 0 <= lo and hi < p, so that no k is a multiple of p.  The search
     filters take the interval p/4 < k <= p/3, where the sum is
     5 * B_{p-3} (n = 3, p >= 7) and 1005 * B_{p-7} (n = 7, p >= 11) mod p.
-    It is ``lehmer_batch``'s edge kernel and, over all of p/4 < k <= p/3, its slow oracle.
+    ``lehmer_batch`` uses it for a batch of one prime, and the tests use it
+    as the batch's slow oracle.
     """
     num, den = 0, 1
     for k in range(lo + 1, hi + 1):
@@ -74,10 +74,11 @@ def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
 
 
 def _batches(primes: list[int]) -> Iterator[list[int]]:
-    """Runs of the ascending ``primes`` that span at most p_1 // BATCH_SPAN."""
+    """Runs of the ascending ``primes`` below three times their first, p_B < 3*p_1,
+    so that every k <= p_B // 3 < p_1 is a unit mod every prime of the run."""
     i = 0
     while i < len(primes):
-        j = bisect.bisect_right(primes, primes[i] + primes[i] // BATCH_SPAN, i)
+        j = bisect.bisect_left(primes, 3 * primes[i], i)
         yield primes[i:j]
         i = j
 
@@ -85,26 +86,39 @@ def _batches(primes: list[int]) -> Iterator[list[int]]:
 def lehmer_batch(primes: list[int], n: int) -> list[int]:
     """``lehmer_sum(p, n, p//4, p//3)`` at each of the ascending ``primes``.
 
-    A batch's core p_B//4 < k <= p_1//3 is one running fraction modulo
-    p_1 * ... * p_B, which takes each BATCH_BLOCK exact k^n as one map
-    (num, den) -> (num*C + den*A, den*C), A/C = sum 1/k^n; see the module docstring.
+    A batch walks one running fraction num/den = sum 1/k^n modulo
+    m = p_1 * ... * p_B over p_1//4 < k <= p_B//3, taking each BATCH_BLOCK
+    exact k^n as one map (num, den) -> (num*C + den*A, den*C), A/C = sum 1/k^n.
+    A block breaks only at the stops k = p//4 and k = p//3.  At p//4 a prime
+    keeps (N_4, D_4) = (num, den) mod p, at p//3 it reads (N_3, D_3) and its
+    sum is (N_3*D_4 - N_4*D_3) / (D_3*D_4) mod p.  Both readings are reduced
+    mod p when taken, so the walk holds O(B) ints below p besides m.
     """
     out: list[int] = []
     for batch in _batches(primes):
-        lo, hi = batch[-1] // 4, batch[0] // 3
-        if len(batch) == 1 or lo >= hi:  # for a lone prime, k^n mod p is cheaper than exact
-            out.extend(lehmer_sum(p, n, p // 4, p // 3) for p in batch)
+        if len(batch) == 1:  # for a lone prime, k^n mod p is cheaper than exact
+            p = batch[0]
+            out.append(lehmer_sum(p, n, p // 4, p // 3))
             continue
         m = math.prod(batch)
-        num, den = 0, 1
-        for start in range(lo + 1, hi + 1, BATCH_BLOCK):
-            a, c = 0, 1
-            for k in range(start, min(start + BATCH_BLOCK, hi + 1)):
-                kn = k**n
-                a, c = a * kn + c, c * kn
-            num, den = (num * c + den * a) % m, den * c % m
-        out.extend((num * pow(den, -1, p) + lehmer_sum(p, n, p // 4, lo) + lehmer_sum(p, n, hi, p // 3)) % p
-                   for p in batch)
+        # both stop sequences ascend with p; at a shared k a p//4 stop comes first
+        stops = heapq.merge(((p // 4, 0, p) for p in batch), ((p // 3, 1, p) for p in batch))
+        fours: collections.deque[tuple[int, int]] = collections.deque()
+        num, den, k = 0, 1, batch[0] // 4
+        for stop, third, p in stops:
+            for start in range(k + 1, stop + 1, BATCH_BLOCK):
+                a, c = 0, 1
+                for j in range(start, min(start + BATCH_BLOCK, stop + 1)):
+                    jn = j**n
+                    a, c = a * jn + c, c * jn
+                num, den = (num * c + den * a) % m, den * c % m
+            k = stop
+            if not third:
+                fours.append((num % p, den % p))
+                continue
+            n4, d4 = fours.popleft()
+            n3, d3 = num % p, den % p
+            out.append((n3 * d4 - n4 * d3) * pow(d3 * d4, -1, p) % p)
     return out
 
 

@@ -160,6 +160,8 @@ class PowerSums:
     k^r*x_k^i, is one list, and each moment A_{r,i} gains its ``sum``."""
 
     def __init__(self, p: int, precision: Mapping[int, int]):
+        if not precision:
+            raise InvalidInput("a power-sum table needs at least one residue")
         rs = sorted(precision)  # each 0 <= r < p-1, each e >= 1
         m = p ** max(precision.values())
         h = (p - 1) // 2

@@ -1,8 +1,10 @@
 """Prime generation, indicators, parallel search, checkpoint/resume."""
 
 import json
+import math
 import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -218,12 +220,17 @@ class TestLehmerFilter:
 
 def assert_batch_matches_lehmer_sum(n: int, lo: int, hi: int) -> None:
     """At every prime in [lo, hi], the batch kernel equals lehmer_sum over the
-    whole interval p/4 < k <= p/3, in chunks of 1, 17, 32 and 256 primes."""
+    whole interval p/4 < k <= p/3, in chunks of 1, 2, 3, 17, 32 and 256 primes
+    and in one chunk of the whole range."""
     primes = primes_in(lo, hi)
     oracle = [lehmer_sum(p, n, p // 4, p // 3) for p in primes]
-    for chunk in (1, 17, 32, 256):
+    for chunk in (1, 2, 3, 17, 32, 256, len(primes)):
         chunks = [primes[i : i + chunk] for i in range(0, len(primes), chunk)]
         assert [s for c in chunks for s in lehmer_batch(c, n)] == oracle, chunk
+
+
+def batches_per_chunk(primes: list[int], chunk: int) -> list[list[list[int]]]:
+    return [list(search_mod._batches(primes[i : i + chunk])) for i in range(0, len(primes), chunk)]
 
 
 class TestLehmerBatch:
@@ -237,24 +244,54 @@ class TestLehmerBatch:
         assert_batch_matches_lehmer_sum(3, 20_000, 100_000)
         assert_batch_matches_lehmer_sum(7, 20_000, 100_000)
 
-    def test_range_has_every_kind_of_batch(self):
-        # chunks of 17 from 5: one-prime batches, batches cut by the span bound,
-        # and the one batch with no core, [5], whose interval is empty
+    @pytest.mark.parametrize("chunk", [256, 2260])  # 2260: the primes in 5..2e4, one chunk
+    def test_a_batch_is_the_run_below_three_times_its_first(self, chunk):
+        # every k <= p_B//3 < p_1 is then a unit mod every prime of the batch
         primes = primes_in(5, 20_000)
-        per_chunk = [list(search_mod._batches(primes[i : i + 17])) for i in range(0, len(primes), 17)]
-        batches = [b for bs in per_chunk for b in bs]
-        assert any(len(bs) > 1 for bs in per_chunk)
-        assert any(len(b) == 1 and b[0] // 4 < b[0] // 3 for b in batches)
-        assert [b for b in batches if b[-1] // 4 >= b[0] // 3] == [[5]]
+        assert len(primes) == 2260
+        for c, batches in zip(range(0, len(primes), chunk), batches_per_chunk(primes, chunk)):
+            assert [p for b in batches for p in b] == primes[c : c + chunk]
+            for b, after in zip(batches, batches[1:]):
+                assert b[-1] < 3 * b[0] <= after[0]
+            assert batches[-1][-1] < 3 * batches[-1][0]
+        # the batch holding 5, whose interval 5//4 < k <= 5//3 is empty, is walked
+        # with its neighbours: its two readings are taken at the same k
+        assert batches_per_chunk(primes, chunk)[0][0] == [5, 7, 11, 13]
 
-    @pytest.mark.parametrize("span", [1, 2])
-    def test_wide_batches_without_a_core(self, monkeypatch, span):
-        # a wider span bound leaves many batches with p_B//4 >= p_1//3
-        monkeypatch.setattr(search_mod, "BATCH_SPAN", span)
-        primes = primes_in(5, 3000)
-        assert any(b[-1] // 4 > b[0] // 3 for b in search_mod._batches(primes))
-        assert_batch_matches_lehmer_sum(3, 5, 3000)
-        assert_batch_matches_lehmer_sum(7, 11, 3000)
+    @pytest.mark.parametrize("chunk", [1, 3, 256, 2260])
+    def test_one_prime_batches_end_their_chunk(self, chunk):
+        # the next prime after p_1 is below 2*p_1 (Bertrand), so only a chunk's
+        # last prime can be cut off alone; chunks of 1 are all lone primes, and
+        # chunks of 3 leave 19997 alone at the end of the range
+        primes = primes_in(5, 20_000)
+        per_chunk = batches_per_chunk(primes, chunk)
+        lone = [b[0] for bs in per_chunk for b in bs if len(b) == 1]
+        assert lone == [bs[-1][0] for bs in per_chunk if len(bs[-1]) == 1]
+        assert lone == {1: primes, 3: [19997], 256: [], 2260: []}[chunk]
+
+    def test_the_cut_can_leave_a_chunks_last_prime_alone(self):
+        primes = primes_in(5, 17)
+        assert list(search_mod._batches(primes)) == [[5, 7, 11, 13], [17]]
+        assert lehmer_batch(primes, 3) == [lehmer_sum(p, 3, p // 4, p // 3) for p in primes]
+
+    def test_walk_memory_is_a_multiple_of_the_modulus(self):
+        # One batch of 2055 primes near 1e6: m has 5125 bytes, so 2B residues
+        # mod m would hold 2B*|m|, about 21 MB.  The walk holds m, num, den and
+        # one block's product, a few |m|, and O(B) ints below p: each prime's
+        # (N_4, D_4) until its p//3 stop, and its sum.  Those cost about
+        # 100 bytes a prime, while a 20-bit prime adds 2.5 bytes to m, so the
+        # peak is about 40*|m|; the bound 64*|m| is 1/32 of B*|m|.
+        primes = primes_in(10**6, 10**6 + 28_000)
+        assert len(primes) == 2055 and list(search_mod._batches(primes)) == [primes]
+        size_m = (math.prod(primes).bit_length() + 7) // 8
+        tracemalloc.start()
+        try:
+            sums = lehmer_batch(primes, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * size_m, (peak, size_m)
+        assert [sums[i] for i in (0, 1027, 2054)] == [lehmer_sum(p, 3, p // 4, p // 3) for p in primes[::1027]]
 
 
 class TestRunSearch:

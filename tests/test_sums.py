@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlab import sums
+from wlab.bernoulli import power_sum_table
 from wlab.congruence import CheckContext, binom_central_int
 from wlab.errors import InternalInconsistency, InvalidInput, NotInvertible
 from wlab.modring import residual_valuation
@@ -164,6 +165,13 @@ class TestPowerSums:
             sums(6, 5)
         with pytest.raises(InternalInconsistency):
             sums(2, 1)
+
+    def test_empty_precision_map_is_refused(self):
+        # power_sum_table at r = 0 asks for nothing when (p-1) does not divide n
+        with pytest.raises(InvalidInput, match="at least one residue"):
+            PowerSums(11, {})
+        with pytest.raises(InvalidInput, match="at least one residue"):
+            power_sum_table(8, 11, 0)
 
 
 class TestSymmetricSums:
