@@ -20,7 +20,7 @@ from typing import Iterable
 from . import congruence, search
 from .bernoulli import bernoulli_mod, exact_bernoulli, fraction_mod
 from .errors import WlabError
-from .modring import is_prime
+from .modring import PRIME_BOUND, is_prime, primes_in
 
 FORMATS = ("jsonl", "csv", "human")
 REPORT_COLUMNS = ("check", "p", "required_exp", "residual_valuation", "holds", "status", "lhs", "rhs")
@@ -163,13 +163,16 @@ def cmd_verify(args) -> int:
         print("error: verify needs --p (or --list-checks)", file=sys.stderr)
         return 1
     lo, hi = _parse_prime_range(args.p)
+    if hi >= PRIME_BOUND:
+        print(f"error: {hi} is at or above the primality bound {PRIME_BOUND}", file=sys.stderr)
+        return 1
     if lo == hi:
         if not is_prime(lo):
             print(f"error: {lo} is not a prime", file=sys.stderr)
             return 1
         primes = [lo]
     else:
-        primes = search.primes_in(max(lo, 3), hi)  # a range starts at the least odd prime
+        primes = primes_in(max(lo, 3), hi)  # a range starts at the least odd prime
 
     verify = functools.partial(_verify_prime, checks=checks, exp=args.exp)
     results = search.ordered_map(verify, primes, args.workers, chunksize=16)
@@ -203,9 +206,9 @@ def cmd_search(args) -> int:
         csv_writer = csv.writer(sys.stdout, lineterminator="\n")
         csv_writer.writerow(("kind", "p", "witness"))
 
-    def emit(hit) -> None:
+    def emit(hit: dict) -> None:
         # stream hits as the ordered merge advances; long scans are rare-hit
-        row = hit.to_json_dict()
+        row = {"kind": kind, "p": hit["p"], "witness": hit["witness"]}
         if args.format == "jsonl":
             print(json.dumps(row), flush=True)
         elif args.format == "csv":
@@ -214,23 +217,23 @@ def cmd_search(args) -> int:
         else:
             print(f"{row['kind']}: p={row['p']} witness={row['witness']}", flush=True)
 
+    resume_from = None
     if args.resume is not None:
-        # a bound not given is the checkpoint's; search.resume refuses a task
+        # a bound not given is the checkpoint's; run_search refuses a task
         # whose kind or bounds are not the checkpoint's
-        cp = search.load_checkpoint(args.resume)
-        lo = cp.lo if args.min is None else args.min
-        hi = cp.hi if args.max is None else args.max
-        task = search.SearchTask(kind, lo, hi, args.chunk, args.resume)
-        search.resume(task, workers=args.workers, progress=_progress_printer(args.kind), on_hit=emit,
-                      checkpoint=cp)
+        resume_from = search.load_checkpoint(args.resume)
+        checkpoint = args.resume
+        lo = resume_from.lo if args.min is None else args.min
+        hi = resume_from.hi if args.max is None else args.max
+    elif args.max is None:
+        print("error: search needs --max (or --resume)", file=sys.stderr)
+        return 1
     else:
-        if args.max is None:
-            print("error: search needs --max (or --resume)", file=sys.stderr)
-            return 1
-        lo = args.min if args.min is not None else search.KIND_MIN[kind]
-        task = search.SearchTask(kind, lo, args.max, args.chunk, checkpoint)
-        search.run_search(task, workers=args.workers,
-                          progress=_progress_printer(args.kind), on_hit=emit)
+        lo = search.KINDS[kind][0] if args.min is None else args.min
+        hi = args.max
+    task = search.SearchTask(kind, lo, hi, args.chunk, checkpoint)
+    search.run_search(task, workers=args.workers, progress=_progress_printer(args.kind), on_hit=emit,
+                      resume_from=resume_from)
     return 0
 
 

@@ -24,10 +24,15 @@ that fails it raises ``InternalInconsistency``.
   terms mod p^9, which gives C(2p-1, p-1) and the moments S_1, S_2 that
   R_1 and H_2 are built from.
 
-Scans are embarrassingly parallel over primes: ``workers > 1`` imports the
-process pool on first use.  A coordinator merges chunk results in ascending
-order and checkpoints before the first chunk and after each completed one,
-so hit lists are a pure function of (kind, lo, hi).
+Each kind is one row of ``KINDS``.  ``run_search`` is the one entry point: it
+scans a ``SearchTask``, or continues one from the ``Checkpoint`` its caller
+loaded.  A hit is the dict {"p", "witness"} that ``_confirm`` returns; the
+checkpoint stores it, ``on_hit`` receives it, and ``run_search`` returns
+the list of them.  Scans are embarrassingly parallel over primes:
+``workers > 1`` imports the process pool on first use.  A coordinator
+merges chunk results in ascending order and checkpoints before the first
+chunk and after each completed one, so hit lists are a pure function of
+(kind, lo, hi).
 """
 
 from __future__ import annotations
@@ -48,10 +53,9 @@ from .modring import PRIME_BOUND, is_prime, primes_in, residual_valuation
 from .sums import half_range_moments
 
 SCHEMA_VERSION = 1
-KIND_MIN = {"wolstenholme": 5, "mod_p8": 7}
-# per kind: the filter's exponent n, and the primes where the filter's multiple
-# of B_{p-n} degenerates mod p, which skip the filter
-FILTERS = {"wolstenholme": (3, (5,)), "mod_p8": (7, (7, 67))}
+# per kind: the least p it scans, the filter's exponent n, and the primes where
+# the filter's multiple of B_{p-n} degenerates mod p, which skip the filter
+KINDS = {"wolstenholme": (5, 3, (5,)), "mod_p8": (7, 7, (7, 67))}
 DEFAULT_CHUNK = 256
 BATCH_BLOCK = 16  # exact k^n folded into one step of a batch's running fraction
 
@@ -160,22 +164,13 @@ class SearchTask(_TaskFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in KIND_MIN:
+        if self.kind not in KINDS:
             raise InvalidInput(f"unknown search kind {self.kind!r}")
-        if not 5 <= self.lo <= self.hi:
-            raise InvalidInput(f"need 5 <= lo <= hi, got [{self.lo}, {self.hi}]")
+        if not 5 <= self.lo <= self.hi < PRIME_BOUND:
+            raise InvalidInput(f"need 5 <= lo <= hi < {PRIME_BOUND}, got [{self.lo}, {self.hi}]")
         if self.chunk < 1:
             raise InvalidInput("chunk must be >= 1")
         return self
-
-
-class SearchHit(NamedTuple):
-    p: int
-    kind: str
-    witness: dict
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "witness": self.witness}
 
 
 class Checkpoint(NamedTuple):
@@ -240,14 +235,14 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointCorrupt(f"checkpoint field {key!r} has wrong type")
     if raw["schema_version"] != SCHEMA_VERSION:
         raise CheckpointCorrupt(f"unsupported schema_version {raw['schema_version']}")
-    if raw["kind"] not in KIND_MIN:
-        raise CheckpointCorrupt(f"unknown kind {raw['kind']!r}")
+    try:
+        SearchTask(raw["kind"], raw["lo"], raw["hi"])
+    except InvalidInput as exc:
+        raise CheckpointCorrupt(f"checkpoint names no valid scan: {exc}") from exc
     lo, hi, last = raw["lo"], raw["hi"], raw["last_completed_prime"]
-    if not 5 <= lo <= hi < PRIME_BOUND:
-        raise CheckpointCorrupt(f"checkpoint range [{lo}, {hi}] is not a valid scan range")
     if not lo - 1 <= last <= hi:
         raise CheckpointCorrupt(f"last_completed_prime {last} outside [{lo - 1}, {hi}]")
-    prev = max(lo, KIND_MIN[raw["kind"]]) - 1
+    prev = max(lo, KINDS[raw["kind"]][0]) - 1
     for h in raw["hits"]:
         if not isinstance(h, dict) or not isinstance(h.get("p"), int) or "witness" not in h:
             raise CheckpointCorrupt("malformed hit entry")
@@ -280,7 +275,7 @@ def _confirm(kind: str, p: int) -> dict | None:
 
 def _scan_chunk(kind: str, primes: list[int]) -> list[dict]:
     """Filter a chunk and confirm what passes; returns hit dicts only."""
-    n, unfiltered = FILTERS[kind]
+    _, n, unfiltered = KINDS[kind]
     out: list[dict] = []
     for p, s in zip(primes, lehmer_batch(primes, n)):
         filtered = p not in unfiltered
@@ -294,7 +289,7 @@ def _scan_chunk(kind: str, primes: list[int]) -> list[dict]:
     return out
 
 
-def _flush(task: SearchTask, last_prime: int, hits: list[SearchHit]) -> None:
+def _flush(task: SearchTask, last_prime: int, hits: list[dict]) -> None:
     if task.checkpoint_path is None:
         return
     cp = Checkpoint(
@@ -302,48 +297,10 @@ def _flush(task: SearchTask, last_prime: int, hits: list[SearchHit]) -> None:
         lo=task.lo,
         hi=task.hi,
         last_completed_prime=last_prime,
-        hits=[{"p": h.p, "witness": h.witness} for h in hits],
+        hits=hits,
         updated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
     save_checkpoint(task.checkpoint_path, cp)
-
-
-def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None) -> list[SearchHit]:
-    """Scan the task range; deterministic ascending hit list.
-
-    Work is partitioned into chunks of ``task.chunk`` primes; with
-    ``workers > 1`` chunks run in separate processes, but results are merged
-    in range order so output never depends on scheduling.  A checkpoint (if
-    configured) is written before the first chunk and rewritten after each
-    merged chunk, so an exception (KeyboardInterrupt included) that stops the
-    scan leaves it at the last merged chunk.  ``on_hit`` is called once per
-    hit, in ascending order, as soon as the hit's chunk is merged.
-    """
-    return _execute(task, workers, progress, on_hit, resume_from=None)
-
-
-def resume(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
-           checkpoint: Checkpoint | None = None) -> list[SearchHit]:
-    """Continue the checkpointed search ``task`` to completion.
-
-    The checkpoint is read from ``task.checkpoint_path`` (a task without one
-    raises ``InvalidInput``), unless the caller passes the ``checkpoint`` it
-    has already loaded from that path, and its (kind, lo, hi) must be the task's.
-    Hits carried over from the checkpoint are re-verified first; one that
-    fails, witness included, raises ``CheckpointCorrupt``.  A checkpoint
-    that already covers the range returns its stored hits.  ``on_hit`` also
-    fires for hits carried over from the checkpoint.
-    """
-    if task.checkpoint_path is None:
-        raise InvalidInput("resume needs a task with a checkpoint path")
-    cp = load_checkpoint(task.checkpoint_path) if checkpoint is None else checkpoint
-    if (task.kind, task.lo, task.hi) != (cp.kind, cp.lo, cp.hi):
-        # the kinds as the CLI spells them (mod-p8, not mod_p8)
-        raise TaskMismatch(
-            f"checkpoint is for {cp.kind.replace('_', '-')} [{cp.lo}, {cp.hi}], "
-            f"requested {task.kind.replace('_', '-')} [{task.lo}, {task.hi}]"
-        )
-    return _execute(task, workers, progress, on_hit, resume_from=cp)
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int, chunksize: int = 1) -> Iterator:
@@ -375,17 +332,46 @@ def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> It
     pool.shutdown(wait=True)
 
 
-def _execute(task: SearchTask, workers: int, progress, on_hit,
-             resume_from: Checkpoint | None) -> list[SearchHit]:
-    lo = max(task.lo, KIND_MIN[task.kind])
+def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
+               resume_from: Checkpoint | None = None) -> list[dict]:
+    """Scan the task range; the deterministic ascending list of its hit dicts.
+
+    Work is partitioned into chunks of ``task.chunk`` primes; with
+    ``workers > 1`` chunks run in separate processes, but results are merged
+    in range order so output never depends on scheduling.  A checkpoint (if
+    configured) is written before the first chunk and rewritten after each
+    merged chunk, so an exception (KeyboardInterrupt included) that stops the
+    scan leaves it at the last merged chunk.  ``on_hit`` is called once per
+    hit, in ascending order, as soon as the hit's chunk is merged.
+
+    ``resume_from`` is the checkpoint the caller loaded from
+    ``task.checkpoint_path`` (a task without one raises ``InvalidInput``); its
+    (kind, lo, hi) must be the task's, or ``TaskMismatch``.  The scan then
+    starts after its ``last_completed_prime``.  Its hits are re-verified
+    first, and one that fails, witness included, raises ``CheckpointCorrupt``.
+    The carried hits are the re-verified dicts, so they print and are stored
+    as an uninterrupted run would have them; ``on_hit`` fires for them too.
+    """
+    lo = max(task.lo, KINDS[task.kind][0])
     # the last prime already covered; a resume never regresses its checkpoint
-    base_last = lo - 1 if resume_from is None else resume_from.last_completed_prime
+    base_last = lo - 1
+    if resume_from is not None:
+        cp = resume_from
+        if task.checkpoint_path is None:
+            raise InvalidInput("resume needs a task with a checkpoint path")
+        if (task.kind, task.lo, task.hi) != (cp.kind, cp.lo, cp.hi):
+            # the kinds as the CLI spells them (mod-p8, not mod_p8)
+            raise TaskMismatch(
+                f"checkpoint is for {cp.kind.replace('_', '-')} [{cp.lo}, {cp.hi}], "
+                f"requested {task.kind.replace('_', '-')} [{task.lo}, {task.hi}]"
+            )
+        base_last = cp.last_completed_prime
     primes = primes_in(max(lo, base_last + 1), task.hi)
     chunks = [primes[i : i + task.chunk] for i in range(0, len(primes), task.chunk)]
     results = ordered_map(functools.partial(_scan_chunk, task.kind), chunks, workers)
-    hits: list[SearchHit] = []
+    hits: list[dict] = []
 
-    def absorb(found: list[SearchHit]) -> None:
+    def absorb(found: list[dict]) -> None:
         hits.extend(found)
         if on_hit is not None:
             for h in found:
@@ -394,9 +380,10 @@ def _execute(task: SearchTask, workers: int, progress, on_hit,
     if resume_from is not None:
         carried = []
         for h in resume_from.hits:
-            if _confirm(task.kind, h["p"]) != h:
+            hit = _confirm(task.kind, h["p"])
+            if hit != h:
                 raise CheckpointCorrupt(f"checkpoint hit p={h['p']} fails re-verification")
-            carried.append(SearchHit(p=h["p"], kind=task.kind, witness=h["witness"]))
+            carried.append(hit)
         absorb(carried)
         if not chunks:
             return hits
@@ -409,10 +396,9 @@ def _execute(task: SearchTask, workers: int, progress, on_hit,
         # later write covers every merged chunk, so an exception needs no final write
         _flush(task, base_last, hits)
         for done, found in enumerate(results, 1):
-            new = [SearchHit(p=h["p"], kind=task.kind, witness=h["witness"]) for h in found]
             last = chunks[done - 1][-1] if done < len(chunks) else task.hi
-            _flush(task, last, hits + new)
-            absorb(new)
+            _flush(task, last, hits + found)
+            absorb(found)
             if progress is not None:
                 progress(done, len(chunks), last)
     finally:

@@ -20,7 +20,7 @@ from wlab.congruence import (
     check_theorem_main,
     run_suite,
 )
-from wlab.search import SearchTask, primes_in, resume, run_search
+from wlab.search import SearchTask, load_checkpoint, primes_in, run_search
 
 EXTENDED = os.environ.get("WLAB_EXTENDED") == "1"
 
@@ -145,7 +145,7 @@ def test_criterion_08_wolstenholme_search(capsys):
 def test_criterion_08_extended_wolstenholme():
     t0 = time.perf_counter()
     hits = run_search(SearchTask("wolstenholme", 5, 2_200_000))
-    ok = [h.p for h in hits] == [16843, 2124679]
+    ok = [h["p"] for h in hits] == [16843, 2124679]
     conclude(8, "extended: both Wolstenholme primes below 2.2e6", ok,
              f"{time.perf_counter() - t0:.0f}s")
 
@@ -208,7 +208,7 @@ def test_criterion_12_determinism(tmp_path, capsys):
     search_streams = set()
     for workers in (1, 4, 16):
         hits = run_search(SearchTask("wolstenholme", 16000, 17000, chunk=16), workers=workers)
-        search_streams.add(json.dumps([h.to_json_dict() for h in hits]))
+        search_streams.add(json.dumps(hits))
 
     # verify report streams across worker counts
     verify_streams = set()
@@ -231,8 +231,8 @@ def test_criterion_12_determinism(tmp_path, capsys):
         interrupted = False
     except KeyboardInterrupt:
         interrupted = True
-    resumed = [h.p for h in resume(task)]
-    uninterrupted = [h.p for h in run_search(SearchTask("wolstenholme", 5, 30000, chunk=150))]
+    resumed = [h["p"] for h in run_search(task, resume_from=load_checkpoint(ck))]
+    uninterrupted = [h["p"] for h in run_search(SearchTask("wolstenholme", 5, 30000, chunk=150))]
 
     ok = (
         len(search_streams) == 1

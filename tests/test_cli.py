@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wlab.cli as cli_mod
 import wlab.search as search_mod
 from wlab import congruence
 from wlab.cli import main, parse_index_expr
 from wlab.errors import WlabError
+from wlab.modring import PRIME_BOUND
 from wlab.search import primes_in
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -222,6 +224,25 @@ class TestSearchCommand:
         assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [16843]
         assert loads == [ck]
 
+    def test_resume_prints_carried_hit_as_uninterrupted(self, capsys, tmp_path):
+        # a stored hit whose keys are in another order is re-verified, and the
+        # re-verified dict is what is printed and written back
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps({
+            "schema_version": 1, "kind": "wolstenholme", "lo": 14000, "hi": 18400, "last_completed_prime": 17000,
+            "hits": [{"witness": {"binom_residual_valuation": 4, "r1_valuation": 3}, "p": 16843}],
+            "updated_at": "x",
+        }))
+        code, resumed, _ = run_cli(capsys, "search", "wolstenholme", "--resume", str(ck))
+        assert code == 0
+        code, fresh, _ = run_cli(capsys, "search", "wolstenholme", "--min", "14000", "--max", "18400",
+                                 "--checkpoint", str(tmp_path / "fresh.json"))
+        assert code == 0 and resumed == fresh
+        assert fresh == ('{"kind": "wolstenholme", "p": 16843, '
+                         '"witness": {"r1_valuation": 3, "binom_residual_valuation": 4}}\n')
+        stored, written = (json.loads(path.read_text())["hits"] for path in (ck, tmp_path / "fresh.json"))
+        assert json.dumps(stored) == json.dumps(written)
+
     def test_progress_names_the_kind_as_typed(self, capsys):
         code, out, err = run_cli(capsys, "search", "mod-p8", "--max", "500")
         assert code == 0 and out == "" and err == "mod-p8: scanned up to 500 (1/1 chunks)\n"
@@ -349,18 +370,35 @@ class TestUsage:
                 assert err == "error: workers must be >= 1\n"
 
     @pytest.mark.parametrize("argv", [
-        ("search", "wolstenholme", "--max", str(10**30)),
-        ("verify", "--p", f"11..{10**30}"),
+        ("search", "wolstenholme", "--max", str(10**24)),
+        ("verify", "--p", f"11..{10**24}"),
     ])
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, argv):
-        # a real sieve to 10^15 may fill RAM under overcommit instead of failing
+        # a real sieve to 10^12 may fill RAM under overcommit instead of failing;
+        # search sieves through search.primes_in, verify through cli.primes_in
         def no_memory(lo, hi):
             raise MemoryError
 
         monkeypatch.setattr(search_mod, "primes_in", no_memory)
+        monkeypatch.setattr(cli_mod, "primes_in", no_memory)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: out of memory\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "wolstenholme", "--max", str(PRIME_BOUND)),
+        ("search", "mod-p8", "--min", str(PRIME_BOUND + 2), "--max", str(10**25)),
+        ("verify", "--p", f"11..{PRIME_BOUND}"),
+        ("verify", "--p", str(10**25)),
+    ])
+    def test_range_at_or_above_primality_bound_is_one_error_line(self, capsys, monkeypatch, argv):
+        # refused before any sieve: below the bound the same ranges would sieve for ever
+        sieved = []
+        monkeypatch.setattr(search_mod, "primes_in", lambda *a: sieved.append(a) or [])
+        monkeypatch.setattr(cli_mod, "primes_in", lambda *a: sieved.append(a) or [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and sieved == []
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(PRIME_BOUND) in err
 
     def test_p2_reports_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p", "2", "--check", "eq1.1")

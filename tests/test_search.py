@@ -19,14 +19,12 @@ from wlab.modring import PRIME_BOUND, residual_valuation
 from wlab.report import CongruenceReport
 from wlab.search import (
     Checkpoint,
-    SearchHit,
     SearchTask,
     lehmer_batch,
     lehmer_sum,
     load_checkpoint,
     mod_p8_indicator,
     primes_in,
-    resume,
     run_search,
     save_checkpoint,
     wolstenholme_indicator,
@@ -215,7 +213,7 @@ class TestLehmerFilter:
 
     def test_second_wolstenholme_prime_through_the_scan(self):
         hits = run_search(SearchTask("wolstenholme", 2124600, 2124700))
-        assert [h.p for h in hits] == [2124679]
+        assert [h["p"] for h in hits] == [2124679]
 
 
 def assert_batch_matches_lehmer_sum(n: int, lo: int, hi: int) -> None:
@@ -300,10 +298,10 @@ class TestRunSearch:
 
     def test_wolstenholme_hit_window(self):
         hits = run_search(SearchTask("wolstenholme", 16000, 17000))
-        assert [h.p for h in hits] == [16843]
+        assert [h["p"] for h in hits] == [16843]
         (hit,) = hits
-        assert hit.witness["r1_valuation"] >= 3
-        assert hit.witness["binom_residual_valuation"] >= 4
+        assert hit["witness"]["r1_valuation"] >= 3
+        assert hit["witness"]["binom_residual_valuation"] >= 4
 
     def test_mod_p8_empty(self):
         assert run_search(SearchTask("mod_p8", 7, 2000)) == []
@@ -312,7 +310,7 @@ class TestRunSearch:
         base = None
         for workers, chunk in ((1, 64), (2, 17), (4, 200)):
             task = SearchTask("wolstenholme", 16500, 17500, chunk=chunk)
-            got = json.dumps([h.to_json_dict() for h in run_search(task, workers=workers)])
+            got = json.dumps(run_search(task, workers=workers))
             if base is None:
                 base = got
             assert got == base
@@ -324,10 +322,13 @@ class TestRunSearch:
             SearchTask("wolstenholme", 10, 9)
         with pytest.raises(InvalidInput):
             SearchTask("wolstenholme", 5, 10, chunk=0)
+        # the top of the range is the bound of the deterministic primality test
+        with pytest.raises(InvalidInput, match="hi < "):
+            SearchTask("wolstenholme", 5, PRIME_BOUND)
+        assert SearchTask("wolstenholme", 5, PRIME_BOUND - 1).hi == PRIME_BOUND - 1
 
     @pytest.mark.parametrize("record", [
         SearchTask("wolstenholme", 5, 10),
-        SearchHit(p=16843, kind="wolstenholme", witness={}),
         Checkpoint(kind="wolstenholme", lo=5, hi=10, last_completed_prime=7, hits=[], updated_at=""),
         CongruenceReport("eq1.1", 11, 3, 1, 1, 4, True, "pass"),
         REGISTRY["eq1.1"],
@@ -337,7 +338,7 @@ class TestRunSearch:
             setattr(record, record._fields[0], None)
 
     def test_single_prime_scan(self):
-        assert [h.p for h in run_search(SearchTask("wolstenholme", 16843, 16843))] == [16843]
+        assert [h["p"] for h in run_search(SearchTask("wolstenholme", 16843, 16843))] == [16843]
         assert run_search(SearchTask("wolstenholme", 16844, 16844)) == []
 
 
@@ -382,24 +383,33 @@ class TestCheckpointing:
         path = str(tmp_path / "ck.json")
         task = SearchTask("wolstenholme", 16000, 17000, chunk=10, checkpoint_path=path)
         full = run_search(task)
-        again = resume(task)
-        assert [h.p for h in again] == [h.p for h in full] == [16843]
+        again = run_search(task, resume_from=load_checkpoint(path))
+        assert again == full and [h["p"] for h in full] == [16843]
 
     def test_resume_mismatched_bounds(self, tmp_path):
         path = str(tmp_path / "ck.json")
         run_search(SearchTask("wolstenholme", 5, 500, chunk=50, checkpoint_path=path))
+        cp = load_checkpoint(path)
         with pytest.raises(TaskMismatch):
-            resume(SearchTask("wolstenholme", 5, 600, checkpoint_path=path))
+            run_search(SearchTask("wolstenholme", 5, 600, checkpoint_path=path), resume_from=cp)
         with pytest.raises(TaskMismatch):
-            resume(SearchTask("mod_p8", 5, 500, checkpoint_path=path))
+            run_search(SearchTask("mod_p8", 5, 500, checkpoint_path=path), resume_from=cp)
 
     def test_missing_file(self):
-        with pytest.raises(CheckpointCorrupt):
-            resume(SearchTask("wolstenholme", 5, 500, checkpoint_path="/nonexistent/checkpoint.json"))
+        with pytest.raises(CheckpointCorrupt, match="does not exist"):
+            load_checkpoint("/nonexistent/checkpoint.json")
 
     def test_task_without_checkpoint_path_refused(self):
+        cp = Checkpoint(kind="wolstenholme", lo=5, hi=500, last_completed_prime=4, hits=[], updated_at="x")
         with pytest.raises(InvalidInput, match="checkpoint path"):
-            resume(SearchTask("wolstenholme", 5, 500))
+            run_search(SearchTask("wolstenholme", 5, 500), resume_from=cp)
+
+    def test_returned_seen_and_stored_hits_are_equal(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        seen = []
+        hits = run_search(SearchTask("wolstenholme", 16000, 17000, chunk=50, checkpoint_path=path),
+                          on_hit=seen.append)
+        assert hits == seen == load_checkpoint(path).hits == [{"p": 16843, "witness": WITNESS_16843}]
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -501,8 +511,6 @@ class TestCheckpointSemantics:
                                 hits=[{"p": 9, "witness": WITNESS_16843}])
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(path)
-        with pytest.raises(CheckpointCorrupt):
-            resume(task_for(path))
 
     def test_non_integer_hit(self, tmp_path):
         with pytest.raises(CheckpointCorrupt):
@@ -538,21 +546,31 @@ class TestCheckpointSemantics:
         assert load_checkpoint(path).hits[0]["p"] == 16829
         seen = []
         with pytest.raises(CheckpointCorrupt, match="re-verification"):
-            resume(task_for(path), on_hit=seen.append)
+            run_search(task_for(path), on_hit=seen.append, resume_from=load_checkpoint(path))
         assert seen == []
 
     def test_wrong_witness_rejected(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": {"r1_valuation": 4,
                                                                          "binom_residual_valuation": 4}}])
         with pytest.raises(CheckpointCorrupt, match="re-verification"):
-            resume(task_for(path))
+            run_search(task_for(path), resume_from=load_checkpoint(path))
 
     def test_verified_hit_carried_over(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": WITNESS_16843}])
         seen = []
-        hits = resume(task_for(path), on_hit=seen.append)
-        assert [h.p for h in hits] == [h.p for h in seen] == [16843]
-        assert hits[0].witness == WITNESS_16843
+        hits = run_search(task_for(path), on_hit=seen.append, resume_from=load_checkpoint(path))
+        assert hits == seen == [{"p": 16843, "witness": WITNESS_16843}]
+
+    def test_carried_hit_is_the_reverified_dict(self, tmp_path):
+        # the stored witness keys in another order: the hit is still the same
+        # dict, but it prints and is stored as an uninterrupted run has it
+        stored = {"witness": dict(reversed(WITNESS_16843.items())), "p": 16843}
+        path = write_checkpoint(tmp_path, hits=[stored])
+        seen = []
+        hits = run_search(task_for(path), on_hit=seen.append, resume_from=load_checkpoint(path))
+        fresh = run_search(SearchTask("wolstenholme", 16000, 17000))
+        assert json.dumps(stored) != json.dumps(fresh[0])
+        assert json.dumps(hits) == json.dumps(seen) == json.dumps(load_checkpoint(path).hits) == json.dumps(fresh)
 
 
 class TestKillAndResume:
@@ -569,9 +587,9 @@ class TestKillAndResume:
         cp = load_checkpoint(path)
         assert 5 <= cp.last_completed_prime < 20000
 
-        resumed = resume(task)
+        resumed = run_search(task, resume_from=load_checkpoint(path))
         uninterrupted = run_search(SearchTask("wolstenholme", 5, 20000, chunk=200))
-        assert [h.p for h in resumed] == [h.p for h in uninterrupted] == [16843]
+        assert resumed == uninterrupted and [h["p"] for h in resumed] == [16843]
 
     def test_zero_progress_interrupt_never_regresses_checkpoint(self, tmp_path, monkeypatch):
         import wlab.search as search_mod
@@ -592,7 +610,7 @@ class TestKillAndResume:
 
         monkeypatch.setattr(search_mod, "_scan_chunk", explode)
         with pytest.raises(KeyboardInterrupt):
-            resume(task)
+            run_search(task, resume_from=load_checkpoint(path))
         after = load_checkpoint(path)
         assert after.last_completed_prime == first
         assert [h["p"] for h in after.hits] == [16843]
@@ -609,9 +627,9 @@ class TestKillAndResume:
         first_chunk = primes_in(16000, 17500)[:40]
         assert load_checkpoint(path).last_completed_prime == first_chunk[-1]
 
-        resumed = resume(task, workers=2)
+        resumed = run_search(task, workers=2, resume_from=load_checkpoint(path))
         uninterrupted = run_search(SearchTask("wolstenholme", 16000, 17500, chunk=40))
-        assert [h.p for h in resumed] == [h.p for h in uninterrupted] == [16843]
+        assert resumed == uninterrupted and [h["p"] for h in resumed] == [16843]
 
     def test_workers_below_one_rejected_before_any_work(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -622,7 +640,8 @@ class TestKillAndResume:
         run_search(task)
         seen = []
         with pytest.raises(InvalidInput, match="workers"):
-            resume(task, workers=-3, on_hit=seen.append)  # nothing left to scan
+            # nothing left to scan
+            run_search(task, workers=-3, on_hit=seen.append, resume_from=load_checkpoint(str(path)))
         assert seen == []
 
     def test_resume_does_not_rescan_completed_prefix(self, tmp_path):
@@ -631,5 +650,6 @@ class TestKillAndResume:
                         hits=[{"p": 16843, "witness": {"r1_valuation": 3, "binom_residual_valuation": 4}}],
                         updated_at="x")
         save_checkpoint(path, cp)
-        hits = resume(SearchTask("wolstenholme", 16000, 17000, checkpoint_path=path))
-        assert [h.p for h in hits] == [16843]
+        hits = run_search(SearchTask("wolstenholme", 16000, 17000, checkpoint_path=path),
+                          resume_from=load_checkpoint(path))
+        assert [h["p"] for h in hits] == [16843]
