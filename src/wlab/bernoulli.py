@@ -47,7 +47,7 @@ from .errors import (
     NotInvertible,
 )
 from .modring import inv_int, is_odd_prime, primes_in
-from .report import CongruenceReport, make_report
+from .report import make_report
 from .sums import PowerSums, power_sum_int
 
 # power_sum_int is unused here: the benchmark's sums.power_sum_int span patches it here.
@@ -332,6 +332,6 @@ def kummer_alternating_sum(m: int, p: int, r: int) -> int:
     return fraction_mod(total, p ** (r + 1))
 
 
-def kummer_alternating_check(m: int, p: int, r: int) -> CongruenceReport:
-    """``kummer_alternating_sum`` judged against 0 mod p^r by make_report."""
+def kummer_alternating_check(m: int, p: int, r: int) -> dict:
+    """``kummer_alternating_sum`` judged against 0 mod p^r by make_report: its row dict."""
     return make_report(f"kummer-alt-m{m}", p, r, kummer_alternating_sum(m, p, r), 0)

@@ -139,9 +139,8 @@ def _emit_reports(rows: Iterable[dict], fmt: str, out) -> int:
 
 def _verify_prime(p: int, checks: tuple[str, ...] | None, exp: int | None) -> list[dict]:
     if exp is not None:
-        return [congruence.check_theorem_main(p, exp).to_json_dict()]
-    selection = None if checks is None else list(checks)
-    return [r.to_json_dict() for r in congruence.run_suite(p, selection)]
+        return [congruence.check_theorem_main(p, exp)]
+    return congruence.run_suite(p, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +200,23 @@ def cmd_search(args) -> int:
     if checkpoint is None and args.max is not None and os.environ.get("WLAB_CHECKPOINT_DIR"):
         checkpoint = os.path.join(os.environ["WLAB_CHECKPOINT_DIR"], f"{kind}-{args.max}.json")
 
+    resume_from = None
+    if args.resume is not None:
+        # a bound not given is the checkpoint's; run_search refuses a task
+        # whose kind or bounds are not the checkpoint's
+        resume_from = search.load_checkpoint(args.resume)
+        checkpoint = args.resume
+        lo = resume_from["lo"] if args.min is None else args.min
+        hi = resume_from["hi"] if args.max is None else args.max
+    elif args.max is None:
+        print("error: search needs --max (or --resume)", file=sys.stderr)
+        return 1
+    else:
+        lo = search.KINDS[kind][0] if args.min is None else args.min
+        hi = args.max
+    task = search.SearchTask(kind, lo, hi, args.chunk, checkpoint)
+
+    # the header follows the checks of the arguments, so a refused task prints nothing
     csv_writer = None
     if args.format == "csv":
         csv_writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -217,21 +233,6 @@ def cmd_search(args) -> int:
         else:
             print(f"{row['kind']}: p={row['p']} witness={row['witness']}", flush=True)
 
-    resume_from = None
-    if args.resume is not None:
-        # a bound not given is the checkpoint's; run_search refuses a task
-        # whose kind or bounds are not the checkpoint's
-        resume_from = search.load_checkpoint(args.resume)
-        checkpoint = args.resume
-        lo = resume_from.lo if args.min is None else args.min
-        hi = resume_from.hi if args.max is None else args.max
-    elif args.max is None:
-        print("error: search needs --max (or --resume)", file=sys.stderr)
-        return 1
-    else:
-        lo = search.KINDS[kind][0] if args.min is None else args.min
-        hi = args.max
-    task = search.SearchTask(kind, lo, hi, args.chunk, checkpoint)
     search.run_search(task, workers=args.workers, progress=_progress_printer(args.kind), on_hit=emit,
                       resume_from=resume_from)
     return 0

@@ -10,6 +10,8 @@ level higher".  That rule lives in make_report alone: the sides come mod
 p^w_max, the precision of the context, and make_report reduces them once.
 At a row's identity primes (thm1.1 at p = 3, 5) both sides are the same
 integer and the report says ``identity``; a difference there is a bug.
+A report is the row dict make_report builds, so run_suite and
+check_theorem_main return exactly the rows ``verify`` prints.
 
 A per-prime CheckContext holds every value the rows share, as plain ints
 mod p^w_max, for every odd prime: the binomial, the R_n, the H_k and the
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import bernoulli as bn
 from .errors import InternalInconsistency, InvalidInput, NotInvertible, UnknownCheckName
 from .modring import inv_int, is_odd_prime, range_inverses, residual_valuation
-from .report import CongruenceReport, make_report, not_applicable
+from .report import make_report, not_applicable
 from .sums import half_range_moments, inverse_power_sum_from_moments, inverse_power_sums_ints, newton_elementary_ints
 
 # The benchmark's traced spans (bench/child.py SPANS) patch range_inverses and
@@ -304,7 +306,7 @@ def expand_selection(selection: Iterable[str] | None) -> list[str]:
     return [n for n in REGISTRY if n in wanted]
 
 
-def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> CongruenceReport:
+def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> dict:
     """Row d's sides at p, judged by make_report at w = required + 1."""
     if required + 1 > ctx.w_max:
         raise InvalidInput(f"context built at exponent {ctx.w_max}, asked for {required + 1}")
@@ -315,7 +317,7 @@ def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> CongruenceR
     return make_report(d.name, p, required, lhs, rhs, identity=identity)
 
 
-def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext | None = None) -> list[CongruenceReport]:
+def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext | None = None) -> list[dict]:
     """Run the selected checks for one prime, in registry order.
 
     Checks whose preconditions exclude the prime yield not-applicable
@@ -336,7 +338,7 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
     return out
 
 
-def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> CongruenceReport:
+def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> dict:
     """The central congruence C(2p-1, p-1) = 1 - 2p*H_1 + 4p^2*H_2 mod p^e:
     the thm1.1 row judged at required exponent e.
 

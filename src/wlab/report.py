@@ -1,45 +1,25 @@
-"""Check outcomes: named congruence reports with residual p-adic valuation."""
+"""Check outcomes: one judged congruence is one row dict, the JSON line
+``verify`` prints, with its residual p-adic valuation.
+
+A row's keys, in the order they print: ``check``, ``p``, ``required_exp``,
+``residual_valuation``, ``holds``, ``lhs``, ``rhs``, ``status``.  ``lhs`` and
+``rhs`` are decimal strings mod p^(required_exp + 1), the working exponent
+make_report applies; where the check is n/a they and the valuation and
+``holds`` are None.
+"""
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .modring import residual_valuation
 
 # A report's status:
-#   pass / fail  - congruence computed and judged against required_exponent
+#   pass / fail  - congruence computed and judged against required_exp
 #   identity     - both sides equal as exact integers (small-prime cases)
 #   n/a          - preconditions exclude this prime; nothing computed
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_IDENTITY = "identity"
 STATUS_NA = "n/a"
-
-
-class CongruenceReport(NamedTuple):
-    """One judged check; lhs and rhs are mod p^(required_exponent + 1), the
-    working exponent make_report applies, or None where the check is n/a."""
-
-    name: str
-    p: int
-    required_exponent: int
-    lhs: int | None
-    rhs: int | None
-    residual_valuation: int | None
-    holds: bool | None
-    status: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "p": self.p,
-            "required_exp": self.required_exponent,
-            "residual_valuation": self.residual_valuation,
-            "holds": self.holds,
-            "lhs": None if self.lhs is None else str(self.lhs),
-            "rhs": None if self.rhs is None else str(self.rhs),
-            "status": self.status,
-        }
 
 
 def make_report(
@@ -50,8 +30,8 @@ def make_report(
     rhs: int,
     *,
     identity: bool = False,
-) -> CongruenceReport:
-    """Judge lhs against rhs in Z/p^w, w = required + 1, and package the outcome.
+) -> dict:
+    """Judge lhs against rhs in Z/p^w, w = required + 1: the row dict.
 
     The residual valuation saturates at the working exponent w, one above the
     required one, so a report can distinguish 'holds exactly at the required
@@ -62,27 +42,26 @@ def make_report(
     m = p**working
     v = residual_valuation(lhs - rhs, p, working)
     holds = v >= required
-    status = STATUS_IDENTITY if identity else STATUS_PASS if holds else STATUS_FAIL
-    return CongruenceReport(
-        name=name,
-        p=p,
-        required_exponent=required,
-        lhs=lhs % m,
-        rhs=rhs % m,
-        residual_valuation=v,
-        holds=holds,
-        status=status,
-    )
+    return {
+        "check": name,
+        "p": p,
+        "required_exp": required,
+        "residual_valuation": v,
+        "holds": holds,
+        "lhs": str(lhs % m),
+        "rhs": str(rhs % m),
+        "status": STATUS_IDENTITY if identity else STATUS_PASS if holds else STATUS_FAIL,
+    }
 
 
-def not_applicable(name: str, p: int, required: int) -> CongruenceReport:
-    return CongruenceReport(
-        name=name,
-        p=p,
-        required_exponent=required,
-        lhs=None,
-        rhs=None,
-        residual_valuation=None,
-        holds=None,
-        status=STATUS_NA,
-    )
+def not_applicable(name: str, p: int, required: int) -> dict:
+    return {
+        "check": name,
+        "p": p,
+        "required_exp": required,
+        "residual_valuation": None,
+        "holds": None,
+        "lhs": None,
+        "rhs": None,
+        "status": STATUS_NA,
+    }

@@ -25,14 +25,16 @@ that fails it raises ``InternalInconsistency``.
   R_1 and H_2 are built from.
 
 Each kind is one row of ``KINDS``.  ``run_search`` is the one entry point: it
-scans a ``SearchTask``, or continues one from the ``Checkpoint`` its caller
-loaded.  A hit is the dict {"p", "witness"} that ``_confirm`` returns; the
-checkpoint stores it, ``on_hit`` receives it, and ``run_search`` returns
-the list of them.  Scans are embarrassingly parallel over primes:
-``workers > 1`` imports the process pool on first use.  A coordinator
-merges chunk results in ascending order and checkpoints before the first
-chunk and after each completed one, so hit lists are a pure function of
-(kind, lo, hi).
+scans a ``SearchTask``, or continues one from the checkpoint its caller
+loaded.  A checkpoint is the file's dict, its keys those of
+``_CHECKPOINT_FIELDS`` in that order: ``load_checkpoint`` returns it and
+``save_checkpoint`` writes it.  A hit is the dict {"p", "witness"} that
+``_confirm`` returns; the checkpoint stores it, ``on_hit`` receives it, and
+``run_search`` returns the list of them.  Scans are embarrassingly parallel
+over primes: ``workers > 1`` imports the process pool on first use.  A
+coordinator merges chunk results in ascending order and checkpoints before
+the first chunk and after each completed one, so hit lists are a pure
+function of (kind, lo, hi).
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def mod_p8_indicator(p: int) -> int:
     """Residual valuation of the central congruence at exponent 8, in Z/p^9."""
     if p < 7:
         raise InvalidInput("requires p >= 7")
-    return check_theorem_main(p, 8).residual_valuation
+    return check_theorem_main(p, 8)["residual_valuation"]
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +175,8 @@ class SearchTask(_TaskFields):
         return self
 
 
-class Checkpoint(NamedTuple):
-    kind: str
-    lo: int
-    hi: int
-    last_completed_prime: int
-    hits: list[dict]
-    updated_at: str
-    schema_version: int = SCHEMA_VERSION
-
-
-# the checkpoint file's fields, in the order they are written, with their types
+# a checkpoint is the file's dict: these fields, in the order they are written,
+# with their types
 _CHECKPOINT_FIELDS = {
     "schema_version": int,
     "kind": str,
@@ -195,20 +188,19 @@ _CHECKPOINT_FIELDS = {
 }
 
 
-def save_checkpoint(path: str, cp: Checkpoint) -> None:
-    """Atomic write: a temp file beside ``path``, named by this process's id,
-    then a rename.
+def save_checkpoint(path: str, cp: dict) -> None:
+    """Write the checkpoint dict ``cp`` as it is given.  Atomic: a temp file
+    beside ``path``, named by this process's id, then a rename.
 
     A path that cannot be written (a missing directory, say) raises
     ``WlabError`` naming it.
     """
-    payload = {key: getattr(cp, key) for key in _CHECKPOINT_FIELDS}
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".ckpt-{name}.{os.getpid()}")
     try:
         try:
             with open(tmp, "w") as fh:
-                json.dump(payload, fh, indent=1)
+                json.dump(cp, fh, indent=1)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -218,7 +210,9 @@ def save_checkpoint(path: str, cp: Checkpoint) -> None:
         raise WlabError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def load_checkpoint(path: str) -> dict:
+    """The checkpoint file's dict, checked for its schema and for what it
+    means; a key outside ``_CHECKPOINT_FIELDS`` is dropped."""
     if not os.path.exists(path):
         raise CheckpointCorrupt(f"checkpoint {path} does not exist")
     try:
@@ -252,7 +246,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"hit p={p} is not a prime in ascending order inside [{lo}, {last}]"
             )
         prev = p
-    return Checkpoint(**{key: raw[key] for key in _CHECKPOINT_FIELDS})
+    return {key: raw[key] for key in _CHECKPOINT_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +286,15 @@ def _scan_chunk(kind: str, primes: list[int]) -> list[dict]:
 def _flush(task: SearchTask, last_prime: int, hits: list[dict]) -> None:
     if task.checkpoint_path is None:
         return
-    cp = Checkpoint(
-        kind=task.kind,
-        lo=task.lo,
-        hi=task.hi,
-        last_completed_prime=last_prime,
-        hits=hits,
-        updated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
-    save_checkpoint(task.checkpoint_path, cp)
+    save_checkpoint(task.checkpoint_path, {
+        "schema_version": SCHEMA_VERSION,
+        "kind": task.kind,
+        "lo": task.lo,
+        "hi": task.hi,
+        "last_completed_prime": last_prime,
+        "hits": hits,
+        "updated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    })
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int, chunksize: int = 1) -> Iterator:
@@ -333,7 +327,7 @@ def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> It
 
 
 def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
-               resume_from: Checkpoint | None = None) -> list[dict]:
+               resume_from: dict | None = None) -> list[dict]:
     """Scan the task range; the deterministic ascending list of its hit dicts.
 
     Work is partitioned into chunks of ``task.chunk`` primes; with
@@ -350,7 +344,8 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
     starts after its ``last_completed_prime``.  Its hits are re-verified
     first, and one that fails, witness included, raises ``CheckpointCorrupt``.
     The carried hits are the re-verified dicts, so they print and are stored
-    as an uninterrupted run would have them; ``on_hit`` fires for them too.
+    as an uninterrupted run would have them, even when nothing is left to
+    scan; ``on_hit`` fires for them too.
     """
     lo = max(task.lo, KINDS[task.kind][0])
     # the last prime already covered; a resume never regresses its checkpoint
@@ -359,13 +354,13 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
         cp = resume_from
         if task.checkpoint_path is None:
             raise InvalidInput("resume needs a task with a checkpoint path")
-        if (task.kind, task.lo, task.hi) != (cp.kind, cp.lo, cp.hi):
+        if (task.kind, task.lo, task.hi) != (cp["kind"], cp["lo"], cp["hi"]):
             # the kinds as the CLI spells them (mod-p8, not mod_p8)
             raise TaskMismatch(
-                f"checkpoint is for {cp.kind.replace('_', '-')} [{cp.lo}, {cp.hi}], "
+                f"checkpoint is for {cp['kind'].replace('_', '-')} [{cp['lo']}, {cp['hi']}], "
                 f"requested {task.kind.replace('_', '-')} [{task.lo}, {task.hi}]"
             )
-        base_last = cp.last_completed_prime
+        base_last = cp["last_completed_prime"]
     primes = primes_in(max(lo, base_last + 1), task.hi)
     chunks = [primes[i : i + task.chunk] for i in range(0, len(primes), task.chunk)]
     results = ordered_map(functools.partial(_scan_chunk, task.kind), chunks, workers)
@@ -379,16 +374,15 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
 
     if resume_from is not None:
         carried = []
-        for h in resume_from.hits:
+        for h in resume_from["hits"]:
             hit = _confirm(task.kind, h["p"])
             if hit != h:
                 raise CheckpointCorrupt(f"checkpoint hit p={h['p']} fails re-verification")
             carried.append(hit)
         absorb(carried)
-        if not chunks:
-            return hits
-    elif not chunks:
-        _flush(task, task.hi, hits)
+    if not chunks:
+        # a resume with nothing left to scan still stores its re-verified hits
+        _flush(task, task.hi if resume_from is None else base_last, hits)
         return hits
 
     try:

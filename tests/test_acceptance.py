@@ -40,8 +40,8 @@ def test_criterion_01_identity_cases():
     r3 = check_theorem_main(3)
     r5 = check_theorem_main(5)
     ok = (
-        r3.status == "identity" and r3.lhs == r3.rhs == 10
-        and r5.status == "identity" and r5.lhs == r5.rhs == 126
+        r3["status"] == "identity" and r3["lhs"] == r3["rhs"] == "10"
+        and r5["status"] == "identity" and r5["lhs"] == r5["rhs"] == "126"
     )
     conclude(1, "p=3 and p=5 reduce to exact identities (10 and 126)", ok,
              f"{(time.perf_counter() - t0) * 1e3:.1f} ms")
@@ -51,7 +51,7 @@ def test_criterion_02_p7_boundary():
     t0 = time.perf_counter()
     at6 = check_theorem_main(7, 6)
     at7 = check_theorem_main(7, 7)
-    ok = at6.holds and not at7.holds and at7.residual_valuation == 6
+    ok = at6["holds"] and not at7["holds"] and at7["residual_valuation"] == 6
     conclude(2, "p=7 holds mod 7^6 and fails mod 7^7 (residual exactly 6)", ok,
              f"{(time.perf_counter() - t0) * 1e3:.1f} ms")
 
@@ -62,9 +62,9 @@ def test_criterion_03_theorem_sweep(sweep_contexts):
     exactly7 = 0
     for p, ctx in sweep_contexts.items():
         r = check_theorem_main(p, 7, ctx)
-        if not (r.holds and r.residual_valuation >= 7):
+        if not (r["holds"] and r["residual_valuation"] >= 7):
             bad.append(p)
-        if r.residual_valuation == 7:
+        if r["residual_valuation"] == 7:
             exactly7 += 1
     n = len(sweep_contexts)
     ok = not bad and n == 1225 and exactly7 == n
@@ -92,13 +92,13 @@ def test_criterion_05_corollary_chain(sweep_contexts):
         cor15 = run_suite(p, ["cor1.5"], ctx)
         (eq12h,) = run_suite(p, ["eq1.2-harmonic"], ctx)
         (eq11,) = run_suite(p, ["eq1.1"], ctx)
-        if not all(r.holds for r in (*cor14, *cor15, eq12h, eq11)):
+        if not all(r["holds"] for r in (*cor14, *cor15, eq12h, eq11)):
             bad.append(p)
             continue
         if p >= 11:
             thm = check_theorem_main(p, 7, ctx)
-            levels = [thm.holds, cor14[0].holds and cor14[1].holds,
-                      cor15[0].holds and cor15[1].holds, eq12h.holds, eq11.holds]
+            levels = [thm["holds"], cor14[0]["holds"] and cor14[1]["holds"],
+                      cor15[0]["holds"] and cor15[1]["holds"], eq12h["holds"], eq11["holds"]]
             if any(strong and not weak for strong, weak in zip(levels, levels[1:])):
                 bad.append(p)
     ok = not bad
@@ -111,8 +111,8 @@ def test_criterion_06_bernoulli_forms():
     bad = []
     for p in primes_in(11, 2000):
         eq13, eq15 = run_suite(p, ["eq1.3", "eq1.5"])
-        if not (eq13.holds and eq15.holds):
-            bad.append((p, eq13.residual_valuation, eq15.residual_valuation))
+        if not (eq13["holds"] and eq15["holds"]):
+            bad.append((p, eq13["residual_valuation"], eq15["residual_valuation"]))
     ok = not bad
     conclude(6, "Bernoulli forms hold (mod p^6 and p^7) via the extraction pipeline, 11..2000", ok,
              f"{len(primes_in(11, 2000))} primes, {time.perf_counter() - t0:.1f}s; bad={bad[:4]}")
@@ -123,8 +123,8 @@ def test_criterion_07_lemma_suite():
     bad = []
     for p in primes_in(11, 500):
         for r in run_suite(p, LEMMA_GROUPS):
-            if r.status != "pass":
-                bad.append((p, r.name, r.status, r.residual_valuation))
+            if r["status"] != "pass":
+                bad.append((p, r["check"], r["status"], r["residual_valuation"]))
     ok = not bad
     conclude(7, "lemma and proof-chain congruence suite passes for 11 <= p <= 500", ok,
              f"{len(primes_in(11, 500))} primes, {time.perf_counter() - t0:.1f}s; bad={bad[:4]}")
@@ -175,9 +175,9 @@ def test_criterion_10_wolstenholme_prime_facts():
     pair = run_suite(p, ["eq1.6"], ctx)
     at8 = check_theorem_main(p, 8, ctx)
     ok = (
-        all(r.holds and r.residual_valuation >= 7 for r in pair)
-        and not at8.holds
-        and at8.residual_valuation == 7
+        all(r["holds"] and r["residual_valuation"] >= 7 for r in pair)
+        and not at8["holds"]
+        and at8["residual_valuation"] == 7
     )
     conclude(10, "p=16843: conditional mod-p^7 forms hold, main congruence fails mod p^8", ok,
              f"{time.perf_counter() - t0:.1f}s (target < 5s)")

@@ -309,16 +309,16 @@ class TestAlternatingSum:
     def test_m4_p7_r2(self):
         # exact sum is -45*49*19/89760: valuation exactly 2
         report = kummer_alternating_check(4, 7, 2)
-        assert report.holds and report.residual_valuation == 2
+        assert report["holds"] and report["residual_valuation"] == 2
 
     def test_m2_p5_r1(self):
         # B_2/2 - B_6/6 = 5/63: valuation exactly 1
         report = kummer_alternating_check(2, 5, 1)
-        assert report.holds and report.residual_valuation == 1
+        assert report["holds"] and report["residual_valuation"] == 1
 
     def test_r0_trivial(self):
         report = kummer_alternating_check(6, 11, 0)
-        assert report.holds and report.residual_valuation >= 0
+        assert report["holds"] and report["residual_valuation"] >= 0
 
     def test_small_sweep(self):
         for p in (7, 11, 13, 23):
@@ -327,7 +327,7 @@ class TestAlternatingSum:
                     continue
                 for r in range(1, min(4, m)):
                     report = kummer_alternating_check(m, p, r)
-                    assert report.holds, (m, p, r)
+                    assert report["holds"], (m, p, r)
 
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):

@@ -116,6 +116,15 @@ class TestVerify:
         assert header.startswith("check,p,required_exp")
         assert row.startswith("eq1.1,11,3,")
 
+    def test_library_rows_are_the_printed_rows(self, capsys):
+        # run_suite and check_theorem_main return the rows verify prints, unchanged
+        code, out, _ = run_cli(capsys, "verify", "--p", "11..200", "--check", "all")
+        assert code == 0
+        assert out == "".join(json.dumps(r) + "\n" for p in primes_in(11, 200) for r in congruence.run_suite(p))
+        code, out, _ = run_cli(capsys, "verify", "--p", "7..13", "--check", "thm1.1", "--exp", "7")
+        assert code == 2
+        assert out == "".join(json.dumps(congruence.check_theorem_main(p, 7)) + "\n" for p in (7, 11, 13))
+
     def test_human_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "11", "--check", "eq1.1", "--format", "human")
         assert code == 0 and "eq1.1" in out and "pass" in out
@@ -242,6 +251,16 @@ class TestSearchCommand:
                          '"witness": {"r1_valuation": 3, "binom_residual_valuation": 4}}\n')
         stored, written = (json.loads(path.read_text())["hits"] for path in (ck, tmp_path / "fresh.json"))
         assert json.dumps(stored) == json.dumps(written)
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("--resume", "/nonexistent/ck.json"),
+        ("--min", "100", "--max", "50"),
+    ])
+    def test_csv_refused_task_prints_no_header(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--format", "csv", "search", "wolstenholme", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_progress_names_the_kind_as_typed(self, capsys):
         code, out, err = run_cli(capsys, "search", "mod-p8", "--max", "500")

@@ -38,79 +38,79 @@ class TestBinomCentral:
 class TestWolstenholme:
     def test_p5_holds(self):
         (r,) = run_suite(5, ["eq1.1"])
-        assert r.holds and r.residual_valuation >= 3
+        assert r["holds"] and r["residual_valuation"] >= 3
 
     def test_p13_holds(self):
-        assert run_suite(13, ["eq1.1"])[0].holds
+        assert run_suite(13, ["eq1.1"])[0]["holds"]
 
     def test_wolstenholme_prime_reaches_4(self):
-        assert run_suite(16843, ["eq1.1"])[0].residual_valuation >= 4
+        assert run_suite(16843, ["eq1.1"])[0]["residual_valuation"] >= 4
 
 
 class TestGlaisher:
     @pytest.mark.parametrize("p", [7, 11, 13, 101])
     def test_both_forms_hold(self, p):
         harmonic, bernoulli = run_suite(p, ["eq1.2"])
-        assert harmonic.holds, p
-        assert bernoulli.holds, p
+        assert harmonic["holds"], p
+        assert bernoulli["holds"], p
 
     def test_wolstenholme_prime_bernoulli_term_vanishes(self):
         harmonic, bernoulli = run_suite(16843, ["eq1.2"])
         m4 = 16843**4
-        assert bernoulli.rhs % m4 == 1  # B_{p-3} = 0 mod p wipes the correction
-        assert bernoulli.holds and harmonic.holds
+        assert int(bernoulli["rhs"]) % m4 == 1  # B_{p-3} = 0 mod p wipes the correction
+        assert bernoulli["holds"] and harmonic["holds"]
 
 
 class TestTheoremMain:
     def test_p3_identity(self):
         r = check_theorem_main(3)
-        assert r.status == "identity" and r.lhs == r.rhs == 10
+        assert r["status"] == "identity" and r["lhs"] == r["rhs"] == "10"
 
     def test_p5_identity(self):
         r = check_theorem_main(5)
-        assert r.status == "identity" and r.lhs == r.rhs == 126
+        assert r["status"] == "identity" and r["lhs"] == r["rhs"] == "126"
 
     def test_p7_boundary(self):
-        assert check_theorem_main(7, 6).holds
+        assert check_theorem_main(7, 6)["holds"]
         r = check_theorem_main(7, 7)
-        assert not r.holds and r.residual_valuation == 6
+        assert not r["holds"] and r["residual_valuation"] == 6
 
     @pytest.mark.parametrize("p", [11, 13, 101, 997])
     def test_holds_mod_p7(self, p):
         r = check_theorem_main(p)
-        assert r.holds and r.residual_valuation >= 7
+        assert r["holds"] and r["residual_valuation"] >= 7
 
 
 class TestCorollaries:
     @pytest.mark.parametrize("p", [7, 11, 101])
     def test_tauraso_pair(self, p):
         a, b = run_suite(p, ["cor1.4"])
-        assert a.holds and b.holds, p
+        assert a["holds"] and b["holds"], p
 
     @pytest.mark.parametrize("p", [7, 11, 101])
     def test_mod_p5_pair(self, p):
         a, b = run_suite(p, ["cor1.5"])
-        assert a.holds and b.holds, p
+        assert a["holds"] and b["holds"], p
 
     @pytest.mark.parametrize("p", [11, 13, 97])
     def test_bernoulli_forms(self, p):
         eq13, eq15 = run_suite(p, ["eq1.3", "eq1.5"])
-        assert eq13.holds and eq13.residual_valuation >= 6, p
-        assert eq15.holds and eq15.residual_valuation >= 7, p
+        assert eq13["holds"] and eq13["residual_valuation"] >= 6, p
+        assert eq15["holds"] and eq15["residual_valuation"] >= 7, p
 
 
 class TestWprimeConditional:
     def test_16843(self):
         ctx = CheckContext(16843, 9, harmonic_order=3)
         a, b = run_suite(16843, ["eq1.6"], ctx)
-        assert a.holds and a.residual_valuation >= 7
-        assert b.holds and b.residual_valuation >= 7
+        assert a["holds"] and a["residual_valuation"] >= 7
+        assert b["holds"] and b["residual_valuation"] >= 7
         # the same prime fails one exponent higher
         r8 = check_theorem_main(16843, 8, ctx)
-        assert not r8.holds and r8.residual_valuation == 7
+        assert not r8["holds"] and r8["residual_valuation"] == 7
 
     def test_ordinary_prime_rejected(self):
-        assert [r.status for r in run_suite(13, ["eq1.6"])] == ["n/a", "n/a"]
+        assert [r["status"] for r in run_suite(13, ["eq1.6"])] == ["n/a", "n/a"]
 
 
 class TestChainImplications:
@@ -122,7 +122,7 @@ class TestChainImplications:
         cor15 = run_suite(p, ["cor1.5"], ctx)
         eq12, _ = run_suite(p, ["eq1.2"], ctx)
         (eq11,) = run_suite(p, ["eq1.1"], ctx)
-        chain = [thm.holds, all(r.holds for r in cor14), all(r.holds for r in cor15), eq12.holds, eq11.holds]
+        chain = [thm["holds"], all(r["holds"] for r in cor14), all(r["holds"] for r in cor15), eq12["holds"], eq11["holds"]]
         # implication: once a level holds, every weaker level must hold
         for stronger, weaker in zip(chain, chain[1:]):
             assert (not stronger) or weaker
@@ -131,13 +131,13 @@ class TestChainImplications:
 class TestRunSuite:
     def test_all_applicable_hold_at_p11(self):
         reports = run_suite(11)
-        failed = [r.name for r in reports if r.status == "fail"]
+        failed = [r["check"] for r in reports if r["status"] == "fail"]
         assert failed == []
-        assert {r.name for r in reports} == set(REGISTRY)
+        assert {r["check"] for r in reports} == set(REGISTRY)
 
     def test_identity_path_p5(self):
         (r,) = run_suite(5, ["thm1.1"])
-        assert r.status == "identity"
+        assert r["status"] == "identity"
 
     def test_identity_mismatch_raises(self, monkeypatch):
         # at p = 3 both sides of thm1.1 are the integer 10; a binomial that
@@ -150,13 +150,13 @@ class TestRunSuite:
 
     def test_not_applicable_p7_eq15(self):
         (r,) = run_suite(7, ["eq1.5"])
-        assert r.status == "n/a"
-        assert r.residual_valuation is None and r.holds is None
+        assert r["status"] == "n/a"
+        assert r["residual_valuation"] is None and r["holds"] is None
 
     def test_kummer_row_keeps_its_name(self):
         (r,) = run_suite(11, ["kummer3.3"])
-        assert r.name == "kummer3.3" and r.to_json_dict()["check"] == "kummer3.3"
-        assert r.status == "pass"
+        assert r["check"] == "kummer3.3"
+        assert r["status"] == "pass"
 
     def test_unknown_name(self):
         with pytest.raises(UnknownCheckName):
@@ -169,11 +169,11 @@ class TestRunSuite:
 
     def test_registry_order_is_stable(self):
         reports = run_suite(13, ["eq1.1", "thm1.1", "cor1.5"])
-        assert [r.name for r in reports] == ["eq1.1", "thm1.1", "cor1.5-r1", "cor1.5-r2"]
+        assert [r["check"] for r in reports] == ["eq1.1", "thm1.1", "cor1.5-r1", "cor1.5-r2"]
 
     def test_eq16_na_for_ordinary_prime(self):
-        reports = {r.name: r for r in run_suite(11, ["eq1.6"])}
-        assert reports["eq1.6-r2"].status == "n/a"
+        reports = {r["check"]: r for r in run_suite(11, ["eq1.6"])}
+        assert reports["eq1.6-r2"]["status"] == "n/a"
 
     @pytest.mark.parametrize("run", [
         lambda: run_suite(11, ["thm1.1"], CheckContext(11, 7)),
@@ -307,20 +307,20 @@ class TestRemark15:
 
     def test_holds_exactly_at_p6_over_a_range(self):
         reports = [r for p in primes_in(11, 1500) for r in run_suite(p, ["rem1.5"])]
-        assert len(reports) == 235 and all(r.status == "pass" for r in reports)
+        assert len(reports) == 235 and all(r["status"] == "pass" for r in reports)
         # one level higher only at p = 23, where it is 7 in Z/p^8 too
-        assert {r.p: r.residual_valuation for r in reports if r.residual_valuation != 6} == {23: 7}
+        assert {r["p"]: r["residual_valuation"] for r in reports if r["residual_valuation"] != 6} == {23: 7}
 
     def test_at_wolstenholme_prime(self):
         # both sides vanish mod p^6 there; E itself has valuation exactly 6
         (r,) = run_suite(16843, ["rem1.5"])
-        assert r.status == "pass" and r.residual_valuation == 6 and r.rhs == 0
+        assert r["status"] == "pass" and r["residual_valuation"] == 6 and r["rhs"] == "0"
 
     def test_fails_with_b_off_by_one(self, capsys, monkeypatch):
         b = CheckContext.B
         monkeypatch.setattr(CheckContext, "B", lambda self, i, r: b(self, i, r) + (i == self.p - 3))
         (r,) = run_suite(11, ["rem1.5"])
-        assert r.status == "fail" and r.residual_valuation == 5
+        assert r["status"] == "fail" and r["residual_valuation"] == 5
         assert main(["verify", "--p", "11", "--check", "rem1.5"]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
@@ -339,8 +339,8 @@ class TestSharpness:
         valuations = {}
         for p in primes_in(11, 1000):
             for r in run_suite(p):
-                if r.status != "n/a":
-                    valuations.setdefault(r.name, []).append(r.residual_valuation)
+                if r["status"] != "n/a":
+                    valuations.setdefault(r["check"], []).append(r["residual_valuation"])
         # every row but the eq1.6 pair, which applies only at Wolstenholme primes
         assert set(valuations) == set(REGISTRY) - {"eq1.6-r2", "eq1.6-r3"}
         assert all(v >= REGISTRY[name].required for name, vs in valuations.items() for v in vs)
@@ -356,33 +356,33 @@ class TestDeepInvariantSweep:
         bad = []
         for p in primes_in(11, 2000):
             for r in run_suite(p, groups):
-                if r.status != "pass":
-                    bad.append((p, r.name, r.residual_valuation))
+                if r["status"] != "pass":
+                    bad.append((p, r["check"], r["residual_valuation"]))
         assert bad == []
 
 
 class TestReportSerialization:
     def test_json_fields(self):
         (r,) = run_suite(11, ["eq1.1"])
-        d = r.to_json_dict()
-        assert set(d) == {"check", "p", "required_exp", "residual_valuation", "holds", "lhs", "rhs", "status"}
-        assert d["check"] == "eq1.1" and d["p"] == 11
-        assert isinstance(d["lhs"], str) and isinstance(d["rhs"], str)
+        # the keys in the order verify prints them
+        assert list(r) == ["check", "p", "required_exp", "residual_valuation", "holds", "lhs", "rhs", "status"]
+        assert r["check"] == "eq1.1" and r["p"] == 11
+        assert isinstance(r["lhs"], str) and isinstance(r["rhs"], str)
 
     def test_working_exponent_above_required(self):
         # lhs and rhs are kept mod p^(required + 1), one exponent above the required one
         for p in (5, 11):
             (r,) = run_suite(p, ["eq1.1"])
-            m = p ** (r.required_exponent + 1)
-            assert 0 <= r.lhs < m and 0 <= r.rhs < m
-            assert r.lhs == math.comb(2 * p - 1, p - 1) % m
+            m = p ** (r["required_exp"] + 1)
+            assert 0 <= int(r["lhs"]) < m and 0 <= int(r["rhs"]) < m
+            assert int(r["lhs"]) == math.comb(2 * p - 1, p - 1) % m
 
     def test_residuals_never_exaggerate(self):
         # lhs and rhs are recorded at the working exponent, required + 1
         r = check_theorem_main(11)
-        m = 11 ** (r.required_exponent + 1)
-        assert 0 <= r.lhs < m and 0 <= r.rhs < m
-        assert math.comb(21, 10) % m == r.lhs
+        m = 11 ** (r["required_exp"] + 1)
+        assert 0 <= int(r["lhs"]) < m and 0 <= int(r["rhs"]) < m
+        assert math.comb(21, 10) % m == int(r["lhs"])
 
     def test_binom_kernel_reduces(self):
         assert binom_central_int(11, 11**8) % 11**4 == math.comb(21, 10) % 11**4

@@ -16,9 +16,7 @@ from wlab.bernoulli import bernoulli_mod
 from wlab.congruence import REGISTRY, binom_central_int
 from wlab.errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
 from wlab.modring import PRIME_BOUND, residual_valuation
-from wlab.report import CongruenceReport
 from wlab.search import (
-    Checkpoint,
     SearchTask,
     lehmer_batch,
     lehmer_sum,
@@ -329,8 +327,6 @@ class TestRunSearch:
 
     @pytest.mark.parametrize("record", [
         SearchTask("wolstenholme", 5, 10),
-        Checkpoint(kind="wolstenholme", lo=5, hi=10, last_completed_prime=7, hits=[], updated_at=""),
-        CongruenceReport("eq1.1", 11, 3, 1, 1, 4, True, "pass"),
         REGISTRY["eq1.1"],
     ], ids=lambda r: type(r).__name__)
     def test_records_are_immutable(self, record):
@@ -345,19 +341,29 @@ class TestRunSearch:
 class TestCheckpointing:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        cp = Checkpoint(kind="wolstenholme", lo=5, hi=1000, last_completed_prime=499,
-                        hits=[{"p": 7, "witness": {"x": 1}}], updated_at="2020-01-01T00:00:00Z")
+        cp = {"schema_version": 1, "kind": "wolstenholme", "lo": 5, "hi": 1000, "last_completed_prime": 499,
+              "hits": [{"p": 7, "witness": {"x": 1}}], "updated_at": "2020-01-01T00:00:00Z"}
         save_checkpoint(path, cp)
         back = load_checkpoint(path)
         assert back == cp
 
+    def test_load_returns_the_seven_fields_in_file_order(self, tmp_path):
+        # a key outside the schema, here in the middle of the file, is dropped
+        path = tmp_path / "ck.json"
+        path.write_text('{"schema_version": 1, "kind": "wolstenholme", "lo": 5, "extra": [1], "hi": 1000, '
+                        '"last_completed_prime": 499, "hits": [], "updated_at": "x"}')
+        cp = load_checkpoint(str(path))
+        assert list(cp) == ["schema_version", "kind", "lo", "hi", "last_completed_prime", "hits", "updated_at"]
+        assert cp == {"schema_version": 1, "kind": "wolstenholme", "lo": 5, "hi": 1000,
+                      "last_completed_prime": 499, "hits": [], "updated_at": "x"}
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "ck.json"
-        cp = Checkpoint(kind="wolstenholme", lo=5, hi=1000, last_completed_prime=499,
-                        hits=[], updated_at="2020-01-01T00:00:00Z")
+        cp = {"schema_version": 1, "kind": "wolstenholme", "lo": 5, "hi": 1000, "last_completed_prime": 499,
+              "hits": [], "updated_at": "2020-01-01T00:00:00Z"}
         save_checkpoint(str(path), cp)
         with pytest.raises(TypeError):  # not JSON: the old checkpoint stays, the temp file goes
-            save_checkpoint(str(path), cp._replace(hits=[{"p": 7, "witness": object()}]))
+            save_checkpoint(str(path), {**cp, "hits": [{"p": 7, "witness": object()}]})
         assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
         assert load_checkpoint(str(path)) == cp
 
@@ -376,8 +382,8 @@ class TestCheckpointing:
         path = str(tmp_path / "ck.json")
         run_search(SearchTask("wolstenholme", 5, 2000, chunk=50, checkpoint_path=path))
         cp = load_checkpoint(path)
-        assert cp.last_completed_prime == 2000
-        assert cp.hits == []
+        assert cp["last_completed_prime"] == 2000
+        assert cp["hits"] == []
 
     def test_resume_completed_returns_stored_hits(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -400,7 +406,8 @@ class TestCheckpointing:
             load_checkpoint("/nonexistent/checkpoint.json")
 
     def test_task_without_checkpoint_path_refused(self):
-        cp = Checkpoint(kind="wolstenholme", lo=5, hi=500, last_completed_prime=4, hits=[], updated_at="x")
+        cp = {"schema_version": 1, "kind": "wolstenholme", "lo": 5, "hi": 500, "last_completed_prime": 4,
+              "hits": [], "updated_at": "x"}
         with pytest.raises(InvalidInput, match="checkpoint path"):
             run_search(SearchTask("wolstenholme", 5, 500), resume_from=cp)
 
@@ -409,7 +416,7 @@ class TestCheckpointing:
         seen = []
         hits = run_search(SearchTask("wolstenholme", 16000, 17000, chunk=50, checkpoint_path=path),
                           on_hit=seen.append)
-        assert hits == seen == load_checkpoint(path).hits == [{"p": 16843, "witness": WITNESS_16843}]
+        assert hits == seen == load_checkpoint(path)["hits"] == [{"p": 16843, "witness": WITNESS_16843}]
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -481,7 +488,7 @@ class TestCheckpointSemantics:
             cp = load_checkpoint(str(path))
         except CheckpointCorrupt:
             return
-        assert cp.lo - 1 <= cp.last_completed_prime <= cp.hi
+        assert cp["lo"] - 1 <= cp["last_completed_prime"] <= cp["hi"]
 
 
     @pytest.mark.parametrize("last", [15998, 17001])
@@ -491,7 +498,7 @@ class TestCheckpointSemantics:
 
     def test_last_completed_prime_bounds_inclusive(self, tmp_path):
         for last in (15999, 17000):
-            assert load_checkpoint(write_checkpoint(tmp_path, last_completed_prime=last)).last_completed_prime == last
+            assert load_checkpoint(write_checkpoint(tmp_path, last_completed_prime=last))["last_completed_prime"] == last
 
     def test_invalid_range(self, tmp_path):
         with pytest.raises(CheckpointCorrupt):
@@ -543,7 +550,7 @@ class TestCheckpointSemantics:
     def test_unverified_hit_rejected_before_on_hit(self, tmp_path):
         # 16829 is prime and inside the range, but no Wolstenholme prime
         path = write_checkpoint(tmp_path, hits=[{"p": 16829, "witness": WITNESS_16843}])
-        assert load_checkpoint(path).hits[0]["p"] == 16829
+        assert load_checkpoint(path)["hits"][0]["p"] == 16829
         seen = []
         with pytest.raises(CheckpointCorrupt, match="re-verification"):
             run_search(task_for(path), on_hit=seen.append, resume_from=load_checkpoint(path))
@@ -570,7 +577,17 @@ class TestCheckpointSemantics:
         hits = run_search(task_for(path), on_hit=seen.append, resume_from=load_checkpoint(path))
         fresh = run_search(SearchTask("wolstenholme", 16000, 17000))
         assert json.dumps(stored) != json.dumps(fresh[0])
-        assert json.dumps(hits) == json.dumps(seen) == json.dumps(load_checkpoint(path).hits) == json.dumps(fresh)
+        assert json.dumps(hits) == json.dumps(seen) == json.dumps(load_checkpoint(path)["hits"]) == json.dumps(fresh)
+
+    def test_resume_with_nothing_left_rewrites_checkpoint(self, tmp_path):
+        # the whole range is done; the stored witness keys are in another order
+        stored = {"witness": dict(reversed(WITNESS_16843.items())), "p": 16843}
+        path = write_checkpoint(tmp_path, last_completed_prime=17000, hits=[stored])
+        hits = run_search(task_for(path), resume_from=load_checkpoint(path))
+        fresh = run_search(SearchTask("wolstenholme", 16000, 17000))
+        cp = load_checkpoint(path)
+        assert json.dumps(cp["hits"]) == json.dumps(hits) == json.dumps(fresh) != json.dumps([stored])
+        assert cp["last_completed_prime"] == 17000 and cp["updated_at"] != "x"
 
 
 class TestKillAndResume:
@@ -585,7 +602,7 @@ class TestKillAndResume:
         with pytest.raises(KeyboardInterrupt):
             run_search(task, progress=bomb)
         cp = load_checkpoint(path)
-        assert 5 <= cp.last_completed_prime < 20000
+        assert 5 <= cp["last_completed_prime"] < 20000
 
         resumed = run_search(task, resume_from=load_checkpoint(path))
         uninterrupted = run_search(SearchTask("wolstenholme", 5, 20000, chunk=200))
@@ -603,7 +620,7 @@ class TestKillAndResume:
 
         with pytest.raises(KeyboardInterrupt):
             run_search(task, progress=bomb)
-        first = load_checkpoint(path).last_completed_prime
+        first = load_checkpoint(path)["last_completed_prime"]
 
         def explode(kind, primes):
             raise KeyboardInterrupt
@@ -612,8 +629,8 @@ class TestKillAndResume:
         with pytest.raises(KeyboardInterrupt):
             run_search(task, resume_from=load_checkpoint(path))
         after = load_checkpoint(path)
-        assert after.last_completed_prime == first
-        assert [h["p"] for h in after.hits] == [16843]
+        assert after["last_completed_prime"] == first
+        assert [h["p"] for h in after["hits"]] == [16843]
 
     def test_interrupt_with_two_workers(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -625,7 +642,7 @@ class TestKillAndResume:
         with pytest.raises(KeyboardInterrupt):
             run_search(task, workers=2, progress=bomb)
         first_chunk = primes_in(16000, 17500)[:40]
-        assert load_checkpoint(path).last_completed_prime == first_chunk[-1]
+        assert load_checkpoint(path)["last_completed_prime"] == first_chunk[-1]
 
         resumed = run_search(task, workers=2, resume_from=load_checkpoint(path))
         uninterrupted = run_search(SearchTask("wolstenholme", 16000, 17500, chunk=40))
@@ -646,9 +663,9 @@ class TestKillAndResume:
 
     def test_resume_does_not_rescan_completed_prefix(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        cp = Checkpoint(kind="wolstenholme", lo=16000, hi=17000, last_completed_prime=16900,
-                        hits=[{"p": 16843, "witness": {"r1_valuation": 3, "binom_residual_valuation": 4}}],
-                        updated_at="x")
+        cp = {"schema_version": 1, "kind": "wolstenholme", "lo": 16000, "hi": 17000, "last_completed_prime": 16900,
+              "hits": [{"p": 16843, "witness": {"r1_valuation": 3, "binom_residual_valuation": 4}}],
+              "updated_at": "x"}
         save_checkpoint(path, cp)
         hits = run_search(SearchTask("wolstenholme", 16000, 17000, checkpoint_path=path),
                           resume_from=load_checkpoint(path))
