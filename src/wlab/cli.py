@@ -216,11 +216,17 @@ def cmd_search(args) -> int:
         hi = args.max
     task = search.SearchTask(kind, lo, hi, args.chunk, checkpoint)
 
-    # the header follows the checks of the arguments, so a refused task prints nothing
-    csv_writer = None
-    if args.format == "csv":
-        csv_writer = csv.writer(sys.stdout, lineterminator="\n")
-        csv_writer.writerow(("kind", "p", "witness"))
+    # the csv header waits for the first hit, the first merged chunk or the end,
+    # so a task that run_search refuses (a kind mismatch, an unwritable
+    # checkpoint) prints nothing on stdout
+    csv_writer = csv.writer(sys.stdout, lineterminator="\n") if args.format == "csv" else None
+    header_due = csv_writer is not None
+
+    def header() -> None:
+        nonlocal header_due
+        if header_due:
+            header_due = False
+            csv_writer.writerow(("kind", "p", "witness"))
 
     def emit(hit: dict) -> None:
         # stream hits as the ordered merge advances; long scans are rare-hit
@@ -228,13 +234,20 @@ def cmd_search(args) -> int:
         if args.format == "jsonl":
             print(json.dumps(row), flush=True)
         elif args.format == "csv":
+            header()
             csv_writer.writerow((row["kind"], row["p"], json.dumps(row["witness"])))
             sys.stdout.flush()
         else:
             print(f"{row['kind']}: p={row['p']} witness={row['witness']}", flush=True)
 
-    search.run_search(task, workers=args.workers, progress=_progress_printer(args.kind), on_hit=emit,
-                      resume_from=resume_from)
+    printer = _progress_printer(args.kind)
+
+    def progress(done: int, total: int, last_prime: int) -> None:
+        header()
+        printer(done, total, last_prime)
+
+    search.run_search(task, workers=args.workers, progress=progress, on_hit=emit, resume_from=resume_from)
+    header()
     return 0
 
 

@@ -33,6 +33,7 @@ that the search re-verifies hits with and the tests compare the kernel to.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, NamedTuple
 
 from . import bernoulli as bn
@@ -46,14 +47,21 @@ from .sums import half_range_moments, inverse_power_sum_from_moments, inverse_po
 # they stay importable here so those spans install and count 0 calls.
 
 
+# Consecutive factors of binom_central_int multiplied exactly before one
+# reduction mod m.  Timed from 4 to 64 at p = 16843 and 499979 (m = p^5, p^9),
+# 16 to 64 were within noise of each other and 4 and 8 slower.
+BINOM_BLOCK = 16
+
+
 def binom_central_int(p: int, m: int) -> int:
     """prod_{k=1}^{p-1} (p+k)/k mod m: numerator and denominator accumulated
-    separately, one extended gcd at the end."""
-    num = 1
-    den = 1
-    for k in range(1, p):
-        num = num * (p + k) % m
-        den = den * k % m
+    separately, each ``BINOM_BLOCK`` consecutive factors as one exact product
+    and one reduction, and one extended gcd at the end."""
+    num = den = 1
+    for lo in range(1, p, BINOM_BLOCK):
+        hi = min(lo + BINOM_BLOCK, p)
+        num = num * math.prod(range(p + lo, p + hi)) % m
+        den = den * math.prod(range(lo, hi)) % m
     return num * inv_int(den, m) % m
 
 

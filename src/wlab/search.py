@@ -2,13 +2,15 @@
 
 Both search kinds filter each prime with the Lehmer interval sum
 sum_{p/4 < k <= p/3} 1/k^n mod p, about p/12 terms (D. H. Lehmer, Ann. of
-Math. 1938).  ``lehmer_batch`` shares it across neighbouring primes, as Costa,
+Math. 1938).  ``lehmer_walk`` shares it across neighbouring primes, as Costa,
 Gerbicz and Harvey (Math. Comp. 83, 2014) share work: a batch is a run of
-primes below 3*p_1, and one running fraction modulo their product walks
-p_1//4 < k <= p_B//3 once, each prime reading it at its own p//4 and p//3.
-A lone prime runs ``lehmer_sum`` instead.  Only a zero of the filter, or a
-prime where the filter degenerates, goes on to the full check; a filter zero
-that fails it raises ``InternalInconsistency``.
+primes below 3*p_1 inside one chunk, with its own running fraction modulo
+their product, and one walk over k serves every batch of every chunk a
+process scans, each exact block of k^n taken once and folded into every
+batch that is active there.  Only a zero of the filter, or a prime where the
+filter degenerates, goes on to the full check; a filter zero that fails it
+raises ``InternalInconsistency``.  The tests keep the one-prime sum
+(``lehmer_sum``, ``tests/oracles.py``) as the walk's slow oracle.
 
 * ``wolstenholme``: primes with C(2p-1, p-1) = 1 mod p^4, equivalently
   p | B_{p-3}.  With n = 3 the sum is 5 * B_{p-3} (mod p), so for p >= 7 a
@@ -31,10 +33,12 @@ loaded.  A checkpoint is the file's dict, its keys those of
 ``save_checkpoint`` writes it.  A hit is the dict {"p", "witness"} that
 ``_confirm`` returns; the checkpoint stores it, ``on_hit`` receives it, and
 ``run_search`` returns the list of them.  Scans are embarrassingly parallel
-over primes: ``workers > 1`` imports the process pool on first use.  A
-coordinator merges chunk results in ascending order and checkpoints before
-the first chunk and after each completed one, so hit lists are a pure
-function of (kind, lo, hi).
+over primes: in one process one walk serves every chunk, and ``workers > 1``
+imports the process pool on first use, each task walking its own chunk.
+Either way every chunk passes through ``_scan_chunk``.  A coordinator merges
+chunk results in ascending order and checkpoints before the first chunk and
+after each completed one, so hit lists are a pure function of
+(kind, lo, hi).
 """
 
 from __future__ import annotations
@@ -59,24 +63,7 @@ SCHEMA_VERSION = 1
 # the filter's multiple of B_{p-n} degenerates mod p, which skip the filter
 KINDS = {"wolstenholme": (5, 3, (5,)), "mod_p8": (7, 7, (7, 67))}
 DEFAULT_CHUNK = 256
-BATCH_BLOCK = 16  # exact k^n folded into one step of a batch's running fraction
-
-
-def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
-    """sum_{lo < k <= hi} 1/k^n mod p, as a running fraction in O(1) memory.
-
-    Needs 0 <= lo and hi < p, so that no k is a multiple of p.  The search
-    filters take the interval p/4 < k <= p/3, where the sum is
-    5 * B_{p-3} (n = 3, p >= 7) and 1005 * B_{p-7} (n = 7, p >= 11) mod p.
-    ``lehmer_batch`` uses it for a batch of one prime, and the tests use it
-    as the batch's slow oracle.
-    """
-    num, den = 0, 1
-    for k in range(lo + 1, hi + 1):
-        c = pow(k, n, p)
-        num = (num * c + den) % p
-        den = den * c % p
-    return num * pow(den, -1, p) % p
+BATCH_BLOCK = 16  # exact k^n folded into one step of every active batch's running fraction
 
 
 def _batches(primes: list[int]) -> Iterator[list[int]]:
@@ -89,43 +76,73 @@ def _batches(primes: list[int]) -> Iterator[list[int]]:
         i = j
 
 
-def lehmer_batch(primes: list[int], n: int) -> list[int]:
-    """``lehmer_sum(p, n, p//4, p//3)`` at each of the ascending ``primes``.
+def lehmer_walk(chunks: Sequence[list[int]], n: int) -> Iterator[list[int]]:
+    """The Lehmer sum over p//4 < k <= p//3 of 1/k^n mod p at every prime of
+    each chunk of ascending primes: one list a chunk, yielded as soon as the
+    walk passes the chunk's last stop.
 
-    A batch walks one running fraction num/den = sum 1/k^n modulo
-    m = p_1 * ... * p_B over p_1//4 < k <= p_B//3, taking each BATCH_BLOCK
-    exact k^n as one map (num, den) -> (num*C + den*A, den*C), A/C = sum 1/k^n.
-    A block breaks only at the stops k = p//4 and k = p//3.  At p//4 a prime
-    keeps (N_4, D_4) = (num, den) mod p, at p//3 it reads (N_3, D_3) and its
-    sum is (N_3*D_4 - N_4*D_3) / (D_3*D_4) mod p.  Both readings are reduced
-    mod p when taken, so the walk holds O(B) ints below p besides m.
+    Each batch of a chunk (``_batches``) keeps a running fraction num/den mod
+    m = p_1 * ... * p_B; it joins from (0, 1) at the block holding its p_1//4
+    and leaves after its p_B//3.  The terms it gains below a prime's p//4
+    cancel, and each k it reads is a unit, since 1 <= k <= p_B//3 < p_1.
+    Each block of BATCH_BLOCK exact k^n is taken once, as A/C = sum 1/k^n,
+    and folded into every active batch: (num, den) -> (num*C + den*A, den*C).
+    A stop k = p//4 or p//3 reads the batch's state before its block with the
+    block's partial fraction through k, mod p: (N_4, D_4) and (N_3, D_3), and
+    the sum is (N_3*D_4 - N_4*D_3) / (D_3*D_4) mod p.  The stops stream as a
+    merge of the ascending p//4 and p//3, so besides the list of batches,
+    slices of the chunks, the walk holds one m and two fractions per active
+    batch and two ints below p per prime between its stops, never a list of
+    all stops.
     """
-    out: list[int] = []
-    for batch in _batches(primes):
-        if len(batch) == 1:  # for a lone prime, k^n mod p is cheaper than exact
-            p = batch[0]
-            out.append(lehmer_sum(p, n, p // 4, p // 3))
-            continue
-        m = math.prod(batch)
-        # both stop sequences ascend with p; at a shared k a p//4 stop comes first
-        stops = heapq.merge(((p // 4, 0, p) for p in batch), ((p // 3, 1, p) for p in batch))
-        fours: collections.deque[tuple[int, int]] = collections.deque()
-        num, den, k = 0, 1, batch[0] // 4
-        for stop, third, p in stops:
-            for start in range(k + 1, stop + 1, BATCH_BLOCK):
-                a, c = 0, 1
-                for j in range(start, min(start + BATCH_BLOCK, stop + 1)):
-                    jn = j**n
-                    a, c = a * jn + c, c * jn
-                num, den = (num * c + den * a) % m, den * c % m
-            k = stop
-            if not third:
-                fours.append((num % p, den % p))
-                continue
-            n4, d4 = fours.popleft()
-            n3, d3 = num % p, den % p
-            out.append((n3 * d4 - n4 * d3) * pow(d3 * d4, -1, p) % p)
-    return out
+    batches = [b for c in chunks for b in _batches(c)]
+    # both stop sequences ascend with p; at a shared k a p//4 stop comes first
+    stops = heapq.merge(((p // 4, 0, p, i) for i, b in enumerate(batches) for p in b),
+                        ((p // 3, 1, p, i) for i, b in enumerate(batches) for p in b))
+    joins = enumerate(batches)
+    join = next(joins, None)
+    state: dict[int, list[int]] = {}  # per active batch: num, den, m, its last prime
+    # (N_4, D_4) of each prime between its two stops, first in first out; two
+    # queues of ints, not one of pairs, spare a tuple per open prime
+    fours_n: collections.deque[int] = collections.deque()
+    fours_d: collections.deque[int] = collections.deque()
+    sizes = map(len, chunks)
+    size, out = next(sizes, 0), []
+    stop = next(stops, None)
+    k = 0
+    while stop is not None:
+        if not state:  # nothing to fold: start at the next batch's first stop
+            k = max(k, join[1][0] // 4)
+        end = k + BATCH_BLOCK
+        while join is not None and join[1][0] // 4 < end:
+            i, b = join
+            state[i] = [0, 1, math.prod(b), b[-1]]
+            join = next(joins, None)
+        a, c = 0, 1
+        for j in range(k, end):
+            jn = j**n
+            a, c = a * jn + c, c * jn
+            while stop is not None and stop[0] == j:
+                _, third, p, i = stop
+                stop = next(stops, None)
+                num, den, _, last = state[i]
+                cp, dp = c % p, den % p
+                rn, rd = (num % p * cp + dp * (a % p)) % p, dp * cp % p
+                if not third:
+                    fours_n.append(rn)
+                    fours_d.append(rd)
+                    continue
+                n4, d4 = fours_n.popleft(), fours_d.popleft()
+                out.append((rn * d4 - n4 * rd) * pow(rd * d4, -1, p) % p)
+                if p == last:
+                    del state[i]
+                if len(out) == size:
+                    yield out
+                    size, out = next(sizes, 0), []
+        for st in state.values():
+            num, den, m, _ = st
+            st[0], st[1] = (num * c + den * a) % m, den * c % m
+        k = end
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +284,15 @@ def _confirm(kind: str, p: int) -> dict | None:
     return {"p": p, "witness": {"residual_valuation": v}} if v >= 8 else None
 
 
-def _scan_chunk(kind: str, primes: list[int]) -> list[dict]:
-    """Filter a chunk and confirm what passes; returns hit dicts only."""
+def _scan_chunk(kind: str, primes: list[int], sums: list[int] | None = None) -> list[dict]:
+    """Confirm what passes a chunk's filter; returns hit dicts only.  ``sums``
+    are the chunk's filter values from a walk shared with other chunks; a
+    chunk given none walks on its own."""
     _, n, unfiltered = KINDS[kind]
+    if sums is None:
+        sums = next(lehmer_walk([primes], n))
     out: list[dict] = []
-    for p, s in zip(primes, lehmer_batch(primes, n)):
+    for p, s in zip(primes, sums):
         filtered = p not in unfiltered
         if filtered and s != 0:
             continue
@@ -306,11 +327,16 @@ def ordered_map(fn: Callable, items: Sequence, workers: int, chunksize: int = 1)
     inside the pool, or closing the iterator early, cancels the calls still
     queued.
     """
-    if workers < 1:
-        raise InvalidInput("workers must be >= 1")
-    if workers == 1 or len(items) < 2:
+    if _in_process(workers, len(items)):
         return (fn(item) for item in items)
     return _pool_map(fn, items, workers, chunksize)
+
+
+def _in_process(workers: int, items: int) -> bool:
+    """Whether ``ordered_map`` makes its ``items`` calls in this process."""
+    if workers < 1:
+        raise InvalidInput("workers must be >= 1")
+    return workers == 1 or items < 2
 
 
 def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> Iterator:
@@ -363,7 +389,12 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
         base_last = cp["last_completed_prime"]
     primes = primes_in(max(lo, base_last + 1), task.hi)
     chunks = [primes[i : i + task.chunk] for i in range(0, len(primes), task.chunk)]
-    results = ordered_map(functools.partial(_scan_chunk, task.kind), chunks, workers)
+    if _in_process(workers, len(chunks)):
+        # one walk serves every chunk, each chunk's values as soon as it passes them
+        walk = lehmer_walk(chunks, KINDS[task.kind][1])
+        results = (_scan_chunk(task.kind, c, s) for c, s in zip(chunks, walk))
+    else:  # each pool task walks its own chunk
+        results = ordered_map(functools.partial(_scan_chunk, task.kind), chunks, workers)
     hits: list[dict] = []
 
     def absorb(found: list[dict]) -> None:
@@ -372,23 +403,22 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
             for h in found:
                 on_hit(h)
 
-    if resume_from is not None:
-        carried = []
-        for h in resume_from["hits"]:
-            hit = _confirm(task.kind, h["p"])
-            if hit != h:
-                raise CheckpointCorrupt(f"checkpoint hit p={h['p']} fails re-verification")
-            carried.append(hit)
-        absorb(carried)
+    carried = []
+    for h in resume_from["hits"] if resume_from is not None else ():
+        hit = _confirm(task.kind, h["p"])
+        if hit != h:
+            raise CheckpointCorrupt(f"checkpoint hit p={h['p']} fails re-verification")
+        carried.append(hit)
+    # written before the first chunk and before any hit is passed on, so an
+    # unwritable path costs no scan and prints nothing; a resume with nothing
+    # left to scan still stores its re-verified hits
+    _flush(task, base_last if chunks or resume_from is not None else task.hi, carried)
+    absorb(carried)
     if not chunks:
-        # a resume with nothing left to scan still stores its re-verified hits
-        _flush(task, task.hi if resume_from is None else base_last, hits)
         return hits
 
     try:
-        # written before the first chunk, so an unwritable path costs no scan; each
-        # later write covers every merged chunk, so an exception needs no final write
-        _flush(task, base_last, hits)
+        # each write covers every merged chunk, so an exception needs no final write
         for done, found in enumerate(results, 1):
             last = chunks[done - 1][-1] if done < len(chunks) else task.hi
             _flush(task, last, hits + found)

@@ -12,6 +12,45 @@ from wlab.errors import NotInvertible
 from wlab.modring import inv_int, range_inverses
 
 
+def lehmer_sum(p: int, n: int, lo: int, hi: int) -> int:
+    """sum_{lo < k <= hi} 1/k^n mod p, one k at a time as a running fraction.
+
+    Needs 0 <= lo and hi < p, so that no k is a multiple of p.  Over
+    p/4 < k <= p/3 it is the search filter that ``search.lehmer_walk``
+    computes for many primes in one walk.
+    """
+    num, den = 0, 1
+    for k in range(lo + 1, hi + 1):
+        c = pow(k, n, p)
+        num = (num * c + den) % p
+        den = den * c % p
+    return num * pow(den, -1, p) % p
+
+
+def binom_central_per_k(p: int, m: int) -> int:
+    """prod_{k=1}^{p-1} (p+k)/k mod m, one factor at a time, each product
+    reduced mod m: ``congruence.binom_central_int`` multiplies blocks."""
+    num = den = 1
+    for k in range(1, p):
+        num = num * (p + k) % m
+        den = den * k % m
+    return num * inv_int(den, m) % m
+
+
+def half_range_s1_per_k(p: int, m: int) -> tuple[int, int]:
+    """(C(2p-1, p-1), S_1) mod m over k <= (p-1)/2, one k at a time, each step
+    reduced mod m: ``sums.half_range_moments(p, m, 1)`` folds blocks."""
+    two_p2 = 2 * p * p
+    s1, den, num = 0, 1, 1
+    for k in range(1, (p - 1) // 2 + 1):
+        a = k * (p - k)
+        s1 = (s1 * a + den) % m
+        den = den * a % m
+        num = num * (a + two_p2) % m
+    inv = inv_int(den, m)
+    return num * inv % m, s1 * inv % m
+
+
 def batch_inv_ints(vals: Sequence[int], m: int, p: int) -> list[int]:
     """Invert every element with one extended gcd and 3(n-1) multiplications.
 

@@ -262,6 +262,21 @@ class TestSearchCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_csv_run_search_refusals_print_no_header(self, capsys, tmp_path):
+        # run_search refuses these itself: an unwritable checkpoint at its first
+        # write, and a checkpoint of another kind
+        ck = str(tmp_path / "ck.json")
+        assert run_cli(capsys, "search", "wolstenholme", "--max", "300", "--checkpoint", ck)[0] == 0
+        for argv in (("wolstenholme", "--max", "100", "--checkpoint", str(tmp_path / "missing" / "x.json")),
+                     ("mod-p8", "--resume", ck)):
+            code, out, err = run_cli(capsys, "--format", "csv", "search", *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        # the header still comes first once a run is accepted, hits or none
+        assert run_cli(capsys, "--format", "csv", "search", "wolstenholme", "--max", "300")[1] == "kind,p,witness\n"
+        code, out, _ = run_cli(capsys, "--format", "csv", "search", "wolstenholme", "--min", "24", "--max", "28")
+        assert code == 0 and out == "kind,p,witness\n"
+
     def test_progress_names_the_kind_as_typed(self, capsys):
         code, out, err = run_cli(capsys, "search", "mod-p8", "--max", "500")
         assert code == 0 and out == "" and err == "mod-p8: scanned up to 500 (1/1 chunks)\n"

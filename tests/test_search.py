@@ -18,8 +18,7 @@ from wlab.errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, 
 from wlab.modring import PRIME_BOUND, residual_valuation
 from wlab.search import (
     SearchTask,
-    lehmer_batch,
-    lehmer_sum,
+    lehmer_walk,
     load_checkpoint,
     mod_p8_indicator,
     primes_in,
@@ -29,7 +28,7 @@ from wlab.search import (
 )
 from wlab.sums import half_range_moments, inverse_power_sums_ints, newton_elementary_ints
 
-from oracles import batch_inv_ints
+from oracles import batch_inv_ints, binom_central_per_k, half_range_s1_per_k, lehmer_sum
 
 
 EXTENDED = os.environ.get("WLAB_EXTENDED") == "1"
@@ -125,6 +124,33 @@ class TestIndicators:
             assert harmonic_hit == binom_hit, p
 
 
+def assert_blocked_kernels_match_per_k(p: int) -> None:
+    """The confirmation's two full-range kernels, which multiply a block of
+    exact factors and reduce once a block, against the per-k loops that
+    reduce at every factor: the binomial product at p^5 and p^9, and the
+    binomial with S_1 at p^3 and p^9."""
+    for e in (3, 5, 9):
+        m = p**e
+        assert binom_central_int(p, m) == binom_central_per_k(p, m), (p, e)
+        binom, s = half_range_moments(p, m, 1)
+        assert (binom, s[1]) == half_range_s1_per_k(p, m), (p, e)
+
+
+class TestBlockedConfirmationKernels:
+    def test_every_prime_to_2000(self):
+        # small p fit in one partial block; larger p span several blocks
+        for p in primes_in(3, 2000):
+            assert_blocked_kernels_match_per_k(p)
+
+    def test_first_wolstenholme_prime(self):
+        assert_blocked_kernels_match_per_k(16843)
+
+    @pytest.mark.extended
+    @pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for the kernels at 2124679")
+    def test_second_wolstenholme_prime(self):
+        assert_blocked_kernels_match_per_k(2124679)
+
+
 def slow_mod_p8_residual(p: int) -> int:
     """Residual valuation of C(2p-1, p-1) - (1 - 2p*H_1 + 4p^2*H_2) in Z/p^9,
     from the full-range oracles: the binomial product, R_1 and R_2 over all
@@ -205,24 +231,36 @@ class TestLehmerFilter:
 
     @pytest.mark.parametrize("kind", ["wolstenholme", "mod_p8"])
     def test_filter_zero_failing_confirmation_raises(self, monkeypatch, kind):
-        monkeypatch.setattr(search_mod, "lehmer_batch", lambda primes, n: [0] * len(primes))
+        monkeypatch.setattr(search_mod, "lehmer_walk", lambda chunks, n: ([0] * len(c) for c in chunks))
         with pytest.raises(InternalInconsistency, match="p=101 "):
             run_search(SearchTask(kind, 101, 101))
+        # a chunk that walks on its own, as a pool task does
+        with pytest.raises(InternalInconsistency, match="p=101 "):
+            search_mod._scan_chunk(kind, [101])
 
     def test_second_wolstenholme_prime_through_the_scan(self):
         hits = run_search(SearchTask("wolstenholme", 2124600, 2124700))
         assert [h["p"] for h in hits] == [2124679]
 
 
-def assert_batch_matches_lehmer_sum(n: int, lo: int, hi: int) -> None:
-    """At every prime in [lo, hi], the batch kernel equals lehmer_sum over the
-    whole interval p/4 < k <= p/3, in chunks of 1, 2, 3, 17, 32 and 256 primes
-    and in one chunk of the whole range."""
+def assert_walk_matches_lehmer_sum(n: int, lo: int, hi: int) -> None:
+    """At every prime in [lo, hi], the walk equals lehmer_sum over the whole
+    interval p/4 < k <= p/3, in chunks of 1, 2, 3, 17, 32 and 256 primes and
+    in one chunk of the whole range, each chunk's list of the chunk's length.
+    Most of these chunkings end on a ragged chunk.  From the first prime and
+    from a start mid-range, as a resume re-chunks what is left, one walk
+    serves every chunk, and every chunk also walks alone, as a pool task
+    does."""
     primes = primes_in(lo, hi)
     oracle = [lehmer_sum(p, n, p // 4, p // 3) for p in primes]
     for chunk in (1, 2, 3, 17, 32, 256, len(primes)):
-        chunks = [primes[i : i + chunk] for i in range(0, len(primes), chunk)]
-        assert [s for c in chunks for s in lehmer_batch(c, n)] == oracle, chunk
+        for start in (0, len(primes) // 3 + 1):
+            chunks = [primes[i : i + chunk] for i in range(start, len(primes), chunk)]
+            sums = list(lehmer_walk(chunks, n))
+            assert [len(s) for s in sums] == [len(c) for c in chunks], (chunk, start)
+            assert [s for c in sums for s in c] == oracle[start:], (chunk, start)
+            alone = [s for c in chunks for s in next(lehmer_walk([c], n))]
+            assert alone == oracle[start:], (chunk, start)
 
 
 def batches_per_chunk(primes: list[int], chunk: int) -> list[list[list[int]]]:
@@ -231,14 +269,14 @@ def batches_per_chunk(primes: list[int], chunk: int) -> list[list[list[int]]]:
 
 class TestLehmerBatch:
     def test_every_prime_to_2e4(self):
-        assert_batch_matches_lehmer_sum(3, 5, 20_000)
-        assert_batch_matches_lehmer_sum(7, 11, 20_000)
+        assert_walk_matches_lehmer_sum(3, 5, 20_000)
+        assert_walk_matches_lehmer_sum(7, 11, 20_000)
 
     @pytest.mark.extended
     @pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for the 2e4..1e5 sweep")
     def test_every_prime_2e4_to_1e5(self):
-        assert_batch_matches_lehmer_sum(3, 20_000, 100_000)
-        assert_batch_matches_lehmer_sum(7, 20_000, 100_000)
+        assert_walk_matches_lehmer_sum(3, 20_000, 100_000)
+        assert_walk_matches_lehmer_sum(7, 20_000, 100_000)
 
     @pytest.mark.parametrize("chunk", [256, 2260])  # 2260: the primes in 5..2e4, one chunk
     def test_a_batch_is_the_run_below_three_times_its_first(self, chunk):
@@ -268,7 +306,7 @@ class TestLehmerBatch:
     def test_the_cut_can_leave_a_chunks_last_prime_alone(self):
         primes = primes_in(5, 17)
         assert list(search_mod._batches(primes)) == [[5, 7, 11, 13], [17]]
-        assert lehmer_batch(primes, 3) == [lehmer_sum(p, 3, p // 4, p // 3) for p in primes]
+        assert next(lehmer_walk([primes], 3)) == [lehmer_sum(p, 3, p // 4, p // 3) for p in primes]
 
     def test_walk_memory_is_a_multiple_of_the_modulus(self):
         # One batch of 2055 primes near 1e6: m has 5125 bytes, so 2B residues
@@ -276,18 +314,40 @@ class TestLehmerBatch:
         # one block's product, a few |m|, and O(B) ints below p: each prime's
         # (N_4, D_4) until its p//3 stop, and its sum.  Those cost about
         # 100 bytes a prime, while a 20-bit prime adds 2.5 bytes to m, so the
-        # peak is about 40*|m|; the bound 64*|m| is 1/32 of B*|m|.
+        # peak is about 44*|m| (tracemalloc); the bound 64*|m| is 1/32 of B*|m|.
         primes = primes_in(10**6, 10**6 + 28_000)
         assert len(primes) == 2055 and list(search_mod._batches(primes)) == [primes]
         size_m = (math.prod(primes).bit_length() + 7) // 8
         tracemalloc.start()
         try:
-            sums = lehmer_batch(primes, 3)
+            sums = next(lehmer_walk([primes], 3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * size_m, (peak, size_m)
         assert [sums[i] for i in (0, 1027, 2054)] == [lehmer_sum(p, 3, p // 4, p // 3) for p in primes[::1027]]
+
+    def test_multi_chunk_walk_memory_is_a_multiple_of_the_moduli(self):
+        # The same 2055 primes in chunks of 256, the last ragged, in one walk.
+        # Every p//4 there comes before every p//3, so all nine batches are
+        # active together: the walk holds each one's m, num and den, together
+        # |M| for M the product of all the primes, and two ints below p per
+        # prime between its stops.  The stops stream from the chunks; a list
+        # of all 4110 stops would add about 70 bytes a stop, near 60*|M|.
+        primes = primes_in(10**6, 10**6 + 28_000)
+        chunks = [primes[i : i + 256] for i in range(0, len(primes), 256)]
+        assert len(chunks) == 9 and len(chunks[-1]) == 7
+        size_m = (math.prod(primes).bit_length() + 7) // 8
+        seen = []
+        tracemalloc.start()
+        try:
+            for c, sums in zip(chunks, lehmer_walk(chunks, 3)):
+                seen.append((c[-1], sums[-1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * size_m, (peak, size_m)
+        assert seen == [(c[-1], lehmer_sum(c[-1], 3, c[-1] // 4, c[-1] // 3)) for c in chunks]
 
 
 class TestRunSearch:
@@ -369,7 +429,7 @@ class TestCheckpointing:
 
     def test_unwritable_path_fails_before_any_chunk(self, tmp_path, monkeypatch):
         scanned, writes = [], []
-        monkeypatch.setattr(search_mod, "_scan_chunk", lambda kind, primes: scanned.append(primes) or [])
+        monkeypatch.setattr(search_mod, "_scan_chunk", lambda kind, primes, sums=None: scanned.append(primes) or [])
         save = search_mod.save_checkpoint
         monkeypatch.setattr(search_mod, "save_checkpoint", lambda path, cp: writes.append(path) or save(path, cp))
         path = str(tmp_path / "missing" / "ck.json")
@@ -622,7 +682,7 @@ class TestKillAndResume:
             run_search(task, progress=bomb)
         first = load_checkpoint(path)["last_completed_prime"]
 
-        def explode(kind, primes):
+        def explode(kind, primes, sums=None):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(search_mod, "_scan_chunk", explode)
