@@ -21,6 +21,7 @@ from . import congruence, search
 from .bernoulli import bernoulli_mod, exact_bernoulli, fraction_mod
 from .errors import WlabError
 from .modring import PRIME_BOUND, is_prime, primes_in
+from .report import decimal
 
 FORMATS = ("jsonl", "csv", "human")
 REPORT_COLUMNS = ("check", "p", "required_exp", "residual_valuation", "holds", "status", "lhs", "rhs")
@@ -81,13 +82,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _parse_prime_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text.strip())
+    """(lo, hi) of --p, refused at or above the primality bound before any
+    prime is tested or sieved."""
+    m = re.fullmatch(r"0*(\d+)(?:\.\.0*(\d+))?", text.strip())
     if not m:
         raise WlabError(f"cannot parse prime range {text!r} (expected N or LO..HI)")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+    try:
+        lo, hi = int(m.group(1)), int(m.group(2) or m.group(1))
+    except ValueError:  # past int()'s digit limit (4,300 by default), so past the bound
+        lo, hi = 0, PRIME_BOUND
     if hi < lo:
         raise WlabError(f"empty range {text!r}")
+    if hi >= PRIME_BOUND:
+        raise WlabError(f"the top of --p is at or above the primality bound {PRIME_BOUND}")
     return lo, hi
 
 
@@ -107,10 +114,13 @@ def parse_index_expr(expr: str, p: int) -> int:
             raise WlabError(f"cannot parse index expression {expr!r}")
         sign = -1 if m.group(1) == "-" else 1
         term = m.group(2)
-        if term.startswith("p"):
-            value = p ** int(m.group(3)) if m.group(3) else p
-        else:
-            value = int(term)
+        try:
+            if term.startswith("p"):
+                value = p ** int(m.group(3)) if m.group(3) else p
+            else:
+                value = int(term)
+        except ValueError:  # past int()'s digit limit (4,300 by default)
+            raise WlabError("a number in the index expression has too many digits") from None
         total += sign * value
         pos = m.end()
     return total
@@ -162,9 +172,6 @@ def cmd_verify(args) -> int:
         print("error: verify needs --p (or --list-checks)", file=sys.stderr)
         return 1
     lo, hi = _parse_prime_range(args.p)
-    if hi >= PRIME_BOUND:
-        print(f"error: {hi} is at or above the primality bound {PRIME_BOUND}", file=sys.stderr)
-        return 1
     if lo == hi:
         if not is_prime(lo):
             print(f"error: {lo} is not a prime", file=sys.stderr)
@@ -261,13 +268,13 @@ def cmd_bernoulli(args) -> int:
         return 1
     index = parse_index_expr(args.index, p)
     if index < 0:
-        print(f"error: index {index} is negative", file=sys.stderr)
+        print("error: --index is negative", file=sys.stderr)
         return 1
     if index < 2 or index % 2:
         value = fraction_mod(exact_bernoulli(index), p**args.prec)
     else:
         value = bernoulli_mod(index, p, args.prec)
-    print(value)
+    print(decimal(value))
     return 0
 
 

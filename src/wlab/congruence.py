@@ -18,13 +18,14 @@ mod p^w_max, for every odd prime: the binomial, the R_n, the H_k and the
 Bernoulli residues (and their power-sum table).  Each row declares the
 largest R_n or H_k it reads (``harmonic_order``) and the largest Bernoulli
 precision (``bernoulli_prec``), and run_suite sizes its context from the
-selected rows.  The context fills the first three from one pass of
-``sums.half_range_moments`` over k <= (p-1)/2: C(2p-1, p-1) and the moments
-S_1..S_j, j = max(2, harmonic_order), so S_1..S_7 for every row and S_1, S_2
-for thm1.1 alone.  Each R_n follows from the S_j by Dickson's identity and
-H_k from the R_n by Newton's identities; a read above j is refused.  One
-rule sizes every context: p^(e+1), e the largest required exponent it
-judges (p^9 for the mod-p^8 search's check_theorem_main(p, 8)).
+selected rows.  The context fills the first three as it is built, from one
+pass of ``sums.half_range_moments`` over k <= (p-1)/2: C(2p-1, p-1) and
+S_1..S_j, j = max(1, harmonic_order), so S_1..S_7 for every row, S_1, S_2 for
+thm1.1 alone and S_1 alone for rows that read at most R_1.  Each R_n follows
+from the S_j by Dickson's identity and H_k from the R_n by Newton's
+identities; a read above j is refused.  One rule sizes every context:
+p^(e+1), e the largest required exponent it judges (p^9 for the mod-p^8
+search's check_theorem_main(p, 8), p^4 for the Wolstenholme search's R_1).
 
 ``binom_central_int`` (the unit product (1 + p/1)...(1 + p/(p-1)) over all
 p-1 terms, one deferred inversion) is the full-range route to the binomial
@@ -71,8 +72,8 @@ class CheckContext:
     Each value is computed once and returned mod m = p^w_max, w_max one
     above the largest required exponent the context judges; ``_judge``
     refuses a check judged at w > w_max.  The binomial, R_1..R_j and
-    H_1..H_j come from one half-range pass at j = max(2, harmonic_order), on
-    the first read, at every odd prime: they are p-integral at any p, and
+    H_1..H_j come from one half-range pass at j = max(1, harmonic_order),
+    made here, at every odd prime: they are p-integral at any p, and
     Newton's identities divide by 1..k, so H_k needs k < p (no row reads H_3
     or beyond below p = 11).  A read of R_n or H_k above j raises
     InternalInconsistency.  Bernoulli residues B(index, r) come from one
@@ -87,35 +88,23 @@ class CheckContext:
         self.p = p
         self.w_max = w_max
         self.bernoulli_prec = bernoulli_prec
-        self.harmonic_order = max(harmonic_order, 2)
-        self.m = p**w_max
-        self._binom = 0
-        self._r: dict[int, int] = {}
-        self._h: dict[int, int] = {}
-        self._b: dict[tuple[int, int], int] = {}
-        self._sums: bn.PowerSums | None = None
-
-    def _half_range_pass(self) -> None:
-        p, m, j = self.p, self.m, self.harmonic_order
+        self.harmonic_order = j = max(harmonic_order, 1)
+        self.m = m = p**w_max
         self._binom, s = half_range_moments(p, m, j)
         self._r = {n: inverse_power_sum_from_moments(s, p, m, n) for n in range(1, j + 1)}
         self._h = newton_elementary_ints(self._r, min(j, p - 1), m, p)
+        self._b: dict[tuple[int, int], int] = {}
+        self._sums: bn.PowerSums | None = None
 
     def binom(self) -> int:
-        if not self._r:
-            self._half_range_pass()
         return self._binom
 
     def R(self, n: int) -> int:
-        if not self._r:
-            self._half_range_pass()
         if n not in self._r:
             raise InternalInconsistency(f"R_{n} read from a context sized for R_{self.harmonic_order}")
         return self._r[n]
 
     def H(self, k: int) -> int:
-        if not self._r:
-            self._half_range_pass()
         if k not in self._h:
             if self.p <= k <= self.harmonic_order:
                 raise NotInvertible(f"p={self.p} too small to divide by 1..{k}")

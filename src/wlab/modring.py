@@ -53,7 +53,7 @@ def _miller_rabin(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality for n < PRIME_BOUND; larger n raise InvalidInput."""
     if n >= PRIME_BOUND:
-        raise InvalidInput(f"{n} is at or above the primality bound {PRIME_BOUND}")
+        raise InvalidInput(f"primality is decided only below the bound {PRIME_BOUND}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

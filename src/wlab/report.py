@@ -10,6 +10,8 @@ make_report applies; where the check is n/a they and the valuation and
 
 from __future__ import annotations
 
+import sys
+
 from .modring import residual_valuation
 
 # A report's status:
@@ -48,10 +50,25 @@ def make_report(
         "required_exp": required,
         "residual_valuation": v,
         "holds": holds,
-        "lhs": str(lhs % m),
-        "rhs": str(rhs % m),
+        "lhs": decimal(lhs % m),
+        "rhs": decimal(rhs % m),
         "status": STATUS_IDENTITY if identity else STATUS_PASS if holds else STATUS_FAIL,
     }
+
+
+def decimal(n: int) -> str:
+    """str(n) at any size.  CPython (3.10.7 on) refuses to convert an int of
+    more than 4,300 digits by default; a residue that was asked for is
+    written whole, so the limit is lifted for this one conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def not_applicable(name: str, p: int, required: int) -> dict:

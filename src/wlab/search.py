@@ -15,16 +15,16 @@ raises ``InternalInconsistency``.  The tests keep the one-prime sum
 * ``wolstenholme``: primes with C(2p-1, p-1) = 1 mod p^4, equivalently
   p | B_{p-3}.  With n = 3 the sum is 5 * B_{p-3} (mod p), so for p >= 7 a
   hit is exactly a filter zero; 5 (where 5 = 0 mod p) skips the filter.
-  The full check is v_p(R_1) from the half-range moment
-  S_1 = sum_{k <= (p-1)/2} 1/(k(p-k)) mod p^3 (R_1 = p*S_1 exactly),
-  against the binomial product.
+  The full check is v_p(R_1) >= 3 (R_1 = p*S_1, S_1 the half-range moment
+  sum_{k <= (p-1)/2} 1/(k(p-k))) in Z/p^4, read from a ``CheckContext`` of
+  harmonic order 1, against the full-range binomial product.
 * ``mod_p8``: primes whose central-binomial congruence residual reaches
   exponent 8 (one above the proven level).  That residual is
   -(8/7) * p^7 * B_{p-7} mod p^8, and with n = 7 the sum is
   1005 * B_{p-7} (mod p); 7 (the 8/7) and 67 (67 | 1005) skip the filter.
-  The full check is one pass of ``sums.half_range_moments`` over (p-1)/2
-  terms mod p^9, which gives C(2p-1, p-1) and the moments S_1, S_2 that
-  R_1 and H_2 are built from.
+  The full check is ``check_theorem_main(p, 8)``, judged from a context at
+  p^9 whose one pass over (p-1)/2 terms gives C(2p-1, p-1) and the moments
+  S_1, S_2 that R_1 and H_2 are built from.
 
 Each kind is one row of ``KINDS``.  ``run_search`` is the one entry point: it
 scans a ``SearchTask``, or continues one from the checkpoint its caller
@@ -53,10 +53,9 @@ import os
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .congruence import binom_central_int, check_theorem_main
+from .congruence import CheckContext, binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
 from .modring import PRIME_BOUND, is_prime, primes_in, residual_valuation
-from .sums import half_range_moments
 
 SCHEMA_VERSION = 1
 # per kind: the least p it scans, the filter's exponent n, and the primes where
@@ -153,8 +152,7 @@ def wolstenholme_indicator(p: int) -> int:
     """v_p(R_1(p)) seen in Z/p^4, saturated at 4; a hit means >= 3."""
     if p < 5:
         raise InvalidInput("requires p >= 5")
-    _, s = half_range_moments(p, p**3, 1)
-    return 1 + residual_valuation(s[1], p, 3)
+    return residual_valuation(CheckContext(p, 4, harmonic_order=1).R(1), p, 4)
 
 
 def mod_p8_indicator(p: int) -> int:
@@ -235,7 +233,7 @@ def load_checkpoint(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, an int past int()'s digit limit
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise CheckpointCorrupt("checkpoint root must be an object")

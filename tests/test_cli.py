@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlab.cli as cli_mod
@@ -375,6 +376,135 @@ class TestReportCommand:
         code, out, err = run_cli(capsys, "report", str(path))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}:1: field {field!r} has wrong type") and len(err.splitlines()) == 1
+
+
+@contextmanager
+def no_int_digit_limit():
+    """Lift CPython's limit on int/str conversions (4,300 digits by default,
+    from 3.10.7 on) inside the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+HUGE = "9" * 5001  # past int()'s digit limit
+
+
+class TestHugeIntegers:
+    """Integers past CPython's int/str digit limit: each input is refused with
+    one error line, and a residue past it, which was asked for, is printed."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--p", HUGE),
+        ("verify", "--p", f"11..{HUGE}"),
+        ("bernoulli", "--p", "11", "--index", HUGE, "--prec", "2"),
+        ("bernoulli", "--p", "11", "--index", f"p^{HUGE}", "--prec", "2"),
+        ("bernoulli", "--p", "11", "--index", "2-p^5000", "--prec", "2"),  # a negative index of 5,207 digits
+    ])
+    def test_input_refused_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_verify_p_with_leading_zeros_past_the_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--p", "0" * 5000 + "11", "--check", "eq1.1")
+        assert code == 0 and json.loads(out)["p"] == 11
+
+    def test_checkpoint_bound_past_the_limit_is_corrupt(self, capsys, tmp_path):
+        ck = tmp_path / "ck.json"
+        ck.write_text('{"schema_version": 1, "kind": "wolstenholme", "lo": 5, "hi": ' + HUGE
+                      + ', "last_completed_prime": 4, "hits": [], "updated_at": "x"}')
+        code, out, err = run_cli(capsys, "search", "wolstenholme", "--resume", str(ck))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read checkpoint {ck}: ") and err.count("\n") == 1
+
+    def test_thm11_residue_past_the_limit_is_printed(self, capsys):
+        # mod 11^4130 each side has up to 4,301 digits; C(21, 10) itself is small
+        code, out, err = run_cli(capsys, "verify", "--p", "11", "--check", "thm1.1", "--exp", "4129")
+        assert code == 2 and err == ""  # the congruence holds to p^7, not p^4129
+        row = json.loads(out)
+        m = 11**4130
+        h1 = sum(Fraction(1, k) for k in range(1, 11))
+        h2 = sum(Fraction(1, i * j) for i in range(1, 11) for j in range(i + 1, 11))
+        rhs = 1 - 2 * 11 * h1 + 4 * 11**2 * h2
+        with no_int_digit_limit():
+            assert row["rhs"] == str(rhs.numerator * pow(rhs.denominator, -1, m) % m)
+        assert row["lhs"] == "352716" and len(row["rhs"]) == 4301
+        assert (row["residual_valuation"], row["status"]) == (7, "fail")
+
+    def test_bernoulli_residue_past_the_limit_is_printed(self, capsys):
+        code, out, err = run_cli(capsys, "bernoulli", "--p", "11", "--index", "12", "--prec", "5000")
+        m = 11**5000
+        with no_int_digit_limit():
+            assert code == 0 and out == f"{-691 * pow(2730, -1, m) % m}\n" and err == ""
+
+
+def _decimal(min_digits: int):
+    """Decimal strings of min_digits to 6,000 digits, either sign."""
+    return st.builds(lambda neg, n, lead: ("-" if neg else "") + str(lead) + "0" * (n - 1),
+                     st.booleans(), st.integers(min_digits, 6000), st.integers(1, 9))
+
+
+# Numbers a command can afford: up to a few thousand, or at or above the
+# primality bound (25 digits), which every command refuses before it tests or
+# sieves a prime.  Between the two a single p costs O(p) and a range a sieve.
+SMALL, BIG, PAST = st.integers(-50, 3000).map(str), _decimal(26), _decimal(4301)
+NUMBER = SMALL | BIG
+# exponents and precisions cost p^e: small, or past int()'s limit, where argparse refuses them
+EXPONENT = st.integers(-3, 8).map(str) | st.integers(-3, 5000).map(str) | PAST
+P_SMALL = st.sampled_from(["3", "5", "11", "13", "101", "293"]) | st.integers(-5, 300).map(str)
+RANGE = st.one_of(P_SMALL, BIG, PAST, st.tuples(P_SMALL | BIG | PAST, P_SMALL | BIG | PAST).map("..".join))
+INDEX_TERM = st.one_of((NUMBER | PAST).map(lambda n: n.lstrip("-")), st.just("p"), st.builds("p^{}".format, st.integers(0, 6).map(str) | PAST))
+INDEX = st.lists(st.tuples(st.sampled_from(["+", "-"]), INDEX_TERM), min_size=1, max_size=4).map(
+    lambda terms: "".join(sign + term for sign, term in terms))
+COMMANDS = st.one_of(
+    st.builds(lambda p, check: ["verify", f"--p={p}", f"--check={check}"],
+              RANGE, st.sampled_from(["eq1.1", "eq1.2", "thm1.1", "kummer3.3", "nope"])),
+    st.builds(lambda p, exp: ["verify", f"--p={p}", "--check=thm1.1", f"--exp={exp}"], P_SMALL | BIG | PAST, EXPONENT),
+    st.builds(lambda kind, hi, lo, chunk: ["search", kind, f"--max={hi}", *lo, *chunk],
+              st.sampled_from(["wolstenholme", "mod-p8"]), NUMBER | PAST,
+              st.lists(NUMBER | PAST, max_size=1).map(lambda v: [f"--min={x}" for x in v]),
+              st.lists(NUMBER | PAST, max_size=1).map(lambda v: [f"--chunk={x}" for x in v])),
+    st.builds(lambda p, index, prec: ["bernoulli", f"--p={p}", f"--index={index}", f"--prec={prec}"],
+              P_SMALL | BIG | PAST, INDEX, EXPONENT),
+    # an odd prime and a positive precision, so the index expression decides
+    st.builds(lambda p, index, prec: ["bernoulli", f"--p={p}", f"--index={index}", f"--prec={prec}"],
+              st.sampled_from(["3", "11", "13", "101"]), INDEX, st.integers(1, 6) | st.integers(4000, 5000)),
+)
+REPORT_ROW = st.builds('{{"check": "eq1.1", "p": {}, "required_exp": {}, "residual_valuation": {}, "status": "pass"}}'.format,
+                       NUMBER | PAST, NUMBER | PAST, NUMBER | PAST)
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNoTraceback:
+    """Whatever integers a command is given, main returns 0, 1 or 2 and
+    prints no traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(COMMANDS)
+    def test_commands(self, argv):
+        code, _, err = run_main(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(REPORT_ROW, min_size=1, max_size=3))
+    def test_report(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+        path.write_text("\n".join(rows) + "\n")
+        code, _, err = run_main(["report", str(path)])
+        assert code in (0, 1, 2) and "Traceback" not in err, (rows, err)
 
 
 class TestUsage:

@@ -237,6 +237,13 @@ class TestRunSuite:
         for read in (ctx.R, ctx.H):
             with pytest.raises(InternalInconsistency, match="sized for [RH]_3"):
                 read(4)
+        # order 1 (and 0, which rows that read no R_n declare) holds R_1 = H_1 alone
+        for order in (0, 1):
+            ctx = CheckContext(101, 4, harmonic_order=order)
+            assert ctx.H(1) == ctx.R(1) == sums.inverse_power_sums_ints(101, 101**4, 1)[1]
+            for read in (ctx.R, ctx.H):
+                with pytest.raises(InternalInconsistency, match="sized for [RH]_1"):
+                    read(2)
 
     def test_bernoulli_residues_computed_once_per_prime(self, monkeypatch):
         # every B the rows read is extracted from one PowerSums pass over k,
@@ -300,6 +307,38 @@ class TestRunSuite:
             own = bernoulli.power_sum_table(bernoulli.kummer_reduce(i, p, r), p, r)
             assert (bernoulli.bernoulli_mod(i, p, r, sums=table)
                     == bernoulli.bernoulli_mod(i, p, r, sums=own)), (i, r)
+
+
+def record_passes(monkeypatch) -> list[tuple[int, int]]:
+    """The (p, j_max) of every half-range pass a context makes from here on."""
+    passes = []
+    hrm = sums.half_range_moments
+    monkeypatch.setattr(congruence, "half_range_moments", lambda p, m, j: passes.append((p, j)) or hrm(p, m, j))
+    return passes
+
+
+class TestOrderOneContext:
+    """A context of harmonic order 1 takes the binomial and S_1 alone, by the
+    blocked j = 1 route of half_range_moments; every other context reads
+    them off the column pass at j >= 2."""
+
+    def test_every_prime_to_1e4_against_the_sweep(self, sweep_contexts, monkeypatch):
+        # the fixture's contexts are built at p^8 and harmonic order 3
+        full = {5: CheckContext(5, 8, harmonic_order=3), 7: CheckContext(7, 8, harmonic_order=3), **sweep_contexts}
+        passes = record_passes(monkeypatch)
+        for p, f in full.items():
+            ctx, m = CheckContext(p, 4, harmonic_order=1), p**4
+            assert (ctx.binom(), ctx.R(1)) == (f.binom() % m, f.R(1) % m), p
+        assert passes == [(p, 1) for p in full]
+
+    def test_low_order_selection_runs_the_j1_route(self, monkeypatch):
+        # rows that read at most R_1 size an order-1 context; the rows are unchanged
+        low = ["eq1.1", "eq1.2", "eq1.3", "eq1.5", "cor1.5-r1", "lemma2.1-n1", "lemma3.5i", "lemma3.5ii",
+               "kummer3.3"]
+        full = CheckContext(101, 8, bernoulli_prec=5, harmonic_order=7)
+        passes = record_passes(monkeypatch)
+        assert run_suite(101, low) == run_suite(101, low, full)
+        assert passes == [(101, 1)]
 
 
 class TestRemark15:

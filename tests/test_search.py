@@ -123,6 +123,22 @@ class TestIndicators:
             binom_hit = residual_valuation(binom_central_int(p, p**5) - 1, p, 5) >= 4
             assert harmonic_hit == binom_hit, p
 
+    def test_indicator_is_the_s1_valuation_every_prime_to_1e4(self):
+        for p in primes_in(5, 10_000) + [16843]:
+            assert wolstenholme_indicator(p) == s1_indicator(p), p
+
+    @pytest.mark.extended
+    @pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for the indicator at 2124679")
+    def test_indicator_is_the_s1_valuation_at_2124679(self):
+        assert wolstenholme_indicator(2124679) == s1_indicator(2124679) == 3
+
+
+def s1_indicator(p: int) -> int:
+    """v_p(R_1) in Z/p^4, saturated at 4, as 1 + v_p(S_1) in Z/p^3 from the
+    j = 1 route of half_range_moments, since R_1 = p*S_1."""
+    _, s = half_range_moments(p, p**3, 1)
+    return 1 + residual_valuation(s[1], p, 3)
+
 
 def assert_blocked_kernels_match_per_k(p: int) -> None:
     """The confirmation's two full-range kernels, which multiply a block of
@@ -480,9 +496,10 @@ class TestCheckpointing:
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text("{ not json")
-        with pytest.raises(CheckpointCorrupt):
-            load_checkpoint(str(path))
+        for content in (b"{ not json", b"\xff\xfe{"):  # the second is not UTF-8
+            path.write_bytes(content)
+            with pytest.raises(CheckpointCorrupt):
+                load_checkpoint(str(path))
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -520,19 +537,25 @@ def task_for(path: str) -> SearchTask:
     return SearchTask(raw["kind"], raw["lo"], raw["hi"], checkpoint_path=path)
 
 
+# a string the file's text replaces by an integer past int()'s digit limit, which
+# json.load refuses to read
+PAST_LIMIT = "<an int of more than 4300 digits>"
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+    | st.just(PAST_LIMIT),
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),
     max_leaves=12,
 )
+# at or above the primality bound, yet within int()'s digit limit
+HUGE_INTS = st.integers(PRIME_BOUND - 10, 10**4000) | st.integers(-(10**4000), -(10**30))
 # near-valid checkpoints, so that the semantic checks behind the schema are reached
 NEAR_CHECKPOINTS = st.fixed_dictionaries({
-    "schema_version": st.just(1) | JSON_VALUES,
+    "schema_version": st.just(1) | JSON_VALUES | HUGE_INTS,
     "kind": st.sampled_from(["wolstenholme", "mod_p8"]) | JSON_VALUES,
-    "lo": st.integers(-10, 20000) | JSON_VALUES,
-    "hi": st.integers(-10, 20000) | JSON_VALUES,
-    "last_completed_prime": st.integers(-10, 20000) | JSON_VALUES,
-    "hits": st.lists(st.fixed_dictionaries({"p": st.integers(-10, 20000) | JSON_VALUES,
+    "lo": st.integers(-10, 20000) | JSON_VALUES | HUGE_INTS,
+    "hi": st.integers(-10, 20000) | JSON_VALUES | HUGE_INTS,
+    "last_completed_prime": st.integers(-10, 20000) | JSON_VALUES | HUGE_INTS,
+    "hits": st.lists(st.fixed_dictionaries({"p": st.integers(-10, 20000) | JSON_VALUES | HUGE_INTS,
                                             "witness": JSON_VALUES})) | JSON_VALUES,
     "updated_at": st.text() | JSON_VALUES,
 })
@@ -540,10 +563,10 @@ NEAR_CHECKPOINTS = st.fixed_dictionaries({
 
 class TestCheckpointSemantics:
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(JSON_VALUES, NEAR_CHECKPOINTS))
-    def test_arbitrary_json_raises_only_checkpoint_corrupt(self, tmp_path_factory, raw):
+    @given(st.one_of(JSON_VALUES, NEAR_CHECKPOINTS), st.integers(4301, 6000))
+    def test_arbitrary_json_raises_only_checkpoint_corrupt(self, tmp_path_factory, raw, digits):
         path = tmp_path_factory.mktemp("ck") / "ck.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw).replace(json.dumps(PAST_LIMIT), "9" * digits))
         try:
             cp = load_checkpoint(str(path))
         except CheckpointCorrupt:
