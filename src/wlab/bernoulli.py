@@ -13,7 +13,9 @@ Three layers:
   and r <= 5.
 
 ``bernoulli_mod`` is the one entry point to the last two.  It checks every
-extraction within the exact cap against the exact value.
+extraction within the exact cap against the exact value.  Every residue this
+module returns is an int; ``kummer_alternating_sum`` (the paper's (3.3)) too
+reduces each exact B_n/n mod p^(r+1) and sums residues.
 
 Extraction rests on the expansion of P_n(p) in Bernoulli numbers
 
@@ -311,8 +313,9 @@ def kummer_alternating_sum(m: int, p: int, r: int) -> int:
     """sum_{k=0}^{r} (-1)^k C(r,k) B_{m+k(p-1)}/(m+k(p-1)) mod p^(r+1).
 
     The r-th finite difference of B_n/n along the progression n = m + k(p-1),
-    which Kummer's congruence makes 0 mod p^r; evaluated with exact rationals
-    (indices above the exact cap raise).
+    which Kummer's congruence makes 0 mod p^r; each term's exact B_n/n is
+    reduced mod p^(r+1) and the sum taken in ints (indices above the exact
+    cap raise).
     """
     if m < 2 or m % 2:
         raise InvalidInput("m must be even and >= 2")
@@ -322,14 +325,15 @@ def kummer_alternating_sum(m: int, p: int, r: int) -> int:
         raise InvalidInput(f"{p} is not an odd prime")
     if m % (p - 1) == 0:
         raise InvalidInput("m must not be divisible by p-1")
-    total = Fraction(0)
+    mod = p ** (r + 1)
+    total = 0
     for k in range(r + 1):
         idx = m + k * (p - 1)
-        term = Fraction(math.comb(r, k)) * exact_bernoulli(idx) / idx
-        total += term if k % 2 == 0 else -term
-    # Every index is = m (mod p-1) with (p-1) not dividing m, so each B_n/n is
-    # p-integral (von Staudt-Clausen and Adams' theorem) and so is the sum.
-    return fraction_mod(total, p ** (r + 1))
+        # Every index is = m (mod p-1) with (p-1) not dividing m, so each B_n/n
+        # is p-integral (von Staudt-Clausen and Adams' theorem) and reduces alone.
+        term = math.comb(r, k) * fraction_mod(exact_bernoulli(idx) / idx, mod)
+        total += -term if k % 2 else term
+    return total % mod
 
 
 def kummer_alternating_check(m: int, p: int, r: int) -> dict:

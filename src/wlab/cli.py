@@ -28,6 +28,9 @@ REPORT_COLUMNS = ("check", "p", "required_exp", "residual_valuation", "holds", "
 REPORT_KEYS = ("check", "p", "required_exp", "status")  # the keys the human table reads
 # the fields the human table pads to a width, with the types that accept it
 PADDED_FIELDS = {"check": str, "p": int, "residual_valuation": (int, type(None))}
+# The largest power of p a command builds: about 19,700 digits.  --prec r builds
+# p^r, --exp e builds p^(e+1) and an index term p^N builds p^N.
+MAX_POWER_BITS = 1 << 16
 
 
 def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -81,6 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
 # helpers
 # ---------------------------------------------------------------------------
 
+def _check_power(p: int, e: int, what: str) -> None:
+    """Refuse p^e before it is built if e * bitlen(p), its bound, passes MAX_POWER_BITS."""
+    if e * p.bit_length() > MAX_POWER_BITS:
+        raise WlabError(f"{what} is too large: p^{e} needs up to {e * p.bit_length():,} bits, past {MAX_POWER_BITS:,}")
+
+
 def _parse_prime_range(text: str) -> tuple[int, int]:
     """(lo, hi) of --p, refused at or above the primality bound before any
     prime is tested or sieved."""
@@ -115,13 +124,13 @@ def parse_index_expr(expr: str, p: int) -> int:
         sign = -1 if m.group(1) == "-" else 1
         term = m.group(2)
         try:
-            if term.startswith("p"):
-                value = p ** int(m.group(3)) if m.group(3) else p
-            else:
-                value = int(term)
+            n = int(m.group(3) or 1) if term.startswith("p") else int(term)
         except ValueError:  # past int()'s digit limit (4,300 by default)
             raise WlabError("a number in the index expression has too many digits") from None
-        total += sign * value
+        if term.startswith("p"):
+            _check_power(p, n, "an --index term")
+            n = p**n
+        total += sign * n
         pos = m.end()
     return total
 
@@ -164,18 +173,17 @@ def cmd_verify(args) -> int:
         return 0
     checks = tuple(args.check) if args.check else None
     if args.exp is not None and (checks is None or set(checks) != {"thm1.1"}):
-        print("error: --exp applies only to --check thm1.1", file=sys.stderr)
-        return 1
+        raise WlabError("--exp applies only to --check thm1.1")
     if checks:
         congruence.expand_selection(checks)  # fail fast on unknown names
     if args.p is None:
-        print("error: verify needs --p (or --list-checks)", file=sys.stderr)
-        return 1
+        raise WlabError("verify needs --p (or --list-checks)")
     lo, hi = _parse_prime_range(args.p)
+    if args.exp is not None:  # before the sieve; no prime of the range is above hi
+        _check_power(hi, args.exp + 1, f"--exp {args.exp}")
     if lo == hi:
         if not is_prime(lo):
-            print(f"error: {lo} is not a prime", file=sys.stderr)
-            return 1
+            raise WlabError(f"{lo} is not a prime")
         primes = [lo]
     else:
         primes = primes_in(max(lo, 3), hi)  # a range starts at the least odd prime
@@ -201,8 +209,7 @@ def _progress_printer(kind: str):
 def cmd_search(args) -> int:
     kind = args.kind.replace("-", "_")
     if args.resume is not None and args.checkpoint not in (None, args.resume):
-        print("error: --resume rewrites the checkpoint it resumes; drop --checkpoint", file=sys.stderr)
-        return 1
+        raise WlabError("--resume rewrites the checkpoint it resumes; drop --checkpoint")
     checkpoint = args.checkpoint
     if checkpoint is None and args.max is not None and os.environ.get("WLAB_CHECKPOINT_DIR"):
         checkpoint = os.path.join(os.environ["WLAB_CHECKPOINT_DIR"], f"{kind}-{args.max}.json")
@@ -216,8 +223,7 @@ def cmd_search(args) -> int:
         lo = resume_from["lo"] if args.min is None else args.min
         hi = resume_from["hi"] if args.max is None else args.max
     elif args.max is None:
-        print("error: search needs --max (or --resume)", file=sys.stderr)
-        return 1
+        raise WlabError("search needs --max (or --resume)")
     else:
         lo = search.KINDS[kind][0] if args.min is None else args.min
         hi = args.max
@@ -261,15 +267,13 @@ def cmd_search(args) -> int:
 def cmd_bernoulli(args) -> int:
     p = args.p
     if not is_prime(p) or p < 3:
-        print(f"error: {p} is not an odd prime", file=sys.stderr)
-        return 1
+        raise WlabError(f"{p} is not an odd prime")
     if args.prec < 1:
-        print("error: --prec must be >= 1", file=sys.stderr)
-        return 1
+        raise WlabError("--prec must be >= 1")
+    _check_power(p, args.prec, f"--prec {args.prec}")
     index = parse_index_expr(args.index, p)
     if index < 0:
-        print("error: --index is negative", file=sys.stderr)
-        return 1
+        raise WlabError("--index is negative")
     if index < 2 or index % 2:
         value = fraction_mod(exact_bernoulli(index), p**args.prec)
     else:

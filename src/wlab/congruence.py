@@ -10,8 +10,9 @@ level higher".  That rule lives in make_report alone: the sides come mod
 p^w_max, the precision of the context, and make_report reduces them once.
 At a row's identity primes (thm1.1 at p = 3, 5) both sides are the same
 integer and the report says ``identity``; a difference there is a bug.
-A report is the row dict make_report builds, so run_suite and
-check_theorem_main return exactly the rows ``verify`` prints.
+A report is the row dict make_report builds, an n/a row (make_report given
+no sides) included, so run_suite and check_theorem_main return exactly the
+rows ``verify`` prints.
 
 A per-prime CheckContext holds every value the rows share, as plain ints
 mod p^w_max, for every odd prime: the binomial, the R_n, the H_k and the
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import bernoulli as bn
 from .errors import InternalInconsistency, InvalidInput, NotInvertible, UnknownCheckName
 from .modring import inv_int, is_odd_prime, range_inverses, residual_valuation
-from .report import make_report, not_applicable
+from .report import make_report
 from .sums import half_range_moments, inverse_power_sum_from_moments, inverse_power_sums_ints, newton_elementary_ints
 
 # The benchmark's traced spans (bench/child.py SPANS) patch range_inverses and
@@ -317,8 +318,8 @@ def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> dict:
 def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext | None = None) -> list[dict]:
     """Run the selected checks for one prime, in registry order.
 
-    Checks whose preconditions exclude the prime yield not-applicable
-    reports rather than pass/fail.  A context built here is sized by the
+    Checks whose preconditions exclude the prime yield make_report's n/a
+    row rather than pass/fail.  A context built here is sized by the
     selected rows: the largest required exponent, Bernoulli precision and
     harmonic order they declare, and no more.
     """
@@ -331,7 +332,7 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
     out = []
     for name in names:
         d = REGISTRY[name]
-        out.append(_judge(d, p, ctx, d.required) if d.applicable(p, ctx) else not_applicable(name, p, d.required))
+        out.append(_judge(d, p, ctx, d.required) if d.applicable(p, ctx) else make_report(name, p, d.required))
     return out
 
 

@@ -1,11 +1,17 @@
 """Check outcomes: one judged congruence is one row dict, the JSON line
-``verify`` prints, with its residual p-adic valuation.
+``verify`` prints, with its residual p-adic valuation.  ``make_report``
+builds every row, the n/a ones included.
 
 A row's keys, in the order they print: ``check``, ``p``, ``required_exp``,
 ``residual_valuation``, ``holds``, ``lhs``, ``rhs``, ``status``.  ``lhs`` and
 ``rhs`` are decimal strings mod p^(required_exp + 1), the working exponent
-make_report applies; where the check is n/a they and the valuation and
-``holds`` are None.
+make_report applies.  ``status`` is one of:
+
+* ``pass`` / ``fail``: the congruence computed and judged against required_exp;
+* ``identity``: both sides the same integer (thm1.1 at p = 3, 5);
+* ``n/a``: preconditions exclude this prime and nothing was computed
+  (make_report given no sides); the valuation, ``holds``, ``lhs`` and ``rhs``
+  are None.
 """
 
 from __future__ import annotations
@@ -14,46 +20,29 @@ import sys
 
 from .modring import residual_valuation
 
-# A report's status:
-#   pass / fail  - congruence computed and judged against required_exp
-#   identity     - both sides equal as exact integers (small-prime cases)
-#   n/a          - preconditions exclude this prime; nothing computed
-STATUS_PASS = "pass"
-STATUS_FAIL = "fail"
-STATUS_IDENTITY = "identity"
-STATUS_NA = "n/a"
 
-
-def make_report(
-    name: str,
-    p: int,
-    required: int,
-    lhs: int,
-    rhs: int,
-    *,
-    identity: bool = False,
-) -> dict:
+def make_report(name: str, p: int, required: int, lhs: int | None = None, rhs: int | None = None,
+                *, identity: bool = False) -> dict:
     """Judge lhs against rhs in Z/p^w, w = required + 1: the row dict.
+    Given no sides, the check's preconditions exclude p: the n/a row.
 
     The residual valuation saturates at the working exponent w, one above the
     required one, so a report can distinguish 'holds exactly at the required
     exponent' from 'holds one level higher'.  lhs and rhs may be given mod
     any higher power of p; they are reduced here.
     """
-    working = required + 1
-    m = p**working
-    v = residual_valuation(lhs - rhs, p, working)
-    holds = v >= required
-    return {
-        "check": name,
-        "p": p,
-        "required_exp": required,
-        "residual_valuation": v,
-        "holds": holds,
-        "lhs": decimal(lhs % m),
-        "rhs": decimal(rhs % m),
-        "status": STATUS_IDENTITY if identity else STATUS_PASS if holds else STATUS_FAIL,
-    }
+    if lhs is None:
+        v = holds = None
+        status = "n/a"
+    else:
+        working = required + 1
+        m = p**working
+        v = residual_valuation(lhs - rhs, p, working)
+        holds = v >= required
+        lhs, rhs = decimal(lhs % m), decimal(rhs % m)
+        status = "identity" if identity else "pass" if holds else "fail"
+    return {"check": name, "p": p, "required_exp": required, "residual_valuation": v,
+            "holds": holds, "lhs": lhs, "rhs": rhs, "status": status}
 
 
 def decimal(n: int) -> str:
@@ -69,16 +58,3 @@ def decimal(n: int) -> str:
             return str(n)
         finally:
             sys.set_int_max_str_digits(limit)
-
-
-def not_applicable(name: str, p: int, required: int) -> dict:
-    return {
-        "check": name,
-        "p": p,
-        "required_exp": required,
-        "residual_valuation": None,
-        "holds": None,
-        "lhs": None,
-        "rhs": None,
-        "status": STATUS_NA,
-    }

@@ -50,6 +50,7 @@ import heapq
 import json
 import math
 import os
+import sys
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -204,18 +205,20 @@ _CHECKPOINT_FIELDS = {
 
 
 def save_checkpoint(path: str, cp: dict) -> None:
-    """Write the checkpoint dict ``cp`` as it is given.  Atomic: a temp file
-    beside ``path``, named by this process's id, then a rename.
+    """Write the checkpoint dict ``cp`` as it is given, as one string in one
+    write.  Atomic: a temp file beside ``path``, named by this process's id,
+    then a rename.
 
     A path that cannot be written (a missing directory, say) raises
     ``WlabError`` naming it.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".ckpt-{name}.{os.getpid()}")
+    text = json.dumps(cp, indent=1)
     try:
         try:
             with open(tmp, "w") as fh:
-                json.dump(cp, fh, indent=1)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -225,6 +228,13 @@ def save_checkpoint(path: str, cp: dict) -> None:
         raise WlabError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
+def _checkpoint_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # CPython's own message suggests a call a CLI user cannot make
+        raise ValueError(f"an integer in it has more than {sys.get_int_max_str_digits():,} digits") from None
+
+
 def load_checkpoint(path: str) -> dict:
     """The checkpoint file's dict, checked for its schema and for what it
     means; a key outside ``_CHECKPOINT_FIELDS`` is dropped."""
@@ -232,7 +242,7 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointCorrupt(f"checkpoint {path} does not exist")
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_checkpoint_int)
     except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, an int past int()'s digit limit
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -6,8 +6,11 @@ the tests can compare the two at every prime of a range.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
+from wlab.bernoulli import exact_bernoulli, fraction_mod
 from wlab.errors import NotInvertible
 from wlab.modring import inv_int, range_inverses
 
@@ -143,3 +146,15 @@ def half_range_moments_per_k(p: int, m: int, j_max: int) -> list[int]:
             w = w * u % m
             s[j] += w
     return [v % m for v in s]
+
+
+def kummer_alternating_sum_exact(m: int, p: int, r: int) -> int:
+    """sum_{k=0}^{r} (-1)^k C(r,k) B_{m+k(p-1)}/(m+k(p-1)) mod p^(r+1), summed
+    as exact fractions and reduced once: ``bernoulli.kummer_alternating_sum``
+    reduces each term first.  Takes the inputs that function accepts."""
+    total = Fraction(0)
+    for k in range(r + 1):
+        idx = m + k * (p - 1)
+        term = Fraction(math.comb(r, k)) * exact_bernoulli(idx) / idx
+        total += term if k % 2 == 0 else -term
+    return fraction_mod(total, p ** (r + 1))

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import machin_pi, tangent_numbers
+from oracles import kummer_alternating_sum_exact, machin_pi, tangent_numbers
 from wlab import bernoulli
 from wlab.bernoulli import (
     DEFAULT_EXACT_CAP,
@@ -328,6 +328,18 @@ class TestAlternatingSum:
                 for r in range(1, min(4, m)):
                     report = kummer_alternating_check(m, p, r)
                     assert report["holds"], (m, p, r)
+                    assert bernoulli.kummer_alternating_sum(m, p, r) == kummer_alternating_sum_exact(m, p, r)
+
+    # the cases above, and three where p divides an index: 10 at (6, 5),
+    # 14 at (8, 7), and 50 = 2 * 5^2 at (14, 5, 9)
+    @pytest.mark.parametrize("m, p, r", [(4, 7, 2), (2, 5, 1), (6, 11, 0), (6, 5, 2), (8, 7, 3), (14, 5, 9)])
+    def test_residue_sum_is_the_exact_sum_at_each_case(self, m, p, r):
+        assert bernoulli.kummer_alternating_sum(m, p, r) == kummer_alternating_sum_exact(m, p, r)
+
+    def test_residue_sum_is_the_exact_sum_every_prime_to_999(self):
+        # kummer3.3's (m, r) = (4, 2); at p = 997 its indices reach 1996, near the exact cap
+        for p in primes_in(7, 999):
+            assert bernoulli.kummer_alternating_sum(4, p, 2) == kummer_alternating_sum_exact(4, p, 2), p
 
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -103,6 +104,16 @@ class TestVerify:
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
         assert [r["status"] for r in rows] == ["identity", "identity", "n/a"]
+
+    def test_na_rows_keep_their_bytes(self, capsys):
+        # make_report given no sides: every key, in print order, the judged ones null
+        code, out, _ = run_cli(capsys, "verify", "--p", "3..60", "--check", "all")
+        na = [json.loads(line) | {"line": line} for line in out.splitlines() if '"n/a"' in line]
+        assert code == 0 and len(na) == 139
+        for row in na:
+            assert row["line"] == (
+                f'{{"check": "{row["check"]}", "p": {row["p"]}, "required_exp": {row["required_exp"]}, '
+                '"residual_valuation": null, "holds": null, "lhs": null, "rhs": null, "status": "n/a"}')
 
     def test_range_from_2_starts_at_3(self, capsys):
         assert run_cli(capsys, "verify", "--p", "2..7", "--check", "eq1.1") == \
@@ -406,11 +417,33 @@ class TestHugeIntegers:
         ("bernoulli", "--p", "11", "--index", HUGE, "--prec", "2"),
         ("bernoulli", "--p", "11", "--index", f"p^{HUGE}", "--prec", "2"),
         ("bernoulli", "--p", "11", "--index", "2-p^5000", "--prec", "2"),  # a negative index of 5,207 digits
+        # exponents of 12 digits: each would build a power of 11 of about 43 GB
+        ("bernoulli", "--p", "11", "--index", "2", "--prec", "100000000000"),
+        ("verify", "--p", "11", "--check", "thm1.1", "--exp", "100000000000"),
+        ("bernoulli", "--p", "11", "--index", "p^100000000000", "--prec", "2"),
     ])
     def test_input_refused_with_one_error_line(self, capsys, argv):
+        t0 = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # e * bitlen(p) > 2^16 is refused before p^e is built: 16385 * 4 and 13108 * 5
+    # are, 16384 * 4 and 13107 * 5 are not; a verify range is bounded at its top
+    @pytest.mark.parametrize("argv, refused, accepted, message", [
+        (("bernoulli", "--p", "11", "--index", "2", "--prec"), "16385", "16384", "--prec 16385 is too large: p^16385"),
+        (("verify", "--p", "11", "--check", "thm1.1", "--exp"), "16384", "16383", "--exp 16384 is too large: p^16385"),
+        (("verify", "--p", "3..17", "--check", "thm1.1", "--exp"), "13107", "13106", "--exp 13107 is too large: p^13108"),
+        (("bernoulli", "--p", "11", "--prec", "2", "--index"), "p^16385+1", "p^16384+1",
+         "an --index term is too large: p^16385"),
+    ])
+    def test_exponent_past_the_power_bound(self, capsys, argv, refused, accepted, message):
+        code, out, err = run_cli(capsys, *argv, refused)
+        # 16385 * 4 = 13108 * 5 = 65,540
+        assert (code, out, err) == (1, "", f"error: {message} needs up to 65,540 bits, past 65,536\n")
+        code, out, err = run_cli(capsys, *argv, accepted)
+        assert code in (0, 2) and out and err == ""
 
     def test_verify_p_with_leading_zeros_past_the_limit(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "0" * 5000 + "11", "--check", "eq1.1")
@@ -422,7 +455,7 @@ class TestHugeIntegers:
                       + ', "last_completed_prime": 4, "hits": [], "updated_at": "x"}')
         code, out, err = run_cli(capsys, "search", "wolstenholme", "--resume", str(ck))
         assert code == 1 and out == ""
-        assert err.startswith(f"error: cannot read checkpoint {ck}: ") and err.count("\n") == 1
+        assert err == f"error: cannot read checkpoint {ck}: an integer in it has more than 4,300 digits\n"
 
     def test_thm11_residue_past_the_limit_is_printed(self, capsys):
         # mod 11^4130 each side has up to 4,301 digits; C(21, 10) itself is small
@@ -456,11 +489,12 @@ def _decimal(min_digits: int):
 # sieves a prime.  Between the two a single p costs O(p) and a range a sieve.
 SMALL, BIG, PAST = st.integers(-50, 3000).map(str), _decimal(26), _decimal(4301)
 NUMBER = SMALL | BIG
-# exponents and precisions cost p^e: small, or past int()'s limit, where argparse refuses them
-EXPONENT = st.integers(-3, 8).map(str) | st.integers(-3, 5000).map(str) | PAST
+# exponents and precisions up to 12 digits, or past int()'s limit, where argparse
+# refuses them; a p^e past 2^16 bits is refused before it is built
+EXPONENT = st.integers(-3, 8).map(str) | st.integers(-3, 10**12).map(str) | PAST
 P_SMALL = st.sampled_from(["3", "5", "11", "13", "101", "293"]) | st.integers(-5, 300).map(str)
 RANGE = st.one_of(P_SMALL, BIG, PAST, st.tuples(P_SMALL | BIG | PAST, P_SMALL | BIG | PAST).map("..".join))
-INDEX_TERM = st.one_of((NUMBER | PAST).map(lambda n: n.lstrip("-")), st.just("p"), st.builds("p^{}".format, st.integers(0, 6).map(str) | PAST))
+INDEX_TERM = st.one_of((NUMBER | PAST).map(lambda n: n.lstrip("-")), st.just("p"), st.builds("p^{}".format, st.integers(0, 6).map(str) | EXPONENT))
 INDEX = st.lists(st.tuples(st.sampled_from(["+", "-"]), INDEX_TERM), min_size=1, max_size=4).map(
     lambda terms: "".join(sign + term for sign, term in terms))
 COMMANDS = st.one_of(

@@ -1,5 +1,6 @@
 """Prime generation, indicators, parallel search, checkpoint/resume."""
 
+import io
 import json
 import math
 import os
@@ -422,6 +423,25 @@ class TestCheckpointing:
         save_checkpoint(path, cp)
         back = load_checkpoint(path)
         assert back == cp
+
+    def test_one_write_of_the_bytes_json_dump_streams(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.json"
+        cp = {"schema_version": 1, "kind": "wolstenholme", "lo": 14000, "hi": 18400, "last_completed_prime": 17000,
+              "hits": [{"p": 16843, "witness": WITNESS_16843}], "updated_at": "2020-01-01T00:00:00Z"}
+        writes = []
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(text) or write(text)
+            return fh
+
+        monkeypatch.setattr(search_mod, "open", counting_open, raising=False)
+        save_checkpoint(str(path), cp)
+        streamed = io.StringIO()
+        json.dump(cp, streamed, indent=1)
+        assert path.read_bytes() == streamed.getvalue().encode()
+        assert writes == [streamed.getvalue()]
 
     def test_load_returns_the_seven_fields_in_file_order(self, tmp_path):
         # a key outside the schema, here in the middle of the file, is dropped
