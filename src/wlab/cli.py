@@ -1,5 +1,9 @@
 """Command-line front end: verify, search, bernoulli, report.
 
+Every row a command prints on stdout (a report row, a hit) goes through one
+writer, ``_writer``, in the ``--format`` asked for; progress and errors go
+to stderr.
+
 Exit codes: 0 success, 1 usage or runtime error (a reader that closes the
 output pipe early included), 2 at least one violated congruence (a
 mathematical event worth a loud failure), 130 on Ctrl-C.
@@ -15,13 +19,13 @@ import locale  # noqa: F401  argparse's gettext imports it on first use; load it
 import os
 import re
 import sys
-from typing import Iterable
+from typing import Callable
 
 from . import congruence, search
 from .bernoulli import bernoulli_mod, exact_bernoulli, fraction_mod
 from .errors import WlabError
 from .modring import PRIME_BOUND, is_prime, primes_in
-from .report import decimal
+from .report import decimal, parse_int
 
 FORMATS = ("jsonl", "csv", "human")
 REPORT_COLUMNS = ("check", "p", "required_exp", "residual_valuation", "holds", "status", "lhs", "rhs")
@@ -135,25 +139,40 @@ def parse_index_expr(expr: str, p: int) -> int:
     return total
 
 
-def _emit_reports(rows: Iterable[dict], fmt: str, out) -> int:
-    """Write each row as it comes; returns how many have status fail."""
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-    failed = 0
-    for row in rows:
-        failed += row.get("status") == "fail"
-        if fmt == "jsonl":
-            out.write(json.dumps(row) + "\n")
-        elif fmt == "csv":
-            writer.writerow(["" if row.get(c) is None else row.get(c) for c in REPORT_COLUMNS])
-        else:
-            v = row.get("residual_valuation")
-            out.write(
-                f"{row['check']:<16} p={row['p']:<10} req={row['required_exp']} "
-                f"v={'-' if v is None else v:<3} {row['status']}\n"
-            )
-    return failed
+def _writer(fmt: str, columns: tuple[str, ...], human: Callable[[dict], str]) -> Callable[[list[dict]], int]:
+    """The one writer of a command's stdout rows: a function that writes a
+    list of row dicts as jsonl, as csv ``columns`` or as ``human(row)`` lines,
+    and returns how many have status fail.  Its first call, even with no
+    rows, writes the csv header.  A csv dict cell (a hit's witness) is JSON."""
+    out = sys.stdout
+    table = csv.writer(out, lineterminator="\n")
+    header_due = fmt == "csv"
+
+    def write(rows: list[dict]) -> int:
+        nonlocal header_due
+        if header_due:
+            header_due = False
+            table.writerow(columns)
+        for row in rows:
+            if fmt == "jsonl":
+                out.write(json.dumps(row) + "\n")
+            elif fmt == "csv":
+                table.writerow([_cell(row.get(c)) for c in columns])
+            else:
+                out.write(human(row) + "\n")
+        return sum(row.get("status") == "fail" for row in rows)
+
+    return write
+
+
+def _cell(value):
+    return "" if value is None else json.dumps(value) if isinstance(value, dict) else value
+
+
+def _human_report(row: dict) -> str:
+    v = row.get("residual_valuation")
+    return (f"{row['check']:<16} p={row['p']:<10} req={row['required_exp']} "
+            f"v={'-' if v is None else v:<3} {row['status']}")
 
 
 def _verify_prime(p: int, checks: tuple[str, ...] | None, exp: int | None) -> list[dict]:
@@ -190,20 +209,14 @@ def cmd_verify(args) -> int:
 
     verify = functools.partial(_verify_prime, checks=checks, exp=args.exp)
     results = search.ordered_map(verify, primes, args.workers, chunksize=16)
+    write = _writer(args.format, REPORT_COLUMNS, _human_report)
     try:
+        write([])  # the csv header comes before any prime is verified
         # each prime's rows are written as they come; closing cancels queued calls
-        failed = _emit_reports((row for result in results for row in result), args.format, sys.stdout)
+        failed = sum(map(write, results))
     finally:
         results.close()
     return 2 if failed else 0
-
-
-def _progress_printer(kind: str):
-    def progress(done: int, total: int, last_prime: int) -> None:
-        if done == total or done % 10 == 0:
-            print(f"{kind}: scanned up to {last_prime} ({done}/{total} chunks)", file=sys.stderr)
-
-    return progress
 
 
 def cmd_search(args) -> int:
@@ -228,39 +241,19 @@ def cmd_search(args) -> int:
         lo = search.KINDS[kind][0] if args.min is None else args.min
         hi = args.max
     task = search.SearchTask(kind, lo, hi, args.chunk, checkpoint)
+    write = _writer(args.format, ("kind", "p", "witness"),
+                    lambda row: f"{row['kind']}: p={row['p']} witness={row['witness']}")
 
-    # the csv header waits for the first hit, the first merged chunk or the end,
-    # so a task that run_search refuses (a kind mismatch, an unwritable
-    # checkpoint) prints nothing on stdout
-    csv_writer = csv.writer(sys.stdout, lineterminator="\n") if args.format == "csv" else None
-    header_due = csv_writer is not None
+    def on_chunk(found: list[dict], done: int, total: int, last_prime: int) -> None:
+        # the first call comes once run_search has accepted the task, so a
+        # refused task prints nothing, not even the csv header
+        write([{"kind": kind, "p": h["p"], "witness": h["witness"]} for h in found])
+        if found:
+            sys.stdout.flush()  # hits stream as the ordered merge advances; long scans are rare-hit
+        if done and (done == total or done % 10 == 0):
+            print(f"{args.kind}: scanned up to {last_prime} ({done}/{total} chunks)", file=sys.stderr)
 
-    def header() -> None:
-        nonlocal header_due
-        if header_due:
-            header_due = False
-            csv_writer.writerow(("kind", "p", "witness"))
-
-    def emit(hit: dict) -> None:
-        # stream hits as the ordered merge advances; long scans are rare-hit
-        row = {"kind": kind, "p": hit["p"], "witness": hit["witness"]}
-        if args.format == "jsonl":
-            print(json.dumps(row), flush=True)
-        elif args.format == "csv":
-            header()
-            csv_writer.writerow((row["kind"], row["p"], json.dumps(row["witness"])))
-            sys.stdout.flush()
-        else:
-            print(f"{row['kind']}: p={row['p']} witness={row['witness']}", flush=True)
-
-    printer = _progress_printer(args.kind)
-
-    def progress(done: int, total: int, last_prime: int) -> None:
-        header()
-        printer(done, total, last_prime)
-
-    search.run_search(task, workers=args.workers, progress=progress, on_hit=emit, resume_from=resume_from)
-    header()
+    search.run_search(task, workers=args.workers, on_chunk=on_chunk, resume_from=resume_from)
     return 0
 
 
@@ -288,8 +281,8 @@ def _read_reports(fh, name: str) -> list[dict]:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
-        except ValueError as exc:
+            row = json.loads(line, parse_int=parse_int)
+        except ValueError as exc:  # bad JSON, an int past int()'s digit limit
             raise WlabError(f"{name}:{lineno}: not valid JSON ({exc})") from exc
         missing = [k for k in REPORT_KEYS if not isinstance(row, dict) or k not in row]
         if missing:
@@ -311,9 +304,12 @@ def cmd_report(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise WlabError(f"cannot read {args.file}: {exc}") from exc
     fmt = args.format if args.format != "jsonl" else "human"
-    failed = _emit_reports(rows, fmt, sys.stdout)
+    failed = _writer(fmt, REPORT_COLUMNS, _human_report)(rows)
     print(f"{len(rows)} reports, {failed} failed", file=sys.stderr)
     return 2 if failed else 0
+
+
+COMMANDS = {"verify": cmd_verify, "search": cmd_search, "bernoulli": cmd_bernoulli, "report": cmd_report}
 
 
 def main(argv=None) -> int:
@@ -322,18 +318,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.workers < 1:
-        print("error: workers must be >= 1", file=sys.stderr)
-        return 1
     try:
-        if args.command == "verify":
-            code = cmd_verify(args)
-        elif args.command == "search":
-            code = cmd_search(args)
-        elif args.command == "bernoulli":
-            code = cmd_bernoulli(args)
-        else:
-            code = cmd_report(args)
+        if args.workers < 1:
+            raise WlabError("workers must be >= 1")
+        code = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except KeyboardInterrupt:

@@ -336,9 +336,10 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
     return out
 
 
-def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> dict:
+def check_theorem_main(p: int, e: int = 7) -> dict:
     """The central congruence C(2p-1, p-1) = 1 - 2p*H_1 + 4p^2*H_2 mod p^e:
-    the thm1.1 row judged at required exponent e.
+    the thm1.1 row judged at required exponent e, from a context of its own
+    at p^(e+1).
 
     Unlike run_suite it ignores the row's applicability, so p = 7 can be
     judged too: it is expected to hold at e = 6 only.  At p = 3, 5 the report
@@ -348,6 +349,4 @@ def check_theorem_main(p: int, e: int = 7, ctx: CheckContext | None = None) -> d
         raise InvalidInput("requires p >= 3")
     if e < 1:
         raise InvalidInput("exponent must be >= 1")
-    if ctx is None:
-        ctx = CheckContext(p, e + 1)
-    return _judge(REGISTRY["thm1.1"], p, ctx, e)
+    return _judge(REGISTRY["thm1.1"], p, CheckContext(p, e + 1), e)

@@ -12,6 +12,9 @@ make_report applies.  ``status`` is one of:
 * ``n/a``: preconditions exclude this prime and nothing was computed
   (make_report given no sides); the valuation, ``holds``, ``lhs`` and ``rhs``
   are None.
+
+``decimal`` writes an int at any size; ``parse_int`` reads one, and refuses
+one past the interpreter's digit limit in a reader's terms.
 """
 
 from __future__ import annotations
@@ -58,3 +61,13 @@ def decimal(n: int) -> str:
             return str(n)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def parse_int(text: str) -> int:
+    """int(text) for ``json.load``'s ``parse_int``: an int past the digit
+    limit is refused in a reader's terms, not with CPython's advice to call
+    ``sys.set_int_max_str_digits()``, which a CLI user cannot make."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"an integer in it has more than {sys.get_int_max_str_digits():,} digits") from None

@@ -31,14 +31,15 @@ scans a ``SearchTask``, or continues one from the checkpoint its caller
 loaded.  A checkpoint is the file's dict, its keys those of
 ``_CHECKPOINT_FIELDS`` in that order: ``load_checkpoint`` returns it and
 ``save_checkpoint`` writes it.  A hit is the dict {"p", "witness"} that
-``_confirm`` returns; the checkpoint stores it, ``on_hit`` receives it, and
-``run_search`` returns the list of them.  Scans are embarrassingly parallel
-over primes: in one process one walk serves every chunk, and ``workers > 1``
-imports the process pool on first use, each task walking its own chunk.
-Either way every chunk passes through ``_scan_chunk``.  A coordinator merges
-chunk results in ascending order and checkpoints before the first chunk and
-after each completed one, so hit lists are a pure function of
-(kind, lo, hi).
+``_confirm`` returns; the checkpoint stores it, and ``run_search`` returns
+the list of them.  Scans are embarrassingly parallel over primes: in one
+process one walk serves every chunk, and ``workers > 1`` imports the process
+pool on first use, each task walking its own chunk.  Either way every chunk
+passes through ``_scan_chunk``.  A coordinator merges chunk results in
+ascending order and checkpoints before the first chunk and after each
+completed one, so hit lists are a pure function of (kind, lo, hi).  After
+each of those writes it makes its one callback, ``on_chunk``, with the hits
+the write added: the CLI writes them and prints its progress line there.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ import heapq
 import json
 import math
 import os
-import sys
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .congruence import CheckContext, binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
 from .modring import PRIME_BOUND, is_prime, primes_in, residual_valuation
+from .report import parse_int
 
 SCHEMA_VERSION = 1
 # per kind: the least p it scans, the filter's exponent n, and the primes where
@@ -228,13 +229,6 @@ def save_checkpoint(path: str, cp: dict) -> None:
         raise WlabError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
-def _checkpoint_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # CPython's own message suggests a call a CLI user cannot make
-        raise ValueError(f"an integer in it has more than {sys.get_int_max_str_digits():,} digits") from None
-
-
 def load_checkpoint(path: str) -> dict:
     """The checkpoint file's dict, checked for its schema and for what it
     means; a key outside ``_CHECKPOINT_FIELDS`` is dropped."""
@@ -242,7 +236,7 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointCorrupt(f"checkpoint {path} does not exist")
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_int=_checkpoint_int)
+            raw = json.load(fh, parse_int=parse_int)
     except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, an int past int()'s digit limit
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -330,10 +324,10 @@ def ordered_map(fn: Callable, items: Sequence, workers: int, chunksize: int = 1)
     """Lazily apply ``fn`` to each item; results come in submission order.
 
     With ``workers == 1`` (or fewer than two items) the calls run in this
-    process, otherwise in a pool of ``workers`` spawned processes.  A worker
-    count below 1 is rejected here, before any call runs.  An exception
-    inside the pool, or closing the iterator early, cancels the calls still
-    queued.
+    process, otherwise in a pool of min(workers, CPU count) spawned
+    processes.  A worker count below 1 is rejected here, before any call
+    runs.  An exception inside the pool, or closing the iterator early,
+    cancels the calls still queued.
     """
     if _in_process(workers, len(items)):
         return (fn(item) for item in items)
@@ -351,7 +345,10 @@ def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> It
     import multiprocessing  # imported on first use: a one-process run never loads the pool
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+    # Executor.map submits every item at once, and a spawn pool starts a process
+    # per submit while none is idle, so the cap is what bounds the processes
+    pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1),
+                               mp_context=multiprocessing.get_context("spawn"))
     try:
         yield from pool.map(fn, items, chunksize=chunksize)
     except BaseException:
@@ -360,8 +357,7 @@ def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> It
     pool.shutdown(wait=True)
 
 
-def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
-               resume_from: dict | None = None) -> list[dict]:
+def run_search(task: SearchTask, workers: int = 1, on_chunk=None, resume_from: dict | None = None) -> list[dict]:
     """Scan the task range; the deterministic ascending list of its hit dicts.
 
     Work is partitioned into chunks of ``task.chunk`` primes; with
@@ -369,8 +365,15 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
     in range order so output never depends on scheduling.  A checkpoint (if
     configured) is written before the first chunk and rewritten after each
     merged chunk, so an exception (KeyboardInterrupt included) that stops the
-    scan leaves it at the last merged chunk.  ``on_hit`` is called once per
-    hit, in ascending order, as soon as the hit's chunk is merged.
+    scan leaves it at the last merged chunk.
+
+    ``on_chunk(found, done, total, last_prime)`` is called after each of
+    those writes, with the hits the write added, in ascending order: first
+    with the carried hits (below), ``done = 0`` and the last prime the
+    checkpoint records, then once per merged chunk, ``done`` of ``total``,
+    with the last prime that chunk covers.  A task refused here, or whose
+    checkpoint cannot be written, gets no call.  So the ``found`` lists,
+    concatenated, are the returned list.
 
     ``resume_from`` is the checkpoint the caller loaded from
     ``task.checkpoint_path`` (a task without one raises ``InvalidInput``); its
@@ -379,7 +382,7 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
     first, and one that fails, witness included, raises ``CheckpointCorrupt``.
     The carried hits are the re-verified dicts, so they print and are stored
     as an uninterrupted run would have them, even when nothing is left to
-    scan; ``on_hit`` fires for them too.
+    scan.
     """
     lo = max(task.lo, KINDS[task.kind][0])
     # the last prime already covered; a resume never regresses its checkpoint
@@ -403,36 +406,28 @@ def run_search(task: SearchTask, workers: int = 1, progress=None, on_hit=None,
         results = (_scan_chunk(task.kind, c, s) for c, s in zip(chunks, walk))
     else:  # each pool task walks its own chunk
         results = ordered_map(functools.partial(_scan_chunk, task.kind), chunks, workers)
-    hits: list[dict] = []
+    on_chunk = on_chunk or (lambda found, done, total, last_prime: None)
 
-    def absorb(found: list[dict]) -> None:
-        hits.extend(found)
-        if on_hit is not None:
-            for h in found:
-                on_hit(h)
-
-    carried = []
+    hits = []
     for h in resume_from["hits"] if resume_from is not None else ():
         hit = _confirm(task.kind, h["p"])
         if hit != h:
             raise CheckpointCorrupt(f"checkpoint hit p={h['p']} fails re-verification")
-        carried.append(hit)
+        hits.append(hit)
     # written before the first chunk and before any hit is passed on, so an
-    # unwritable path costs no scan and prints nothing; a resume with nothing
+    # unwritable path costs no scan and gets no call; a resume with nothing
     # left to scan still stores its re-verified hits
-    _flush(task, base_last if chunks or resume_from is not None else task.hi, carried)
-    absorb(carried)
-    if not chunks:
-        return hits
+    last = base_last if chunks or resume_from is not None else task.hi
+    _flush(task, last, hits)
+    on_chunk(list(hits), 0, len(chunks), last)
 
     try:
         # each write covers every merged chunk, so an exception needs no final write
         for done, found in enumerate(results, 1):
             last = chunks[done - 1][-1] if done < len(chunks) else task.hi
-            _flush(task, last, hits + found)
-            absorb(found)
-            if progress is not None:
-                progress(done, len(chunks), last)
+            hits += found
+            _flush(task, last, hits)
+            on_chunk(found, done, len(chunks), last)
     finally:
         results.close()
     return hits

@@ -61,7 +61,7 @@ def test_criterion_03_theorem_sweep(sweep_contexts):
     bad = []
     exactly7 = 0
     for p, ctx in sweep_contexts.items():
-        r = check_theorem_main(p, 7, ctx)
+        (r,) = run_suite(p, ["thm1.1"], ctx)
         if not (r["holds"] and r["residual_valuation"] >= 7):
             bad.append(p)
         if r["residual_valuation"] == 7:
@@ -96,7 +96,7 @@ def test_criterion_05_corollary_chain(sweep_contexts):
             bad.append(p)
             continue
         if p >= 11:
-            thm = check_theorem_main(p, 7, ctx)
+            (thm,) = run_suite(p, ["thm1.1"], ctx)
             levels = [thm["holds"], cor14[0]["holds"] and cor14[1]["holds"],
                       cor15[0]["holds"] and cor15[1]["holds"], eq12h["holds"], eq11["holds"]]
             if any(strong and not weak for strong, weak in zip(levels, levels[1:])):
@@ -173,7 +173,7 @@ def test_criterion_10_wolstenholme_prime_facts():
     p = 16843
     ctx = CheckContext(p, 9, harmonic_order=3)
     pair = run_suite(p, ["eq1.6"], ctx)
-    at8 = check_theorem_main(p, 8, ctx)
+    at8 = check_theorem_main(p, 8)
     ok = (
         all(r["holds"] and r["residual_valuation"] >= 7 for r in pair)
         and not at8["holds"]
@@ -222,12 +222,12 @@ def test_criterion_12_determinism(tmp_path, capsys):
     ck = str(tmp_path / "ck.json")
     task = SearchTask("wolstenholme", 5, 30000, chunk=150, checkpoint_path=ck)
 
-    def bomb(done, total, last):
+    def bomb(found, done, total, last):
         if done == 5:
             raise KeyboardInterrupt
 
     try:
-        run_search(task, progress=bomb)
+        run_search(task, on_chunk=bomb)
         interrupted = False
     except KeyboardInterrupt:
         interrupted = True

@@ -457,6 +457,13 @@ class TestHugeIntegers:
         assert code == 1 and out == ""
         assert err == f"error: cannot read checkpoint {ck}: an integer in it has more than 4,300 digits\n"
 
+    def test_report_row_past_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"check": "eq1.1", "p": ' + HUGE + ', "required_exp": 3, "status": "pass"}\n')
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:1: not valid JSON (an integer in it has more than 4,300 digits)\n"
+
     def test_thm11_residue_past_the_limit_is_printed(self, capsys):
         # mod 11^4130 each side has up to 4,301 digits; C(21, 10) itself is small
         code, out, err = run_cli(capsys, "verify", "--p", "11", "--check", "thm1.1", "--exp", "4129")

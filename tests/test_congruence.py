@@ -106,7 +106,7 @@ class TestWprimeConditional:
         assert a["holds"] and a["residual_valuation"] >= 7
         assert b["holds"] and b["residual_valuation"] >= 7
         # the same prime fails one exponent higher
-        r8 = check_theorem_main(16843, 8, ctx)
+        r8 = check_theorem_main(16843, 8)
         assert not r8["holds"] and r8["residual_valuation"] == 7
 
     def test_ordinary_prime_rejected(self):
@@ -117,7 +117,7 @@ class TestChainImplications:
     @pytest.mark.parametrize("p", [11, 13, 37, 101, 499])
     def test_descending_chain(self, p):
         ctx = CheckContext(p, 9, harmonic_order=3)
-        thm = check_theorem_main(p, 7, ctx)
+        (thm,) = run_suite(p, ["thm1.1"], ctx)
         cor14 = run_suite(p, ["cor1.4"], ctx)
         cor15 = run_suite(p, ["cor1.5"], ctx)
         eq12, _ = run_suite(p, ["eq1.2"], ctx)
@@ -178,7 +178,6 @@ class TestRunSuite:
     @pytest.mark.parametrize("run", [
         lambda: run_suite(11, ["thm1.1"], CheckContext(11, 7)),
         lambda: run_suite(11, ["eq1.5"], CheckContext(11, 7)),  # a sides row, judged at p^8
-        lambda: check_theorem_main(11, 8, CheckContext(11, 8)),
     ])
     def test_context_below_working_exponent_refused(self, run):
         with pytest.raises(InvalidInput, match="context built at exponent"):

@@ -1,4 +1,4 @@
-"""Byte-identical outputs: sha256 of eight CLI streams, pinned.
+"""Byte-identical outputs: sha256 of fourteen CLI streams, pinned.
 
 The first two digests were recorded before the half-range moment kernel
 replaced the full-range sums, the next two (p = 3..60 and p = 7 at e = 6)
@@ -16,7 +16,14 @@ still passed json.dumps its default separators; until then only the csv
 search stream was pinned.  The two ``--check all`` streams (p = 11..200
 and 3..60) were re-recorded when the recorded-only row rem1.5-data became
 the gating row rem1.5: against the earlier streams only the rem1.5 lines
-differ.  A change to any per-prime kernel that alters one byte of these
+differ.  The next four (the csv and human forms of ``verify --p 3..60 --check
+all`` and of the Wolstenholme search over 14000..18400, which holds 16843)
+and the two ``report`` digests (csv and the default table, re-rendering the
+jsonl ``--check all`` stream over 3..60) were recorded before one row writer
+took over every command's stdout, from the separate csv, table and hit
+writers of ``verify``, ``report`` and ``search``.  ``report`` prints exactly
+``verify``'s csv and human streams, so its two digests are theirs.
+A change to any per-prime kernel that alters one byte of these
 reports or hit lists fails here.
 
 An extended digest pins ``--check all`` at 2124679, the second Wolstenholme
@@ -53,7 +60,18 @@ GOLDEN = {
         "54205a1650bebd3667ffb88eeac9f8fbb8dd41441d741a038fda4d043503a8f4",
     ("--format", "jsonl", "search", "wolstenholme", "--min", "14000", "--max", "18400"):
         "30c81a2cd4ad43e4da30c7f2ad0cd6e7aa2d5a92635378233c87205f28c88beb",
+    ("--format", "csv", "verify", "--p", "3..60", "--check", "all"):
+        "0a0cbe9d4a20b2ebaa3c0f324ef982965eae2ec24dd3f861db3edcf1948bd4f2",
+    ("--format", "human", "verify", "--p", "3..60", "--check", "all"):
+        "5399eebfa8d3a839e26d0ea9731a527fd4df558fad0eef58eef003a39aa9d5bb",
+    ("--format", "csv", "search", "wolstenholme", "--min", "14000", "--max", "18400"):
+        "705d3eb5cde2168fed752faedfd2b7b4c6b2e1ca0faa548786460ae5e5ad169a",
+    ("--format", "human", "search", "wolstenholme", "--min", "14000", "--max", "18400"):
+        "dbfcc7bbd7ebb388a116b42f3fb5f9525e9a7e62a5e4906bacc8c1932fbb9ec6",
 }
+# report re-renders a stream as verify's own csv and human forms: the same digests
+REPORTED = {("--format", "csv"): GOLDEN[("--format", "csv", "verify", "--p", "3..60", "--check", "all")],
+            (): GOLDEN[("--format", "human", "verify", "--p", "3..60", "--check", "all")]}
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: " ".join(argv))
@@ -61,6 +79,16 @@ def test_output_digest(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("flags", list(REPORTED), ids=lambda flags: " ".join(flags) or "default")
+def test_report_digest(capsys, tmp_path, flags):
+    assert main(["verify", "--p", "3..60", "--check", "all"]) == 0
+    path = tmp_path / "stream.jsonl"
+    path.write_text(capsys.readouterr().out)
+    assert main([*flags, "report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORTED[flags]
 
 
 @pytest.mark.extended

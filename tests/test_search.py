@@ -414,6 +414,31 @@ class TestRunSearch:
         assert [h["p"] for h in run_search(SearchTask("wolstenholme", 16843, 16843))] == [16843]
         assert run_search(SearchTask("wolstenholme", 16844, 16844)) == []
 
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # Executor.map submits every task at once, and a spawn pool starts a
+        # process per submit while none is idle; a fake pool starts none
+        import concurrent.futures
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        task = SearchTask("wolstenholme", 16000, 17000, chunk=8)
+        assert run_search(task, workers=10**6) == run_search(task)
+        assert list(search_mod.ordered_map(abs, [-1, -2, -3], 10**6)) == [1, 2, 3]
+        assert sizes == [min(10**6, os.cpu_count() or 1)] * 2 and sizes[0] <= (os.cpu_count() or 1)
+        assert multiprocessing.active_children() == []
+
 
 class TestCheckpointing:
     def test_roundtrip(self, tmp_path):
@@ -511,7 +536,7 @@ class TestCheckpointing:
         path = str(tmp_path / "ck.json")
         seen = []
         hits = run_search(SearchTask("wolstenholme", 16000, 17000, chunk=50, checkpoint_path=path),
-                          on_hit=seen.append)
+                          on_chunk=hits_seen(seen))
         assert hits == seen == load_checkpoint(path)["hits"] == [{"p": 16843, "witness": WITNESS_16843}]
 
     def test_corrupt_json(self, tmp_path):
@@ -539,6 +564,11 @@ class TestCheckpointing:
 
 
 WITNESS_16843 = {"r1_valuation": 3, "binom_residual_valuation": 4}
+
+
+def hits_seen(seen: list):
+    """An ``on_chunk`` that collects each hit it is handed into ``seen``."""
+    return lambda found, done, total, last_prime: seen.extend(found)
 
 
 def write_checkpoint(tmp_path, **fields) -> str:
@@ -650,14 +680,14 @@ class TestCheckpointSemantics:
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(path)
 
-    def test_unverified_hit_rejected_before_on_hit(self, tmp_path):
+    def test_unverified_hit_rejected_before_on_chunk(self, tmp_path):
         # 16829 is prime and inside the range, but no Wolstenholme prime
         path = write_checkpoint(tmp_path, hits=[{"p": 16829, "witness": WITNESS_16843}])
         assert load_checkpoint(path)["hits"][0]["p"] == 16829
-        seen = []
+        calls = []
         with pytest.raises(CheckpointCorrupt, match="re-verification"):
-            run_search(task_for(path), on_hit=seen.append, resume_from=load_checkpoint(path))
-        assert seen == []
+            run_search(task_for(path), on_chunk=lambda *call: calls.append(call), resume_from=load_checkpoint(path))
+        assert calls == []
 
     def test_wrong_witness_rejected(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": {"r1_valuation": 4,
@@ -668,7 +698,7 @@ class TestCheckpointSemantics:
     def test_verified_hit_carried_over(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": WITNESS_16843}])
         seen = []
-        hits = run_search(task_for(path), on_hit=seen.append, resume_from=load_checkpoint(path))
+        hits = run_search(task_for(path), on_chunk=hits_seen(seen), resume_from=load_checkpoint(path))
         assert hits == seen == [{"p": 16843, "witness": WITNESS_16843}]
 
     def test_carried_hit_is_the_reverified_dict(self, tmp_path):
@@ -677,7 +707,7 @@ class TestCheckpointSemantics:
         stored = {"witness": dict(reversed(WITNESS_16843.items())), "p": 16843}
         path = write_checkpoint(tmp_path, hits=[stored])
         seen = []
-        hits = run_search(task_for(path), on_hit=seen.append, resume_from=load_checkpoint(path))
+        hits = run_search(task_for(path), on_chunk=hits_seen(seen), resume_from=load_checkpoint(path))
         fresh = run_search(SearchTask("wolstenholme", 16000, 17000))
         assert json.dumps(stored) != json.dumps(fresh[0])
         assert json.dumps(hits) == json.dumps(seen) == json.dumps(load_checkpoint(path)["hits"]) == json.dumps(fresh)
@@ -693,17 +723,73 @@ class TestCheckpointSemantics:
         assert cp["last_completed_prime"] == 17000 and cp["updated_at"] != "x"
 
 
+class TestOnChunk:
+    """run_search's one callback, on_chunk(found, done, total, last_prime),
+    called after each checkpoint write."""
+
+    def test_calls_follow_the_checkpoint_writes(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        calls, stored = [], []
+
+        def on_chunk(*call):
+            calls.append(call)
+            stored.append(load_checkpoint(path)["last_completed_prime"])
+
+        hits = run_search(SearchTask("wolstenholme", 5, 20000, chunk=200, checkpoint_path=path), on_chunk=on_chunk)
+        primes = primes_in(5, 20000)
+        chunks = [primes[i : i + 200] for i in range(0, len(primes), 200)]
+        assert calls[0] == ([], 0, len(chunks), 4)  # lo - 1
+        assert [call[1:3] for call in calls] == [(done, len(chunks)) for done in range(len(chunks) + 1)]
+        assert [call[3] for call in calls] == stored == [4] + [c[-1] for c in chunks[:-1]] + [20000]
+        assert [h for call in calls for h in call[0]] == hits == [{"p": 16843, "witness": WITNESS_16843}]
+
+    def test_first_call_hands_on_the_carried_hits(self, tmp_path):
+        path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": WITNESS_16843}])
+        calls = []
+        hits = run_search(task_for(path), on_chunk=lambda *call: calls.append(call), resume_from=load_checkpoint(path))
+        assert calls == [(hits, 0, 1, 16900), ([], 1, 1, 17000)]  # the checkpoint's last_completed_prime
+
+    def test_nothing_to_scan(self, tmp_path):
+        # a fresh empty range records its top as done; a resume its own prime
+        calls = []
+        run_search(SearchTask("wolstenholme", 24, 28), on_chunk=lambda *call: calls.append(call))
+        path = write_checkpoint(tmp_path, last_completed_prime=17000)
+        run_search(task_for(path), on_chunk=lambda *call: calls.append(call), resume_from=load_checkpoint(path))
+        assert calls == [([], 0, 0, 28), ([], 0, 0, 17000)]
+
+    def test_found_lists_are_the_hits_in_ascending_order(self, monkeypatch):
+        # every chunk's first prime passed on as a hit: one per chunk
+        monkeypatch.setattr(search_mod, "_scan_chunk", lambda kind, primes, sums=None: [{"p": primes[0]}])
+        found = []
+        hits = run_search(SearchTask("mod_p8", 5000, 6000, chunk=16),
+                          on_chunk=lambda f, done, total, last: found.append(f))
+        chunks = primes_in(5000, 6000)[::16]
+        assert found == [[]] + [[{"p": p}] for p in chunks]
+        assert [h for f in found for h in f] == hits and [h["p"] for h in hits] == chunks
+
+    def test_no_call_for_a_refused_task(self, tmp_path):
+        path = write_checkpoint(tmp_path)
+        calls = []
+        with pytest.raises(TaskMismatch):
+            run_search(SearchTask("mod_p8", 16000, 17000, checkpoint_path=path),
+                       on_chunk=lambda *call: calls.append(call), resume_from=load_checkpoint(path))
+        with pytest.raises(WlabError, match="cannot write checkpoint"):
+            run_search(SearchTask("wolstenholme", 5, 100, checkpoint_path=str(tmp_path / "missing" / "x.json")),
+                       on_chunk=lambda *call: calls.append(call))
+        assert calls == []
+
+
 class TestKillAndResume:
     def test_interrupt_then_resume_equals_uninterrupted(self, tmp_path):
         path = str(tmp_path / "ck.json")
         task = SearchTask("wolstenholme", 5, 20000, chunk=200, checkpoint_path=path)
 
-        def bomb(done, total, last):
+        def bomb(found, done, total, last):
             if done == 4:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_search(task, progress=bomb)
+            run_search(task, on_chunk=bomb)
         cp = load_checkpoint(path)
         assert 5 <= cp["last_completed_prime"] < 20000
 
@@ -717,12 +803,12 @@ class TestKillAndResume:
         path = str(tmp_path / "ck.json")
         task = SearchTask("wolstenholme", 5, 40000, chunk=100, checkpoint_path=path)
 
-        def bomb(done, total, last):
+        def bomb(found, done, total, last):
             if done == 20:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_search(task, progress=bomb)
+            run_search(task, on_chunk=bomb)
         first = load_checkpoint(path)["last_completed_prime"]
 
         def explode(kind, primes, sums=None):
@@ -739,11 +825,12 @@ class TestKillAndResume:
         path = str(tmp_path / "ck.json")
         task = SearchTask("wolstenholme", 16000, 17500, chunk=40, checkpoint_path=path)
 
-        def bomb(done, total, last):
-            raise KeyboardInterrupt
+        def bomb(found, done, total, last):
+            if done == 1:  # the first merged chunk
+                raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_search(task, workers=2, progress=bomb)
+            run_search(task, workers=2, on_chunk=bomb)
         first_chunk = primes_in(16000, 17500)[:40]
         assert load_checkpoint(path)["last_completed_prime"] == first_chunk[-1]
 
@@ -758,11 +845,12 @@ class TestKillAndResume:
         assert not path.exists()  # an empty range is not even flushed
         task = SearchTask("wolstenholme", 16800, 16900, checkpoint_path=str(path))
         run_search(task)
-        seen = []
+        calls = []
         with pytest.raises(InvalidInput, match="workers"):
             # nothing left to scan
-            run_search(task, workers=-3, on_hit=seen.append, resume_from=load_checkpoint(str(path)))
-        assert seen == []
+            run_search(task, workers=-3, on_chunk=lambda *call: calls.append(call),
+                       resume_from=load_checkpoint(str(path)))
+        assert calls == []
 
     def test_resume_does_not_rescan_completed_prefix(self, tmp_path):
         path = str(tmp_path / "ck.json")
