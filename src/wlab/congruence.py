@@ -16,13 +16,14 @@ rows ``verify`` prints.
 
 A per-prime CheckContext holds every value the rows share, as plain ints
 mod p^w_max, for every odd prime: the binomial, the R_n, the H_k and the
-Bernoulli residues (and their power-sum table).  Each row declares the
-largest R_n or H_k it reads (``harmonic_order``) and the largest Bernoulli
-precision (``bernoulli_prec``), and run_suite sizes its context from the
-selected rows.  The context fills the first three as it is built, from one
-pass of ``sums.half_range_moments`` over k <= (p-1)/2: C(2p-1, p-1) and
-S_1..S_j, j = max(1, harmonic_order), so S_1..S_7 for every row, S_1, S_2 for
-thm1.1 alone and S_1 alone for rows that read at most R_1.  Each R_n follows
+Bernoulli residues (and their power-sum table).  It is sized by what the
+selected rows read, which no row declares: ``row_reads`` runs each row once
+per process on a stand-in context and records the largest R_n or H_k
+(``harmonic_order``) and the largest Bernoulli precision (``bernoulli_prec``)
+it reads.  The context fills the first three as it is built, from one pass
+of ``sums.half_range_moments`` over k <= (p-1)/2: C(2p-1, p-1) and S_1..S_j,
+j = max(1, harmonic_order), so S_1..S_7 for every row, S_1, S_2 for thm1.1
+alone and S_1 alone for rows that read at most R_1.  Each R_n follows
 from the S_j by Dickson's identity and H_k from the R_n by Newton's
 identities; a read above j is refused.  One rule sizes every context:
 p^(e+1), e the largest required exponent it judges (p^9 for the mod-p^8
@@ -35,7 +36,9 @@ that the search re-verifies hits with and the tests compare the kernel to.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from typing import Callable, Iterable, NamedTuple
 
 from . import bernoulli as bn
@@ -117,9 +120,9 @@ class CheckContext:
         extracted from the context's one table, even within the exact cap,
         where bernoulli_mod checks it against the exact value: every index a
         row reads is p^j(p-1) - 2 or - 4, and a row that reads - 4 at r
-        declares at least r + 2, so index p-3's table at ``bernoulli_prec``
-        serves all.  Below 11, where only eq1.2-bernoulli reads B_{p-3}, no
-        table is built, so bernoulli_mod takes exact B_n."""
+        also reads some B at r + 2 or more, so index p-3's table at
+        ``bernoulli_prec`` serves all.  Below 11, where only eq1.2-bernoulli
+        reads B_{p-3}, no table is built, so bernoulli_mod takes exact B_n."""
         if r > self.bernoulli_prec:
             raise InternalInconsistency(f"B mod p^{r} read from a context sized for p^{self.bernoulli_prec}")
         if (index, r) not in self._b:
@@ -188,17 +191,28 @@ class CheckDef(NamedTuple):
     """One registry row: ``sides(ctx, p, m)`` gives (lhs, rhs), each mod
     m = ctx.m, and ``_judge`` compares them at w = required + 1.  At each of
     ``identity_primes`` the two sides are one integer, reported as identity.
-    ``harmonic_order`` is the largest n of the ctx.R(n) and ctx.H(n) the row
-    (its applicability test included) reads, and ``bernoulli_prec`` the
-    largest r of the ctx.B(index, r); 0 for none."""
+    What the row reads from ctx is not declared: ``row_reads`` finds it."""
 
     name: str
     required: int
     applicable: Callable[[int, CheckContext], bool]
     sides: Callable[[CheckContext, int, int], tuple[int, int]]
     identity_primes: tuple[int, ...] = ()
-    harmonic_order: int = 0
-    bernoulli_prec: int = 0
+
+
+@functools.cache
+def row_reads(d: CheckDef) -> tuple[int, int]:
+    """(harmonic_order, bernoulli_prec) of row d: the largest n of the R(n)
+    and H(n) and the largest r of the B(index, r) it reads, its applicability
+    test included, 0 for none.  Found by running the row once at p = 11, where
+    every row's sides compute, on a stand-in context whose every value is 1;
+    no row's reads depend on p."""
+    orders, precs = [0], [0]
+    c = types.SimpleNamespace(binom=lambda: 1, R=lambda n: orders.append(n) or 1,
+                              H=lambda n: orders.append(n) or 1, B=lambda index, r: precs.append(r) or 1)
+    d.applicable(11, c)
+    d.sides(c, 11, 11**8)
+    return max(orders), max(precs)
 
 
 def _min_p(bound: int) -> Callable[[int, CheckContext], bool]:
@@ -217,57 +231,57 @@ REGISTRY: dict[str, CheckDef] = {d.name: d for d in [
     # Glaisher's mod-p^4 forms.  The harmonic side takes the +2p sign, matching
     # the mod-p^5 form it weakens to; with -2p the difference is 4p^2*H_2,
     # which has valuation exactly 3 at a generic prime.
-    CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1)), harmonic_order=1),
+    CheckDef("eq1.2-harmonic", 4, P5, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
     CheckDef("eq1.2-bernoulli", 4, P5, lambda c, p, m: (
-        c.binom(), 1 - 2 * inv_int(3, m) * p**3 * c.B(p - 3, 2)), bernoulli_prec=2),
+        c.binom(), 1 - 2 * inv_int(3, m) * p**3 * c.B(p - 3, 2))),
     # the paper's Theorem 1.1; at p = 3, 5 both sides are the same integer
     CheckDef("thm1.1", 7, lambda p, c: p in (3, 5) or p >= 11, lambda c, p, m: (
-        c.binom(), 1 - 2 * p * c.R(1) + 4 * p * p * c.H(2)), identity_primes=(3, 5), harmonic_order=2),
-    CheckDef("eq1.3", 6, P11, _eq13, bernoulli_prec=4),
-    CheckDef("eq1.5", 7, P11, _eq15, bernoulli_prec=5),
-    CheckDef("cor1.4-r2", 6, P7, _tauraso_r2, harmonic_order=2),
-    CheckDef("cor1.4-r3", 6, P7, _tauraso_r3, harmonic_order=3),
-    CheckDef("cor1.5-r1", 5, P7, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1)), harmonic_order=1),
-    CheckDef("cor1.5-r2", 5, P7, lambda c, p, m: (c.binom(), 1 - p * p * c.R(2)), harmonic_order=2),
+        c.binom(), 1 - 2 * p * c.R(1) + 4 * p * p * c.H(2)), identity_primes=(3, 5)),
+    CheckDef("eq1.3", 6, P11, _eq13),
+    CheckDef("eq1.5", 7, P11, _eq15),
+    CheckDef("cor1.4-r2", 6, P7, _tauraso_r2),
+    CheckDef("cor1.4-r3", 6, P7, _tauraso_r3),
+    CheckDef("cor1.5-r1", 5, P7, lambda c, p, m: (c.binom(), 1 + 2 * p * c.R(1))),
+    CheckDef("cor1.5-r2", 5, P7, lambda c, p, m: (c.binom(), 1 - p * p * c.R(2))),
     # Tauraso's two forms hold one level higher at Wolstenholme primes
-    CheckDef("eq1.6-r2", 7, _is_wolstenholme, _tauraso_r2, harmonic_order=2),
-    CheckDef("eq1.6-r3", 7, _is_wolstenholme, _tauraso_r3, harmonic_order=3),
+    CheckDef("eq1.6-r2", 7, _is_wolstenholme, _tauraso_r2),
+    CheckDef("eq1.6-r3", 7, _is_wolstenholme, _tauraso_r3),
     # E = 2R_1 - p*R_1^2 + p*R_2 + (p^2/3)*R_3 = -(1/9)p^5*B_{p-3}^2 (derived in
     # README), so E = 0 mod p^6 exactly at Wolstenholme primes; B at w - 5, w = 7
     CheckDef("rem1.5", 6, P11, lambda c, p, m: (
         2 * c.R(1) - p * c.R(1) ** 2 + p * c.R(2) + inv_int(3, m) * p * p * c.R(3),
-        -inv_int(9, m) * p**5 * c.B(p - 3, 2) ** 2), harmonic_order=3, bernoulli_prec=2),
-    *[CheckDef(f"lemma2.1-n{n}", 2 if n % 2 else 1, P11, lambda c, p, m, n=n: (c.R(n), 0), harmonic_order=n)
+        -inv_int(9, m) * p**5 * c.B(p - 3, 2) ** 2)),
+    *[CheckDef(f"lemma2.1-n{n}", 2 if n % 2 else 1, P11, lambda c, p, m, n=n: (c.R(n), 0))
       for n in range(1, 7)],
     CheckDef("lemma2.2-h3", 6, P11, lambda c, p, m: (
-        c.H(3), inv_int(3, m) * c.R(3) - inv_int(2, m) * c.R(1) * c.R(2)), harmonic_order=3),
+        c.H(3), inv_int(3, m) * c.R(3) - inv_int(2, m) * c.R(1) * c.R(2))),
     CheckDef("lemma2.2-h4", 4, P11, lambda c, p, m: (
-        c.H(4), -inv_int(4, m) * c.R(4) + inv_int(8, m) * c.R(2) ** 2), harmonic_order=4),
+        c.H(4), -inv_int(4, m) * c.R(4) + inv_int(8, m) * c.R(2) ** 2)),
     # 2*R_1 = -sum_{i=1}^{r} p^i * R_{i+1}  (mod p^(r+1))
     *[CheckDef(f"lemma2.3-r{r}", r + 1, P11, lambda c, p, m, r=r: (
-        2 * c.R(1), -sum(p**i * c.R(i + 1) for i in range(1, r + 1))), harmonic_order=r + 1)
+        2 * c.R(1), -sum(p**i * c.R(i + 1) for i in range(1, r + 1))))
       for r in range(1, 7)],
-    CheckDef("lemma2.4-a", 4, P11, lambda c, p, m: (2 * c.R(1), -p * c.R(2)), harmonic_order=2),
-    CheckDef("lemma2.4-b", 4, P11, lambda c, p, m: (2 * c.R(3), -3 * p * c.R(4)), harmonic_order=4),
+    CheckDef("lemma2.4-a", 4, P11, lambda c, p, m: (2 * c.R(1), -p * c.R(2))),
+    CheckDef("lemma2.4-b", 4, P11, lambda c, p, m: (2 * c.R(3), -3 * p * c.R(4))),
     CheckDef("chain2.8", 7, P11, lambda c, p, m: (
-        c.binom(), 1 + sum(p**k * c.H(k) for k in range(1, 5))), harmonic_order=4),
-    CheckDef("chain2.9", 7, P11, _chain29, harmonic_order=4),
-    CheckDef("chain2.12", 7, P11, _chain212, harmonic_order=3),
+        c.binom(), 1 + sum(p**k * c.H(k) for k in range(1, 5)))),
+    CheckDef("chain2.9", 7, P11, _chain29),
+    CheckDef("chain2.12", 7, P11, _chain212),
     CheckDef("chain2.13", 6, P11, lambda c, p, m: (
-        2 * c.R(1), -p * c.R(2) - p**2 * c.R(3) - p**3 * c.R(4)), harmonic_order=4),
+        2 * c.R(1), -p * c.R(2) - p**2 * c.R(3) - p**3 * c.R(4))),
     CheckDef("chain2.14", 7, P11, lambda c, p, m: (
-        p**3 * c.R(3), -6 * p * c.R(1) - 3 * p * p * c.R(2)), harmonic_order=3),
+        p**3 * c.R(3), -6 * p * c.R(1) - 3 * p * p * c.R(2))),
     CheckDef("chain2.15", 7, P11, lambda c, p, m: (c.binom(), (
         1 - 2 * p * c.R(1) - 2 * p * p * c.R(2)
-        + inv_int(4, m) * p * p * c.R(1) * (2 * c.R(1) - 3 * p * c.R(2)))), harmonic_order=2),
+        + inv_int(4, m) * p * p * c.R(1) * (2 * c.R(1) - 3 * p * c.R(2))))),
     CheckDef("chain2.16", 7, P11, lambda c, p, m: (
-        c.binom(), 1 - 2 * p * c.R(1) + 2 * p * p * (c.R(1) ** 2 - c.R(2))), harmonic_order=2),
-    CheckDef("hsum-h5", 2, P11, lambda c, p, m: (c.H(5), 0), harmonic_order=5),
-    CheckDef("hsum-h6", 1, P11, lambda c, p, m: (c.H(6), 0), harmonic_order=6),
-    CheckDef("lemma3.5i", 6, P11, _lemma35i, harmonic_order=1, bernoulli_prec=5),
+        c.binom(), 1 - 2 * p * c.R(1) + 2 * p * p * (c.R(1) ** 2 - c.R(2)))),
+    CheckDef("hsum-h5", 2, P11, lambda c, p, m: (c.H(5), 0)),
+    CheckDef("hsum-h6", 1, P11, lambda c, p, m: (c.H(6), 0)),
+    CheckDef("lemma3.5i", 6, P11, _lemma35i),
     CheckDef("lemma3.5ii", 5, P11, lambda c, p, m: (
-        c.R(1) ** 2, inv_int(9, m) * p**4 * c.B(p - 3, 2) ** 2), harmonic_order=1, bernoulli_prec=2),
-    CheckDef("lemma3.5iii", 5, P11, _lemma35iii, harmonic_order=2, bernoulli_prec=5),
+        c.R(1) ** 2, inv_int(9, m) * p**4 * c.B(p - 3, 2) ** 2)),
+    CheckDef("lemma3.5iii", 5, P11, _lemma35iii),
     CheckDef("kummer3.3", 2, lambda p, c: 7 <= p and 4 + 2 * (p - 1) <= bn.DEFAULT_EXACT_CAP,
              lambda c, p, m: (bn.kummer_alternating_sum(4, p, 2), 0)),
 ]}
@@ -304,6 +318,13 @@ def expand_selection(selection: Iterable[str] | None) -> list[str]:
     return [n for n in REGISTRY if n in wanted]
 
 
+def _context(p: int, rows: list[CheckDef], e: int) -> CheckContext:
+    """A context at p^(e+1) for the largest R_n, H_k and Bernoulli precision
+    that ``rows`` read (``row_reads``), and no more."""
+    orders, precs = zip((0, 0), *map(row_reads, rows))
+    return CheckContext(p, e + 1, bernoulli_prec=max(precs), harmonic_order=max(orders))
+
+
 def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> dict:
     """Row d's sides at p, judged by make_report at w = required + 1."""
     if required + 1 > ctx.w_max:
@@ -320,15 +341,12 @@ def run_suite(p: int, selection: Iterable[str] | None = None, ctx: CheckContext 
 
     Checks whose preconditions exclude the prime yield make_report's n/a
     row rather than pass/fail.  A context built here is sized by the
-    selected rows: the largest required exponent, Bernoulli precision and
-    harmonic order they declare, and no more.
+    selected rows (``_context``).
     """
     names = expand_selection(selection)
     if ctx is None:
         rows = [REGISTRY[n] for n in names]
-        ctx = CheckContext(p, max((d.required for d in rows), default=0) + 1,
-                           bernoulli_prec=max((d.bernoulli_prec for d in rows), default=0),
-                           harmonic_order=max((d.harmonic_order for d in rows), default=0))
+        ctx = _context(p, rows, max((d.required for d in rows), default=0))
     out = []
     for name in names:
         d = REGISTRY[name]
@@ -349,4 +367,5 @@ def check_theorem_main(p: int, e: int = 7) -> dict:
         raise InvalidInput("requires p >= 3")
     if e < 1:
         raise InvalidInput("exponent must be >= 1")
-    return _judge(REGISTRY["thm1.1"], p, CheckContext(p, e + 1), e)
+    d = REGISTRY["thm1.1"]
+    return _judge(d, p, _context(p, [d], e), e)

@@ -4,13 +4,14 @@ Both search kinds filter each prime with the Lehmer interval sum
 sum_{p/4 < k <= p/3} 1/k^n mod p, about p/12 terms (D. H. Lehmer, Ann. of
 Math. 1938).  ``lehmer_walk`` shares it across neighbouring primes, as Costa,
 Gerbicz and Harvey (Math. Comp. 83, 2014) share work: a batch is a run of
-primes below 3*p_1 inside one chunk, with its own running fraction modulo
-their product, and one walk over k serves every batch of every chunk a
-process scans, each exact block of k^n taken once and folded into every
-batch that is active there.  Only a zero of the filter, or a prime where the
-filter degenerates, goes on to the full check; a filter zero that fails it
-raises ``InternalInconsistency``.  The tests keep the one-prime sum
-(``lehmer_sum``, ``tests/oracles.py``) as the walk's slow oracle.
+primes below 3*p_1 inside one chunk (a cut made for speed, see ``_batches``),
+with its own running fraction modulo their product, and one walk over k
+serves every batch of every chunk a process scans, each exact block of k^n
+taken once and folded into every batch that is active there.  Only a zero
+of the filter, or a prime where the filter degenerates, goes on to the full
+check; a filter zero that fails it raises ``InternalInconsistency``.  The
+tests keep the one-prime sum (``lehmer_sum``, ``tests/oracles.py``) as the
+walk's slow oracle.
 
 * ``wolstenholme``: primes with C(2p-1, p-1) = 1 mod p^4, equivalently
   p | B_{p-3}.  With n = 3 the sum is 5 * B_{p-3} (mod p), so for p >= 7 a
@@ -68,8 +69,9 @@ BATCH_BLOCK = 16  # exact k^n folded into one step of every active batch's runni
 
 
 def _batches(primes: list[int]) -> Iterator[list[int]]:
-    """Runs of the ascending ``primes`` below three times their first, p_B < 3*p_1,
-    so that every k <= p_B // 3 < p_1 is a unit mod every prime of the run."""
+    """Runs of the ascending ``primes`` below three times their first, p_B < 3*p_1:
+    a cut for speed, since a batch carries the product of its primes from its
+    p_1//4 to its p_B//3.  Any grouping gives the same sums (see lehmer_walk)."""
     i = 0
     while i < len(primes):
         j = bisect.bisect_left(primes, 3 * primes[i], i)
@@ -85,7 +87,8 @@ def lehmer_walk(chunks: Sequence[list[int]], n: int) -> Iterator[list[int]]:
     Each batch of a chunk (``_batches``) keeps a running fraction num/den mod
     m = p_1 * ... * p_B; it joins from (0, 1) at the block holding its p_1//4
     and leaves after its p_B//3.  The terms it gains below a prime's p//4
-    cancel, and each k it reads is a unit, since 1 <= k <= p_B//3 < p_1.
+    cancel, and every k folded in before a prime's p//3 stop is below p, a
+    unit mod p, whatever the batch's span.
     Each block of BATCH_BLOCK exact k^n is taken once, as A/C = sum 1/k^n,
     and folded into every active batch: (num, den) -> (num*C + den*A, den*C).
     A stop k = p//4 or p//3 reads the batch's state before its block with the

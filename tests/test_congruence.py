@@ -13,6 +13,7 @@ from wlab.congruence import (
     binom_central_int,
     check_theorem_main,
     expand_selection,
+    row_reads,
     run_suite,
 )
 from wlab.errors import InternalInconsistency, InvalidInput, UnknownCheckName
@@ -201,11 +202,12 @@ class TestRunSuite:
     def test_context_sized_by_what_it_judges(self, monkeypatch):
         # every context is built at p^(e+1), e the largest required exponent
         # it judges: the selected rows' largest for run_suite, e itself for
-        # check_theorem_main, and 8 for the mod-p^8 confirmation
+        # check_theorem_main, and 8 for the mod-p^8 confirmation; its Bernoulli
+        # precision and harmonic order are the largest its rows read
         built = []
         init = CheckContext.__init__
-        monkeypatch.setattr(CheckContext, "__init__",
-                            lambda self, *a, **kw: init(self, *a, **kw) or built.append(self.w_max))
+        monkeypatch.setattr(CheckContext, "__init__", lambda self, *a, **kw: init(self, *a, **kw) or built.append(
+            (self.w_max, self.bernoulli_prec, self.harmonic_order)))
         for p in (13, 101):
             built.clear()
             run_suite(p)
@@ -213,13 +215,13 @@ class TestRunSuite:
             run_suite(p, ["kummer3.3"])
             check_theorem_main(p, 6)
             mod_p8_indicator(p)
-            assert built == [8, 5, 3, 7, 9], p
+            assert built == [(8, 5, 7), (5, 2, 1), (3, 0, 1), (7, 0, 2), (9, 0, 2)], p
 
-    def test_declared_harmonic_order_is_the_largest_read(self, monkeypatch):
+    def test_derived_harmonic_order_is_the_largest_read(self, monkeypatch):
         # each row alone, at primes below the exact cap, one above it and the
         # Wolstenholme prime 16843 (where eq1.6 applies): the largest n of the
         # R_n and H_n it reads, its applicability test included, is the order
-        # it declares (0 for none)
+        # row_reads derives (0 for none)
         asked = []
         r, h = CheckContext.R, CheckContext.H
         monkeypatch.setattr(CheckContext, "R", lambda self, n: asked.append(n) or r(self, n))
@@ -228,7 +230,7 @@ class TestRunSuite:
             asked.clear()
             for p in [*primes_in(5, 60), 2011, 16843]:
                 run_suite(p, [name])
-            assert max(asked, default=0) == d.harmonic_order, name
+            assert max(asked, default=0) == row_reads(d)[0], name
 
     def test_read_beyond_harmonic_order_refused(self):
         ctx = CheckContext(101, 8, harmonic_order=3)
@@ -236,7 +238,7 @@ class TestRunSuite:
         for read in (ctx.R, ctx.H):
             with pytest.raises(InternalInconsistency, match="sized for [RH]_3"):
                 read(4)
-        # order 1 (and 0, which rows that read no R_n declare) holds R_1 = H_1 alone
+        # order 1 (and 0, the order of rows that read no R_n) holds R_1 = H_1 alone
         for order in (0, 1):
             ctx = CheckContext(101, 4, harmonic_order=order)
             assert ctx.H(1) == ctx.R(1) == sums.inverse_power_sums_ints(101, 101**4, 1)[1]
@@ -259,10 +261,10 @@ class TestRunSuite:
             assert calls["power_sum_int"] == [], p
             calls["PowerSums"].clear()
 
-    def test_declared_bernoulli_precision_is_the_largest_read(self, monkeypatch):
+    def test_derived_bernoulli_precision_is_the_largest_read(self, monkeypatch):
         # each row alone, at primes below the exact cap and one above it: the
-        # largest r it asks CheckContext.B for is the r it declares (0 for none);
-        # a row that read more than it declares would raise here
+        # largest r it asks CheckContext.B for is the r row_reads derives (0 for
+        # none); a row that read more than that would raise here
         asked = []
         b = CheckContext.B
         monkeypatch.setattr(CheckContext, "B", lambda self, i, r: asked.append(r) or b(self, i, r))
@@ -270,7 +272,7 @@ class TestRunSuite:
             asked.clear()
             for p in [*primes_in(5, 60), 2011]:
                 run_suite(p, [name])
-            assert max(asked, default=0) == d.bernoulli_prec, name
+            assert max(asked, default=0) == row_reads(d)[1], name
 
     def test_table_sized_from_selected_rows(self, monkeypatch):
         built = []

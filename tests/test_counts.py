@@ -9,7 +9,8 @@ equal its row.  A change that moves a count updates the row and says why.
 
 A count is every call, a recursive one included (``primes_in`` sieves its
 base primes with a call of its own).  ``half_range_moments`` is recorded as
-its (p, j_max) pairs, in call order.
+its (p, j_max) pairs, in call order, and every ``CheckContext`` built as its
+(w_max, bernoulli_prec, harmonic_order), in build order.
 """
 
 import json
@@ -58,18 +59,23 @@ WORKLOADS = {
 }
 
 COLUMNS = KERNELS[1:]
-# per workload: its half_range_moments pairs, then the calls of each kernel of
-# COLUMNS: PowerSums, bernoulli_mod, exact_bernoulli, is_prime, primes_in,
-# _confirm, save_checkpoint, load_checkpoint, lehmer_walk, binom_central_int
+# per workload: its half_range_moments pairs, its CheckContext sizes, then the
+# calls of each kernel of COLUMNS: PowerSums, bernoulli_mod, exact_bernoulli,
+# is_prime, primes_in, _confirm, save_checkpoint, load_checkpoint, lehmer_walk,
+# binom_central_int
 TABLE = {
-    "verify-all-11..200": ([(p, 7) for p in P_11_200], 42, 252, 222, 42, 129, 0, 0, 0, 0, 0),
-    "thm1.1-10007": ([(10007, 2)], 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-    "eq1.1-eq1.2-10007": ([(10007, 1)], 1, 1, 0, 1, 4, 0, 0, 0, 0, 0),
-    "wolstenholme-14000..18400": ([(16843, 1)], 0, 0, 0, 1, 5, 1, 16, 0, 1, 1),
-    "mod_p8-5000..5800": ([], 0, 0, 0, 0, 5, 0, 4, 0, 1, 0),
-    "resume-wolstenholme-at-17000": ([(16843, 1)], 0, 0, 0, 2, 5, 1, 6, 1, 1, 1),
+    # exact_bernoulli: 219 reads at the primes and 3 by kummer3.3's row_reads
+    # probe (B_4, B_14, B_24 at p = 11), once per process
+    "verify-all-11..200": ([(p, 7) for p in P_11_200], [(8, 5, 7)] * len(P_11_200),
+                           42, 252, 225, 42, 129, 0, 0, 0, 0, 0),
+    "thm1.1-10007": ([(10007, 2)], [(8, 0, 2)], 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+    "eq1.1-eq1.2-10007": ([(10007, 1)], [(5, 2, 1)], 1, 1, 0, 1, 4, 0, 0, 0, 0, 0),
+    "wolstenholme-14000..18400": ([(16843, 1)], [(4, 5, 1)], 0, 0, 0, 1, 5, 1, 16, 0, 1, 1),
+    "mod_p8-5000..5800": ([], [], 0, 0, 0, 0, 5, 0, 4, 0, 1, 0),
+    "resume-wolstenholme-at-17000": ([(16843, 1)], [(4, 5, 1)], 0, 0, 0, 2, 5, 1, 6, 1, 1, 1),
 }
-EXPECTED = {w: {"half_range_moments": pairs, **dict(zip(COLUMNS, counts))} for w, (pairs, *counts) in TABLE.items()}
+EXPECTED = {w: {"half_range_moments": pairs, "CheckContext": sizes, **dict(zip(COLUMNS, counts))}
+            for w, (pairs, sizes, *counts) in TABLE.items()}
 
 
 def count_calls(monkeypatch) -> dict[str, list]:
@@ -91,6 +97,15 @@ def count_calls(monkeypatch) -> dict[str, list]:
     modring.is_odd_prime.cache_clear()
     monkeypatch.setattr(bernoulli, "_bern_cache", {0: Fraction(1), 1: Fraction(-1, 2)})
     monkeypatch.setattr(bernoulli, "_sieve", bytearray())
+    congruence.row_reads.cache_clear()
+    sizes = calls["CheckContext"] = []
+    init = congruence.CheckContext.__init__
+
+    def sized(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append((self.w_max, self.bernoulli_prec, self.harmonic_order))
+
+    monkeypatch.setattr(congruence.CheckContext, "__init__", sized)
     return calls
 
 
@@ -99,6 +114,7 @@ def measure(workload: str, tmp_path, monkeypatch) -> dict:
     WORKLOADS[workload](tmp_path)
     counts = {name: len(args) for name, args in calls.items()}
     counts["half_range_moments"] = [(a[0], a[2]) for a in calls["half_range_moments"]]
+    counts["CheckContext"] = calls["CheckContext"]
     return counts
 
 

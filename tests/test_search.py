@@ -297,7 +297,7 @@ class TestLehmerBatch:
 
     @pytest.mark.parametrize("chunk", [256, 2260])  # 2260: the primes in 5..2e4, one chunk
     def test_a_batch_is_the_run_below_three_times_its_first(self, chunk):
-        # every k <= p_B//3 < p_1 is then a unit mod every prime of the batch
+        # the cut is for speed: test_an_uncut_chunk_gives_the_same_sums
         primes = primes_in(5, 20_000)
         assert len(primes) == 2260
         for c, batches in zip(range(0, len(primes), chunk), batches_per_chunk(primes, chunk)):
@@ -319,6 +319,15 @@ class TestLehmerBatch:
         lone = [b[0] for bs in per_chunk for b in bs if len(b) == 1]
         assert lone == [bs[-1][0] for bs in per_chunk if len(bs[-1]) == 1]
         assert lone == {1: primes, 3: [19997], 256: [], 2260: []}[chunk]
+
+    @pytest.mark.parametrize("n, lo", [(3, 5), (7, 11)])
+    def test_an_uncut_chunk_gives_the_same_sums(self, n, lo, monkeypatch):
+        # one batch for the whole chunk, p_B about 4000*p_1: a prime reads the
+        # batch only at its stops, where every k folded in is <= p//3 < p, a
+        # unit mod p, so the 3*p_1 cut is not needed for correctness
+        primes = primes_in(lo, 20_000)
+        monkeypatch.setattr(search_mod, "_batches", lambda chunk: iter([chunk]))
+        assert next(lehmer_walk([primes], n)) == [lehmer_sum(p, n, p // 4, p // 3) for p in primes]
 
     def test_the_cut_can_leave_a_chunks_last_prime_alone(self):
         primes = primes_in(5, 17)
