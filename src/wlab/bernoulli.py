@@ -29,9 +29,9 @@ returns the p-integral p^d*B_n, with d = 1 at those indices and 0 elsewhere.
 
 Extraction reads P_n at n, n-2 and n-4 only.  With n = q(p-1) + r and
 x_k = (k^(p-1) - 1)/p, k^n = k^r*(1 + p*x_k)^q, so one pass over k gives every
-P_n of those residues (``power_sum_table``), and a caller extracting many
-indices of one prime builds it once.  ``sums.power_sum_int``, one pass per
-P_n, is the slow oracle the tests compare it with.
+P_n of those residues (a ``PowerSums`` of ``power_sum_table``'s map), and a
+caller extracting many indices of one prime builds it once.
+``sums.power_sum_int``, one pass per P_n, is the tests' slow oracle.
 """
 
 from __future__ import annotations
@@ -225,13 +225,13 @@ def kummer_reduce(index: int, p: int, r: int) -> int:
 # extraction from power sums
 # ---------------------------------------------------------------------------
 
-def power_sum_table(n: int, p: int, r: int) -> PowerSums:
-    """The power sums extraction of B_n mod p^r reads (p >= 11): P_n to p^(r+1),
-    P_(n-2) to p^(r-1) and P_(n-4) to p^(r-3), each only at an exponent of 2
-    or more, but for P_(n-r) to p^1 when (p-1) | (n-r): ``_extract`` returns
-    at j <= 0 before any other read at p^1."""
-    return PowerSums(p, {(n - i) % (p - 1): r + 1 - i for i in (0, 2, 4)
-                         if i < r or i == r and (n - i) % (p - 1) == 0})
+def power_sum_table(n: int, p: int, r: int) -> dict[int, int]:
+    """The precision map of the power sums extraction of B_n mod p^r reads
+    (p >= 11), residue of n mod p-1 -> exponent, for ``PowerSums``: P_n to
+    p^(r+1), P_(n-2) to p^(r-1) and P_(n-4) to p^(r-3), each only at an
+    exponent of 2 or more, but for P_(n-r) to p^1 when (p-1) | (n-r):
+    ``_extract`` returns at j <= 0 before any other read at p^1."""
+    return {(n - i) % (p - 1): r + 1 - i for i in (0, 2, 4) if i < r or i == r and (n - i) % (p - 1) == 0}
 
 
 def _extract(n: int, p: int, j: int, sums: PowerSums) -> int:
@@ -273,9 +273,9 @@ def bernoulli_mod(index: int, p: int, r: int, *, sums: PowerSums | None = None) 
     Reduces the index to a representative n >= r + 1 (``kummer_reduce``),
     takes B_n mod p^r, then scales by index/n, and for index <= r also by
     1/(1 - p^(index-1)), Kummer's factor, which is 1 mod p^r past r.  ``sums``
-    picks the route.  With a table (``power_sum_table`` of n at r, or one that
-    holds its sums) B_n is extracted from it, at p >= 11 and r <= 5, and
-    checked against the exact value when n is within the exact cap.  Without
+    picks the route.  With a table (a ``PowerSums`` holding the sums of
+    ``power_sum_table(n, p, r)``) B_n is extracted from it, at p >= 11 and
+    r <= 5, and checked against the exact value within the exact cap.  Without
     one, an index or representative within the cap takes the exact value, and
     any other n is extracted from a table built here.
     """
@@ -286,7 +286,7 @@ def bernoulli_mod(index: int, p: int, r: int, *, sums: PowerSums | None = None) 
     if sums is None and n <= DEFAULT_EXACT_CAP:
         bn = fraction_mod(exact_bernoulli(n), mr)
     elif r <= 5 and p >= 11:
-        bn = _extract(n, p, r, power_sum_table(n, p, r) if sums is None else sums)
+        bn = _extract(n, p, r, PowerSums(p, power_sum_table(n, p, r)) if sums is None else sums)
         if n <= DEFAULT_EXACT_CAP and bn != (want := fraction_mod(exact_bernoulli(n), mr)):
             raise InternalInconsistency(f"extraction B_{n} mod {p}^{r} = {bn}, exact oracle gives {want}")
     else:

@@ -16,16 +16,16 @@ rows ``verify`` prints.
 
 A per-prime CheckContext holds every value the rows share, as plain ints
 mod p^w_max, for every odd prime: the binomial, the R_n, the H_k and the
-Bernoulli residues (and their power-sum table).  It is sized by what the
-selected rows read, which no row declares: ``row_reads`` runs each row once
-per process on a stand-in context and records the largest R_n or H_k
-(``harmonic_order``) and the largest Bernoulli precision (``bernoulli_prec``)
-it reads.  The context fills the first three as it is built, from one pass
-of ``sums.half_range_moments`` over k <= (p-1)/2: C(2p-1, p-1) and S_1..S_j,
-j = max(1, harmonic_order), so S_1..S_7 for every row, S_1, S_2 for thm1.1
-alone and S_1 alone for rows that read at most R_1.  Each R_n follows
-from the S_j by Dickson's identity and H_k from the R_n by Newton's
-identities; a read above j is refused.  One rule sizes every context:
+Bernoulli residues (and their power-sum table).  ``_context`` builds each
+one for what the selected rows read, which no row declares: ``row_reads``
+runs each row once per process on a stand-in context and records the
+largest R_n or H_k and each B(index, r) it reads.  The context fills the
+first three as it is built, from one pass of ``sums.half_range_moments``
+over k <= (p-1)/2: C(2p-1, p-1) and S_1..S_j, j = max(1, harmonic_order),
+so S_1..S_7 for every row, S_1, S_2 for thm1.1 alone and S_1 alone for rows
+that read at most R_1.  Each R_n follows from the S_j by Dickson's identity,
+H_k from the R_n by Newton's identities, and the power-sum table from the
+Bernoulli reads; a read outside them is refused.  One rule sizes every context:
 p^(e+1), e the largest required exponent it judges (p^9 for the mod-p^8
 search's check_theorem_main(p, 8), p^4 for the Wolstenholme search's R_1).
 
@@ -82,16 +82,16 @@ class CheckContext:
     or beyond below p = 11).  A read of R_n or H_k above j raises
     InternalInconsistency.  Bernoulli residues B(index, r) come from one
     power-sum table by extraction at p >= 11, and from exact B_n at p = 5, 7;
-    ``bernoulli_prec`` is the largest r the rows may read, and sizes that
-    table.
+    ``bernoulli_reads`` holds the (index mod (p-1) - (p-1), r) the rows may
+    read, and sizes that table.
     """
 
-    def __init__(self, p: int, w_max: int, bernoulli_prec: int = 5, harmonic_order: int = 2):
+    def __init__(self, p: int, w_max: int, *, bernoulli_reads: Iterable[tuple[int, int]], harmonic_order: int):
         if not is_odd_prime(p):
             raise InvalidInput(f"{p} is not an odd prime")
         self.p = p
         self.w_max = w_max
-        self.bernoulli_prec = bernoulli_prec
+        self.bernoulli_reads = frozenset(bernoulli_reads)
         self.harmonic_order = j = max(harmonic_order, 1)
         self.m = m = p**w_max
         self._binom, s = half_range_moments(p, m, j)
@@ -116,18 +116,19 @@ class CheckContext:
         return self._h[k]
 
     def B(self, index: int, r: int) -> int:
-        """B_index mod p^r, for r up to ``bernoulli_prec``.  At p >= 11
-        extracted from the context's one table, even within the exact cap,
-        where bernoulli_mod checks it against the exact value: every index a
-        row reads is p^j(p-1) - 2 or - 4, and a row that reads - 4 at r
-        also reads some B at r + 2 or more, so index p-3's table at
-        ``bernoulli_prec`` serves all.  Below 11, where only eq1.2-bernoulli
-        reads B_{p-3}, no table is built, so bernoulli_mod takes exact B_n."""
-        if r > self.bernoulli_prec:
-            raise InternalInconsistency(f"B mod p^{r} read from a context sized for p^{self.bernoulli_prec}")
+        """B_index mod p^r, for a read (index mod (p-1) - (p-1), r) in
+        ``bernoulli_reads``.  At p >= 11 extracted from the context's one
+        table, even within the exact cap, where bernoulli_mod checks it
+        against the exact value; the table holds the union of the power sums
+        each read's extraction takes (``power_sum_table``), at the larger
+        precision where two share a residue.  Below 11 no table is built, so
+        bernoulli_mod takes exact B_n."""
+        if (index % (self.p - 1) - self.p + 1, r) not in self.bernoulli_reads:
+            raise InternalInconsistency(f"B_{index} mod p^{r} is not among the reads {sorted(self.bernoulli_reads)}")
         if (index, r) not in self._b:
             if self.p >= 11 and self._sums is None:
-                self._sums = bn.power_sum_table(self.p - 3, self.p, self.bernoulli_prec)
+                tables = [bn.power_sum_table(self.p - 1 + o, self.p, s) for o, s in self.bernoulli_reads]
+                self._sums = bn.PowerSums(self.p, {k: max(t.get(k, 0) for t in tables) for t in tables for k in t})
             self._b[index, r] = bn.bernoulli_mod(index, self.p, r, sums=self._sums)
         return self._b[index, r]
 
@@ -201,18 +202,19 @@ class CheckDef(NamedTuple):
 
 
 @functools.cache
-def row_reads(d: CheckDef) -> tuple[int, int]:
-    """(harmonic_order, bernoulli_prec) of row d: the largest n of the R(n)
-    and H(n) and the largest r of the B(index, r) it reads, its applicability
-    test included, 0 for none.  Found by running the row once at p = 11, where
-    every row's sides compute, on a stand-in context whose every value is 1;
-    no row's reads depend on p."""
-    orders, precs = [0], [0]
-    c = types.SimpleNamespace(binom=lambda: 1, R=lambda n: orders.append(n) or 1,
-                              H=lambda n: orders.append(n) or 1, B=lambda index, r: precs.append(r) or 1)
+def row_reads(d: CheckDef) -> tuple[int, frozenset[tuple[int, int]]]:
+    """(harmonic_order, bernoulli_reads) of row d: the largest n of the R(n)
+    and H(n) it reads, 0 for none, and each B(index, r) it reads as
+    (index mod 10 - 10, r), how far the index falls below a multiple of p-1.
+    Found by running the row, its applicability test included, once at
+    p = 11, where every row's sides compute and -2, -4, -6 are distinct mod
+    10, on a stand-in context whose every value is 1; no row's reads depend on p."""
+    orders, reads = [0], set()
+    c = types.SimpleNamespace(binom=lambda: 1, R=lambda n: orders.append(n) or 1, H=lambda n: orders.append(n) or 1,
+                              B=lambda index, r: reads.add((index % 10 - 10, r)) or 1)
     d.applicable(11, c)
     d.sides(c, 11, 11**8)
-    return max(orders), max(precs)
+    return max(orders), frozenset(reads)
 
 
 def _min_p(bound: int) -> Callable[[int, CheckContext], bool]:
@@ -319,10 +321,10 @@ def expand_selection(selection: Iterable[str] | None) -> list[str]:
 
 
 def _context(p: int, rows: list[CheckDef], e: int) -> CheckContext:
-    """A context at p^(e+1) for the largest R_n, H_k and Bernoulli precision
-    that ``rows`` read (``row_reads``), and no more."""
-    orders, precs = zip((0, 0), *map(row_reads, rows))
-    return CheckContext(p, e + 1, bernoulli_prec=max(precs), harmonic_order=max(orders))
+    """The one builder of a context: at p^(e+1), for the largest R_n or H_k
+    and every Bernoulli read that ``rows`` make (``row_reads``), and no more."""
+    orders, reads = zip((0, frozenset()), *map(row_reads, rows))
+    return CheckContext(p, e + 1, bernoulli_reads=frozenset().union(*reads), harmonic_order=max(orders))
 
 
 def _judge(d: CheckDef, p: int, ctx: CheckContext, required: int) -> dict:

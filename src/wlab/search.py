@@ -17,8 +17,8 @@ walk's slow oracle.
   p | B_{p-3}.  With n = 3 the sum is 5 * B_{p-3} (mod p), so for p >= 7 a
   hit is exactly a filter zero; 5 (where 5 = 0 mod p) skips the filter.
   The full check is v_p(R_1) >= 3 (R_1 = p*S_1, S_1 the half-range moment
-  sum_{k <= (p-1)/2} 1/(k(p-k))) in Z/p^4, read from a ``CheckContext`` of
-  harmonic order 1, against the full-range binomial product.
+  sum_{k <= (p-1)/2} 1/(k(p-k))) in Z/p^4, read from lemma2.1-n1's context
+  at exponent 3, against the full-range binomial product.
 * ``mod_p8``: primes whose central-binomial congruence residual reaches
   exponent 8 (one above the proven level).  That residual is
   -(8/7) * p^7 * B_{p-7} mod p^8, and with n = 7 the sum is
@@ -55,7 +55,7 @@ import os
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .congruence import CheckContext, binom_central_int, check_theorem_main
+from .congruence import REGISTRY, _context, binom_central_int, check_theorem_main
 from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
 from .modring import PRIME_BOUND, is_prime, primes_in, residual_valuation
 from .report import parse_int
@@ -154,10 +154,11 @@ def lehmer_walk(chunks: Sequence[list[int]], n: int) -> Iterator[list[int]]:
 # ---------------------------------------------------------------------------
 
 def wolstenholme_indicator(p: int) -> int:
-    """v_p(R_1(p)) seen in Z/p^4, saturated at 4; a hit means >= 3."""
+    """v_p(R_1(p)) seen in Z/p^4, saturated at 4; a hit means >= 3: R_1 = 0
+    mod p^2 is lemma2.1-n1, so its context one exponent up holds R_1."""
     if p < 5:
         raise InvalidInput("requires p >= 5")
-    return residual_valuation(CheckContext(p, 4, harmonic_order=1).R(1), p, 4)
+    return residual_valuation(_context(p, [REGISTRY["lemma2.1-n1"]], 3).R(1), p, 4)
 
 
 def mod_p8_indicator(p: int) -> int:

@@ -12,6 +12,6 @@ def sweep_contexts():
 
     Each context makes its one O(p) pass as it is built, here, so every
     criterion reuses the same sums and products.  The rows the criteria run
-    read up to R_3 (cor1.4-r3).
+    read up to R_3 (cor1.4-r3) and no Bernoulli residue.
     """
-    return {p: CheckContext(p, 8, harmonic_order=3) for p in primes_in(11, SWEEP_HI)}
+    return {p: CheckContext(p, 8, bernoulli_reads=(), harmonic_order=3) for p in primes_in(11, SWEEP_HI)}

@@ -21,6 +21,7 @@ from wlab.congruence import (
     run_suite,
 )
 from wlab.search import SearchTask, load_checkpoint, primes_in, run_search
+from wlab.sums import PowerSums
 
 EXTENDED = os.environ.get("WLAB_EXTENDED") == "1"
 
@@ -86,7 +87,7 @@ def test_criterion_04_oracle_equivalence(sweep_contexts):
 def test_criterion_05_corollary_chain(sweep_contexts):
     t0 = time.perf_counter()
     bad = []
-    ctx7 = CheckContext(7, 8, harmonic_order=3)
+    ctx7 = CheckContext(7, 8, bernoulli_reads=(), harmonic_order=3)
     for p, ctx in [(7, ctx7)] + list(sweep_contexts.items()):
         cor14 = run_suite(p, ["cor1.4"], ctx)
         cor15 = run_suite(p, ["cor1.5"], ctx)
@@ -171,7 +172,7 @@ def test_criterion_09_extended_mod_p8():
 def test_criterion_10_wolstenholme_prime_facts():
     t0 = time.perf_counter()
     p = 16843
-    ctx = CheckContext(p, 9, harmonic_order=3)
+    ctx = CheckContext(p, 9, bernoulli_reads=(), harmonic_order=3)
     pair = run_suite(p, ["eq1.6"], ctx)
     at8 = check_theorem_main(p, 8)
     ok = (
@@ -193,7 +194,7 @@ def test_criterion_11_bernoulli_oracle_equivalence():
                 continue
             for r in (1, 2, 3):
                 want = fraction_mod(exact_bernoulli(n), p**r)
-                if bernoulli_mod(n, p, r, sums=power_sum_table(kummer_reduce(n, p, r), p, r)) != want:
+                if bernoulli_mod(n, p, r, sums=PowerSums(p, power_sum_table(kummer_reduce(n, p, r), p, r))) != want:
                     bad.append((n, p, r))
                 checked += 1
     ok = not bad

@@ -32,7 +32,7 @@ from wlab.sums import PowerSums, power_sum_int
 def extracted(n: int, p: int, r: int) -> int:
     """B_n mod p^r by bernoulli_mod's extraction route, from the table of n's
     representative."""
-    return bernoulli_mod(n, p, r, sums=power_sum_table(kummer_reduce(n, p, r), p, r))
+    return bernoulli_mod(n, p, r, sums=PowerSums(p, power_sum_table(kummer_reduce(n, p, r), p, r)))
 
 
 def bernoulli_mod_two_term(n: int, p: int, r: int) -> int:
@@ -42,9 +42,9 @@ def bernoulli_mod_two_term(n: int, p: int, r: int) -> int:
     total = power_sum_int(p, r + 1, n)
     coef = n * (n - 1) * inv_int(6, m) % m
     if (n - 2) % (p - 1) == 0:
-        total -= coef * p * p * _extract(n - 2, p, r - 1, power_sum_table(n - 2, p, r - 1))
+        total -= coef * p * p * _extract(n - 2, p, r - 1, PowerSums(p, power_sum_table(n - 2, p, r - 1)))
     elif r >= 3:
-        total -= coef * p**3 * _extract(n - 2, p, r - 2, power_sum_table(n - 2, p, r - 2))
+        total -= coef * p**3 * _extract(n - 2, p, r - 2, PowerSums(p, power_sum_table(n - 2, p, r - 2)))
     total %= m
     assert total % p == 0, (n, p)
     return total // p % p**r
@@ -208,7 +208,7 @@ class TestExtraction:
         # (p-1) | n: B_n has p once in its denominator, so _extract gives p*B_n
         for n in (p - 1, 2 * (p - 1)):
             for j in range(1, 7):
-                got = _extract(n, p, j, power_sum_table(n, p, j - 1))
+                got = _extract(n, p, j, PowerSums(p, power_sum_table(n, p, j - 1)))
                 assert got == fraction_mod(p * exact_bernoulli(n), p**j), (n, j)
 
     @pytest.mark.parametrize("p", [11, 13, 101])
@@ -226,10 +226,10 @@ class TestExtraction:
         monkeypatch.setattr(PowerSums, "__call__", record)
         for index in (p - 3, p - 5, p**2 - p - 4, p**4 - p**3 - 2, p + 1, p + 3):
             for r in range(1, 6):
-                table = power_sum_table(kummer_reduce(index, p, r), p, r)
+                precision = power_sum_table(kummer_reduce(index, p, r), p, r)
                 reads.clear()
-                bernoulli_mod(index, p, r, sums=table)
-                assert reads == {k: len(v) for k, v in table.moments.items()}, (index, r)
+                bernoulli_mod(index, p, r, sums=PowerSums(p, precision))
+                assert reads == precision, (index, r)
 
     def test_precision_cap(self):
         with pytest.raises(KummerInapplicable):
@@ -261,7 +261,7 @@ class TestBernoulliMod:
             for expr in (p**4 - p**3 - 2, p**4 - p**3 - 4, p**3 - p**2 - 2, p**2 - p - 4):
                 for r in (1, 2):
                     exact = bernoulli_mod(expr, p, r)
-                    table = power_sum_table(kummer_reduce(expr, p, r), p, r)
+                    table = PowerSums(p, power_sum_table(kummer_reduce(expr, p, r), p, r))
                     extracted = bernoulli_mod(expr, p, r, sums=table)
                     assert exact == extracted, (p, expr, r)
 
@@ -292,7 +292,7 @@ class TestBernoulliMod:
     def test_composite_p_rejected(self, p):
         # bernoulli_mod tests p once, in kummer_reduce, and its extraction
         # trusts that; every public entry point still refuses a composite p
-        table = power_sum_table(p - 3, p, 2)
+        table = PowerSums(p, power_sum_table(p - 3, p, 2))
         calls = [
             lambda: kummer_reduce(p - 3, p, 2),
             lambda: bernoulli_mod(p - 3, p, 2),

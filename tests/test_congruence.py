@@ -8,8 +8,12 @@ import pytest
 from wlab import bernoulli, congruence, sums
 from wlab.cli import main
 from wlab.congruence import (
+    P11,
     REGISTRY,
     CheckContext,
+    CheckDef,
+    _context,
+    _judge,
     binom_central_int,
     check_theorem_main,
     expand_selection,
@@ -102,7 +106,7 @@ class TestCorollaries:
 
 class TestWprimeConditional:
     def test_16843(self):
-        ctx = CheckContext(16843, 9, harmonic_order=3)
+        ctx = CheckContext(16843, 9, bernoulli_reads=(), harmonic_order=3)
         a, b = run_suite(16843, ["eq1.6"], ctx)
         assert a["holds"] and a["residual_valuation"] >= 7
         assert b["holds"] and b["residual_valuation"] >= 7
@@ -117,7 +121,7 @@ class TestWprimeConditional:
 class TestChainImplications:
     @pytest.mark.parametrize("p", [11, 13, 37, 101, 499])
     def test_descending_chain(self, p):
-        ctx = CheckContext(p, 9, harmonic_order=3)
+        ctx = CheckContext(p, 9, bernoulli_reads={(-2, 2)}, harmonic_order=3)
         (thm,) = run_suite(p, ["thm1.1"], ctx)
         cor14 = run_suite(p, ["cor1.4"], ctx)
         cor15 = run_suite(p, ["cor1.5"], ctx)
@@ -177,8 +181,8 @@ class TestRunSuite:
         assert reports["eq1.6-r2"]["status"] == "n/a"
 
     @pytest.mark.parametrize("run", [
-        lambda: run_suite(11, ["thm1.1"], CheckContext(11, 7)),
-        lambda: run_suite(11, ["eq1.5"], CheckContext(11, 7)),  # a sides row, judged at p^8
+        lambda: run_suite(11, ["thm1.1"], _context(11, [REGISTRY["thm1.1"]], 6)),
+        lambda: run_suite(11, ["eq1.5"], _context(11, [REGISTRY["eq1.5"]], 6)),  # a sides row, judged at p^8
     ])
     def test_context_below_working_exponent_refused(self, run):
         with pytest.raises(InvalidInput, match="context built at exponent"):
@@ -203,11 +207,12 @@ class TestRunSuite:
         # every context is built at p^(e+1), e the largest required exponent
         # it judges: the selected rows' largest for run_suite, e itself for
         # check_theorem_main, and 8 for the mod-p^8 confirmation; its Bernoulli
-        # precision and harmonic order are the largest its rows read
+        # reads are every read its rows make, and its harmonic order the largest
         built = []
         init = CheckContext.__init__
         monkeypatch.setattr(CheckContext, "__init__", lambda self, *a, **kw: init(self, *a, **kw) or built.append(
-            (self.w_max, self.bernoulli_prec, self.harmonic_order)))
+            (self.w_max, self.bernoulli_reads, self.harmonic_order)))
+        every = {(-2, 2), (-2, 4), (-2, 5), (-4, 2), (-4, 3)}
         for p in (13, 101):
             built.clear()
             run_suite(p)
@@ -215,7 +220,7 @@ class TestRunSuite:
             run_suite(p, ["kummer3.3"])
             check_theorem_main(p, 6)
             mod_p8_indicator(p)
-            assert built == [(8, 5, 7), (5, 2, 1), (3, 0, 1), (7, 0, 2), (9, 0, 2)], p
+            assert built == [(8, every, 7), (5, {(-2, 2)}, 1), (3, set(), 1), (7, set(), 2), (9, set(), 2)], p
 
     def test_derived_harmonic_order_is_the_largest_read(self, monkeypatch):
         # each row alone, at primes below the exact cap, one above it and the
@@ -233,14 +238,14 @@ class TestRunSuite:
             assert max(asked, default=0) == row_reads(d)[0], name
 
     def test_read_beyond_harmonic_order_refused(self):
-        ctx = CheckContext(101, 8, harmonic_order=3)
+        ctx = CheckContext(101, 8, bernoulli_reads=(), harmonic_order=3)
         assert ctx.R(3) == sums.inverse_power_sums_ints(101, 101**8, 3)[3]
         for read in (ctx.R, ctx.H):
             with pytest.raises(InternalInconsistency, match="sized for [RH]_3"):
                 read(4)
         # order 1 (and 0, the order of rows that read no R_n) holds R_1 = H_1 alone
         for order in (0, 1):
-            ctx = CheckContext(101, 4, harmonic_order=order)
+            ctx = CheckContext(101, 4, bernoulli_reads=(), harmonic_order=order)
             assert ctx.H(1) == ctx.R(1) == sums.inverse_power_sums_ints(101, 101**4, 1)[1]
             for read in (ctx.R, ctx.H):
                 with pytest.raises(InternalInconsistency, match="sized for [RH]_1"):
@@ -261,51 +266,73 @@ class TestRunSuite:
             assert calls["power_sum_int"] == [], p
             calls["PowerSums"].clear()
 
-    def test_derived_bernoulli_precision_is_the_largest_read(self, monkeypatch):
-        # each row alone, at primes below the exact cap and one above it: the
-        # largest r it asks CheckContext.B for is the r row_reads derives (0 for
-        # none); a row that read more than that would raise here
-        asked = []
+    def test_derived_bernoulli_reads_are_the_reads_made(self, monkeypatch):
+        # each row alone, at primes below the exact cap and one above it: every
+        # (index mod (p-1) - (p-1), r) it asks CheckContext.B for is a read
+        # row_reads derives, and each derived read is made; a row that read
+        # outside them would raise here
+        asked = set()
         b = CheckContext.B
-        monkeypatch.setattr(CheckContext, "B", lambda self, i, r: asked.append(r) or b(self, i, r))
+        monkeypatch.setattr(CheckContext, "B", lambda self, i, r: asked.add((i % (self.p - 1) - self.p + 1, r))
+                            or b(self, i, r))
         for name, d in REGISTRY.items():
             asked.clear()
             for p in [*primes_in(5, 60), 2011]:
                 run_suite(p, [name])
-            assert max(asked, default=0) == row_reads(d)[1], name
+            assert asked == row_reads(d)[1], name
 
     def test_table_sized_from_selected_rows(self, monkeypatch):
+        # the union of the selected rows' reads is the table of index p-3 at
+        # the largest r they read
         built = []
-        table = bernoulli.power_sum_table
-        monkeypatch.setattr(bernoulli, "power_sum_table", lambda n, p, r: built.append(r) or table(n, p, r))
+        table = bernoulli.PowerSums
+        monkeypatch.setattr(bernoulli, "PowerSums", lambda p, precision: built.append(precision) or table(p, precision))
         for selection, r in ((["eq1.2"], 2), (["eq1.3"], 4), (["eq1.2", "eq1.3"], 4), (None, 5)):
             built.clear()
             run_suite(101, selection)
-            assert built == [r], selection
+            assert built == [bernoulli.power_sum_table(98, 101, r)], selection
         built.clear()
         run_suite(101, ["thm1.1", "chain"])
         assert built == []
 
     def test_bernoulli_read_beyond_declared_refused(self):
-        ctx = CheckContext(101, 8, bernoulli_prec=2)
+        ctx = CheckContext(101, 8, bernoulli_reads={(-2, 2)}, harmonic_order=0)
         assert ctx.B(98, 2) == bernoulli.bernoulli_mod(98, 101, 2)
-        with pytest.raises(InternalInconsistency, match="sized for p\\^2"):
+        with pytest.raises(InternalInconsistency, match="not among the reads \\[\\(-2, 2\\)\\]"):
             ctx.B(98, 3)
         with pytest.raises(InternalInconsistency):
-            CheckContext(7, 8, bernoulli_prec=0).B(4, 1)
+            ctx.B(96, 2)
+        with pytest.raises(InternalInconsistency):
+            CheckContext(7, 8, bernoulli_reads=(), harmonic_order=0).B(4, 1)
+
+    # rows that read one Bernoulli residue alone, with bernoulli_mod's default
+    # route as the other side: B_{p-5} mod p^2, and B_{p-7} mod p, the read of
+    # the det-p8-bernoulli row that ROADMAP item 3 plans
+    LONE_READS = [CheckDef(f"lone-b{c}", 1, P11, lambda ctx, p, m, c=c, r=r: (
+        ctx.B(p - c, r), bernoulli.bernoulli_mod(p - c, p, r))) for c, r in ((5, 2), (7, 1))]
+
+    @pytest.mark.parametrize("d", LONE_READS, ids=lambda d: d.name)
+    def test_a_lone_read_sizes_its_own_table(self, d):
+        # the context's table holds what this read's extraction takes; one built
+        # for index p-3 at r = 2 or 1 would hold neither residue at that precision
+        for p in primes_in(11, 200):
+            report = _judge(d, p, _context(p, [d], d.required), d.required)
+            assert report["lhs"] == report["rhs"], p
 
     @pytest.mark.parametrize("p", [11, 13, 101, 2011])
     def test_context_table_serves_every_row(self, p, monkeypatch):
-        # every (index, r) a row asks CheckContext.B for is served by the one
-        # table of index p-3 at r = 5, and agrees with a table of its own index
+        # every (index, r) a row asks CheckContext.B for is served by the
+        # context's one table, the union of its reads' tables, and agrees with
+        # a table of its own index
         asked = []
         b = CheckContext.B
         monkeypatch.setattr(CheckContext, "B", lambda self, i, r: asked.append((i, r)) or b(self, i, r))
-        run_suite(p)
+        ctx = _context(p, list(REGISTRY.values()), 7)
+        run_suite(p, None, ctx)
         assert {(i % (p - 1), r) for i, r in asked} == {(p - 3, 2), (p - 3, 4), (p - 3, 5), (p - 5, 2), (p - 5, 3)}
-        table = bernoulli.power_sum_table(p - 3, p, 5)
+        table = ctx._sums
         for i, r in set(asked):
-            own = bernoulli.power_sum_table(bernoulli.kummer_reduce(i, p, r), p, r)
+            own = bernoulli.PowerSums(p, bernoulli.power_sum_table(bernoulli.kummer_reduce(i, p, r), p, r))
             assert (bernoulli.bernoulli_mod(i, p, r, sums=table)
                     == bernoulli.bernoulli_mod(i, p, r, sums=own)), (i, r)
 
@@ -325,10 +352,10 @@ class TestOrderOneContext:
 
     def test_every_prime_to_1e4_against_the_sweep(self, sweep_contexts, monkeypatch):
         # the fixture's contexts are built at p^8 and harmonic order 3
-        full = {5: CheckContext(5, 8, harmonic_order=3), 7: CheckContext(7, 8, harmonic_order=3), **sweep_contexts}
+        full = {p: CheckContext(p, 8, bernoulli_reads=(), harmonic_order=3) for p in (5, 7)} | sweep_contexts
         passes = record_passes(monkeypatch)
         for p, f in full.items():
-            ctx, m = CheckContext(p, 4, harmonic_order=1), p**4
+            ctx, m = CheckContext(p, 4, bernoulli_reads=(), harmonic_order=1), p**4
             assert (ctx.binom(), ctx.R(1)) == (f.binom() % m, f.R(1) % m), p
         assert passes == [(p, 1) for p in full]
 
@@ -336,7 +363,7 @@ class TestOrderOneContext:
         # rows that read at most R_1 size an order-1 context; the rows are unchanged
         low = ["eq1.1", "eq1.2", "eq1.3", "eq1.5", "cor1.5-r1", "lemma2.1-n1", "lemma3.5i", "lemma3.5ii",
                "kummer3.3"]
-        full = CheckContext(101, 8, bernoulli_prec=5, harmonic_order=7)
+        full = _context(101, list(REGISTRY.values()), 7)
         passes = record_passes(monkeypatch)
         assert run_suite(101, low) == run_suite(101, low, full)
         assert passes == [(101, 1)]

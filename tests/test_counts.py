@@ -9,8 +9,9 @@ equal its row.  A change that moves a count updates the row and says why.
 
 A count is every call, a recursive one included (``primes_in`` sieves its
 base primes with a call of its own).  ``half_range_moments`` is recorded as
-its (p, j_max) pairs, in call order, and every ``CheckContext`` built as its
-(w_max, bernoulli_prec, harmonic_order), in build order.
+its (p, j_max) pairs and ``PowerSums`` as its (p, precision map) pairs, in
+call order, and every ``CheckContext`` built as its (w_max, bernoulli_reads
+sorted, harmonic_order), in build order.
 """
 
 import json
@@ -58,24 +59,26 @@ WORKLOADS = {
     "resume-wolstenholme-at-17000": _resume,
 }
 
-COLUMNS = KERNELS[1:]
-# per workload: its half_range_moments pairs, its CheckContext sizes, then the
-# calls of each kernel of COLUMNS: PowerSums, bernoulli_mod, exact_bernoulli,
-# is_prime, primes_in, _confirm, save_checkpoint, load_checkpoint, lehmer_walk,
-# binom_central_int
+COLUMNS = KERNELS[2:]
+# per workload: its half_range_moments pairs, its CheckContext sizes, its
+# PowerSums tables, then the calls of each kernel of COLUMNS: bernoulli_mod,
+# exact_bernoulli, is_prime, primes_in, _confirm, save_checkpoint,
+# load_checkpoint, lehmer_walk, binom_central_int
+ALL_READS = ((-4, 2), (-4, 3), (-2, 2), (-2, 4), (-2, 5))  # every Bernoulli read of --check all
 TABLE = {
     # exact_bernoulli: 219 reads at the primes and 3 by kummer3.3's row_reads
     # probe (B_4, B_14, B_24 at p = 11), once per process
-    "verify-all-11..200": ([(p, 7) for p in P_11_200], [(8, 5, 7)] * len(P_11_200),
-                           42, 252, 225, 42, 129, 0, 0, 0, 0, 0),
-    "thm1.1-10007": ([(10007, 2)], [(8, 0, 2)], 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-    "eq1.1-eq1.2-10007": ([(10007, 1)], [(5, 2, 1)], 1, 1, 0, 1, 4, 0, 0, 0, 0, 0),
-    "wolstenholme-14000..18400": ([(16843, 1)], [(4, 5, 1)], 0, 0, 0, 1, 5, 1, 16, 0, 1, 1),
-    "mod_p8-5000..5800": ([], [], 0, 0, 0, 0, 5, 0, 4, 0, 1, 0),
-    "resume-wolstenholme-at-17000": ([(16843, 1)], [(4, 5, 1)], 0, 0, 0, 2, 5, 1, 6, 1, 1, 1),
+    "verify-all-11..200": ([(p, 7) for p in P_11_200], [(8, ALL_READS, 7)] * len(P_11_200),
+                           [(p, {p - 3: 6, p - 5: 4, p - 7: 2}) for p in P_11_200],
+                           252, 225, 42, 129, 0, 0, 0, 0, 0),
+    "thm1.1-10007": ([(10007, 2)], [(8, (), 2)], [], 0, 0, 1, 0, 0, 0, 0, 0, 0),
+    "eq1.1-eq1.2-10007": ([(10007, 1)], [(5, ((-2, 2),), 1)], [(10007, {10004: 3})], 1, 0, 1, 4, 0, 0, 0, 0, 0),
+    "wolstenholme-14000..18400": ([(16843, 1)], [(4, (), 1)], [], 0, 0, 1, 5, 1, 16, 0, 1, 1),
+    "mod_p8-5000..5800": ([], [], [], 0, 0, 0, 5, 0, 4, 0, 1, 0),
+    "resume-wolstenholme-at-17000": ([(16843, 1)], [(4, (), 1)], [], 0, 0, 2, 5, 1, 6, 1, 1, 1),
 }
-EXPECTED = {w: {"half_range_moments": pairs, "CheckContext": sizes, **dict(zip(COLUMNS, counts))}
-            for w, (pairs, sizes, *counts) in TABLE.items()}
+EXPECTED = {w: {"half_range_moments": pairs, "CheckContext": sizes, "PowerSums": tables, **dict(zip(COLUMNS, counts))}
+            for w, (pairs, sizes, tables, *counts) in TABLE.items()}
 
 
 def count_calls(monkeypatch) -> dict[str, list]:
@@ -103,7 +106,7 @@ def count_calls(monkeypatch) -> dict[str, list]:
 
     def sized(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        sizes.append((self.w_max, self.bernoulli_prec, self.harmonic_order))
+        sizes.append((self.w_max, tuple(sorted(self.bernoulli_reads)), self.harmonic_order))
 
     monkeypatch.setattr(congruence.CheckContext, "__init__", sized)
     return calls
@@ -114,6 +117,7 @@ def measure(workload: str, tmp_path, monkeypatch) -> dict:
     WORKLOADS[workload](tmp_path)
     counts = {name: len(args) for name, args in calls.items()}
     counts["half_range_moments"] = [(a[0], a[2]) for a in calls["half_range_moments"]]
+    counts["PowerSums"] = calls["PowerSums"]
     counts["CheckContext"] = calls["CheckContext"]
     return counts
 

@@ -76,7 +76,7 @@ class TestRingNew:
     def test_composite_base_rejected(self):
         for n in (4, 9, 561):
             with pytest.raises(InvalidInput):
-                CheckContext(n, 2)
+                CheckContext(n, 2, bernoulli_reads=(), harmonic_order=1)
 
     def test_exponent_out_of_range(self):
         with pytest.raises(InvalidInput):

@@ -86,7 +86,7 @@ class TestIndicators:
         from wlab.congruence import CheckContext
 
         for p in (7, 11, 13, 101, 16843):
-            ctx = CheckContext(p, 8)
+            ctx = CheckContext(p, 8, bernoulli_reads=(), harmonic_order=2)
             assert wolstenholme_indicator(p) == residual_valuation(ctx.R(1), p, 4), p
 
     def test_mod_p8_values(self):

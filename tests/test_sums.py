@@ -171,7 +171,7 @@ class TestPowerSums:
         with pytest.raises(InvalidInput, match="at least one residue"):
             PowerSums(11, {})
         with pytest.raises(InvalidInput, match="at least one residue"):
-            power_sum_table(8, 11, 0)
+            PowerSums(11, power_sum_table(8, 11, 0))
 
 
 class TestSymmetricSums:
@@ -265,7 +265,7 @@ class TestSumTable:
     def test_small_p_rejected(self):
         # Newton's identities divide by 1..k, so a context sized for H_6 refuses
         # H_5 and H_6 at p = 5, and still serves H_4 and the binomial there
-        ctx = CheckContext(5, 8, harmonic_order=6)
+        ctx = CheckContext(5, 8, bernoulli_reads=(), harmonic_order=6)
         assert ctx.binom() == 126 % 5**8
         assert ctx.H(4) == symmetric_coeffs_ints(5, 5**8, 4)[4]
         for k in (5, 6):
