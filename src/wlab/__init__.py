@@ -5,7 +5,7 @@ C(2p-1, p-1) modulo p^3 through p^8, and runs the two associated prime
 searches (Wolstenholme primes; residuals reaching exponent 8).
 
 The top level exports the four library entry points; everything else
-(``CheckContext``, ``SearchTask``, ``is_prime``, ...) is imported from its
+(``CheckContext``, ``run_search``, ``is_prime``, ...) is imported from its
 module, so ``import wlab`` loads no search code.
 """
 

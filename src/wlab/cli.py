@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import congruence, search
 from .bernoulli import bernoulli_mod, exact_bernoulli, fraction_mod
-from .errors import WlabError
+from .errors import TaskMismatch, WlabError
 from .modring import PRIME_BOUND, is_prime, primes_in
 from .report import decimal, parse_int
 
@@ -223,37 +223,40 @@ def cmd_search(args) -> int:
     kind = args.kind.replace("-", "_")
     if args.resume is not None and args.checkpoint not in (None, args.resume):
         raise WlabError("--resume rewrites the checkpoint it resumes; drop --checkpoint")
-    checkpoint = args.checkpoint
+    checkpoint = args.checkpoint if args.resume is None else args.resume
     if checkpoint is None and args.max is not None and os.environ.get("WLAB_CHECKPOINT_DIR"):
         checkpoint = os.path.join(os.environ["WLAB_CHECKPOINT_DIR"], f"{kind}-{args.max}.json")
 
-    resume_from = None
+    stored = None
     if args.resume is not None:
-        # a bound not given is the checkpoint's; run_search refuses a task
-        # whose kind or bounds are not the checkpoint's
-        resume_from = search.load_checkpoint(args.resume)
-        checkpoint = args.resume
-        lo = resume_from["lo"] if args.min is None else args.min
-        hi = resume_from["hi"] if args.max is None else args.max
+        # a bound not given is the checkpoint's
+        stored = search.load_checkpoint(args.resume)
+        lo = stored["lo"] if args.min is None else args.min
+        hi = stored["hi"] if args.max is None else args.max
     elif args.max is None:
         raise WlabError("search needs --max (or --resume)")
     else:
         lo = search.KINDS[kind][0] if args.min is None else args.min
         hi = args.max
-    task = search.SearchTask(kind, lo, hi, args.chunk, checkpoint)
+    scan = search.new_scan(kind, lo, hi)  # a bad kind or bounds are refused first
+    if stored is not None and (kind, lo, hi) != (stored["kind"], stored["lo"], stored["hi"]):
+        # flags can disagree with a checkpoint only here; the kinds as typed
+        raise TaskMismatch(f"checkpoint is for {stored['kind'].replace('_', '-')} "
+                           f"[{stored['lo']}, {stored['hi']}], requested {args.kind} [{lo}, {hi}]")
+    scan = stored or scan
     write = _writer(args.format, ("kind", "p", "witness"),
                     lambda row: f"{row['kind']}: p={row['p']} witness={row['witness']}")
 
     def on_chunk(found: list[dict], done: int, total: int, last_prime: int) -> None:
-        # the first call comes once run_search has accepted the task, so a
-        # refused task prints nothing, not even the csv header
+        # the first call comes once run_search has accepted the scan, so a
+        # refused scan prints nothing, not even the csv header
         write([{"kind": kind, "p": h["p"], "witness": h["witness"]} for h in found])
         if found:
             sys.stdout.flush()  # hits stream as the ordered merge advances; long scans are rare-hit
         if done and (done == total or done % 10 == 0):
             print(f"{args.kind}: scanned up to {last_prime} ({done}/{total} chunks)", file=sys.stderr)
 
-    search.run_search(task, workers=args.workers, on_chunk=on_chunk, resume_from=resume_from)
+    search.run_search(scan, args.chunk, checkpoint, workers=args.workers, on_chunk=on_chunk)
     return 0
 
 

@@ -39,4 +39,4 @@ class CheckpointCorrupt(WlabError):
 
 
 class TaskMismatch(WlabError):
-    """Checkpoint belongs to a different search task."""
+    """Checkpoint belongs to a different scan."""

@@ -27,15 +27,15 @@ walk's slow oracle.
   p^9 whose one pass over (p-1)/2 terms gives C(2p-1, p-1) and the moments
   S_1, S_2 that R_1 and H_2 are built from.
 
-Each kind is one row of ``KINDS``.  ``run_search`` is the one entry point: it
-scans a ``SearchTask``, or continues one from the checkpoint its caller
-loaded.  A checkpoint is the file's dict, its keys those of
-``_CHECKPOINT_FIELDS`` in that order: ``load_checkpoint`` returns it and
-``save_checkpoint`` writes it.  A hit is the dict {"p", "witness"} that
-``_confirm`` returns; the checkpoint stores it, and ``run_search`` returns
-the list of them.  Scans are embarrassingly parallel over primes: in one
-process one walk serves every chunk, and ``workers > 1`` imports the process
-pool on first use, each task walking its own chunk.  Either way every chunk
+Each kind is one row of ``KINDS``.  A scan is its checkpoint: the dict whose
+keys are those of ``_CHECKPOINT_FIELDS`` in that order.  ``new_scan``
+returns one that has covered nothing, ``load_checkpoint`` reads one from its
+file and ``save_checkpoint`` writes one.  ``run_search``, the one entry
+point, continues either on one path.  A hit is the dict {"p", "witness"}
+that ``_confirm`` returns; the checkpoint stores it, and ``run_search``
+returns the list of them.  Scans are embarrassingly parallel over primes:
+in one process one walk serves every chunk, and ``workers > 1`` imports the
+process pool on first use, each task walking its own chunk.  Either way every chunk
 passes through ``_scan_chunk``.  A coordinator merges chunk results in
 ascending order and checkpoints before the first chunk and after each
 completed one, so hit lists are a pure function of (kind, lo, hi).  After
@@ -53,10 +53,10 @@ import json
 import math
 import os
 import time
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .congruence import REGISTRY, _context, binom_central_int, check_theorem_main
-from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
+from .errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, WlabError
 from .modring import PRIME_BOUND, is_prime, primes_in, residual_valuation
 from .report import parse_int
 
@@ -169,31 +169,26 @@ def mod_p8_indicator(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tasks, hits, checkpoints
+# scans, hits, checkpoints
 # ---------------------------------------------------------------------------
 
-class _TaskFields(NamedTuple):
-    kind: str
-    lo: int
-    hi: int
-    chunk: int = DEFAULT_CHUNK
-    checkpoint_path: str | None = None
+def _check_scan(kind: str, lo: int, hi: int) -> None:
+    if kind not in KINDS:
+        raise InvalidInput(f"unknown search kind {kind!r}")
+    if not 5 <= lo <= hi < PRIME_BOUND:
+        raise InvalidInput(f"need 5 <= lo <= hi < {PRIME_BOUND}, got [{lo}, {hi}]")
 
 
-class SearchTask(_TaskFields):
-    """A scan of the primes in [lo, hi], checked when it is built."""
+def _now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
-    __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in KINDS:
-            raise InvalidInput(f"unknown search kind {self.kind!r}")
-        if not 5 <= self.lo <= self.hi < PRIME_BOUND:
-            raise InvalidInput(f"need 5 <= lo <= hi < {PRIME_BOUND}, got [{self.lo}, {self.hi}]")
-        if self.chunk < 1:
-            raise InvalidInput("chunk must be >= 1")
-        return self
+def new_scan(kind: str, lo: int, hi: int) -> dict:
+    """The checkpoint of a scan of the primes in [lo, hi] that has covered
+    nothing; a bad kind or bounds raise ``InvalidInput``."""
+    _check_scan(kind, lo, hi)
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "lo": lo, "hi": hi,
+            "last_completed_prime": lo - 1, "hits": [], "updated_at": _now()}
 
 
 # a checkpoint is the file's dict: these fields, in the order they are written,
@@ -248,12 +243,12 @@ def load_checkpoint(path: str) -> dict:
     for key, typ in _CHECKPOINT_FIELDS.items():
         if key not in raw:
             raise CheckpointCorrupt(f"checkpoint missing field {key!r}")
-        if not isinstance(raw[key], typ):
+        if not isinstance(raw[key], typ) or isinstance(raw[key], bool):  # JSON true is no int
             raise CheckpointCorrupt(f"checkpoint field {key!r} has wrong type")
     if raw["schema_version"] != SCHEMA_VERSION:
         raise CheckpointCorrupt(f"unsupported schema_version {raw['schema_version']}")
     try:
-        SearchTask(raw["kind"], raw["lo"], raw["hi"])
+        _check_scan(raw["kind"], raw["lo"], raw["hi"])
     except InvalidInput as exc:
         raise CheckpointCorrupt(f"checkpoint names no valid scan: {exc}") from exc
     lo, hi, last = raw["lo"], raw["hi"], raw["last_completed_prime"]
@@ -261,8 +256,10 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointCorrupt(f"last_completed_prime {last} outside [{lo - 1}, {hi}]")
     prev = max(lo, KINDS[raw["kind"]][0]) - 1
     for h in raw["hits"]:
-        if not isinstance(h, dict) or not isinstance(h.get("p"), int) or "witness" not in h:
+        if not isinstance(h, dict) or "p" not in h or "witness" not in h:
             raise CheckpointCorrupt("malformed hit entry")
+        if not isinstance(h["p"], int) or isinstance(h["p"], bool):
+            raise CheckpointCorrupt("checkpoint hit field 'p' has wrong type")
         p = h["p"]
         if not prev < p <= last or not is_prime(p):
             raise CheckpointCorrupt(
@@ -310,20 +307,6 @@ def _scan_chunk(kind: str, primes: list[int], sums: list[int] | None = None) -> 
     return out
 
 
-def _flush(task: SearchTask, last_prime: int, hits: list[dict]) -> None:
-    if task.checkpoint_path is None:
-        return
-    save_checkpoint(task.checkpoint_path, {
-        "schema_version": SCHEMA_VERSION,
-        "kind": task.kind,
-        "lo": task.lo,
-        "hi": task.hi,
-        "last_completed_prime": last_prime,
-        "hits": hits,
-        "updated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    })
-
-
 def ordered_map(fn: Callable, items: Sequence, workers: int, chunksize: int = 1) -> Iterator:
     """Lazily apply ``fn`` to each item; results come in submission order.
 
@@ -361,77 +344,69 @@ def _pool_map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> It
     pool.shutdown(wait=True)
 
 
-def run_search(task: SearchTask, workers: int = 1, on_chunk=None, resume_from: dict | None = None) -> list[dict]:
-    """Scan the task range; the deterministic ascending list of its hit dicts.
+def run_search(scan: dict, chunk: int = DEFAULT_CHUNK, checkpoint_path: str | None = None, workers: int = 1,
+               on_chunk=None) -> list[dict]:
+    """Continue ``scan``, a checkpoint dict from ``new_scan`` or
+    ``load_checkpoint``; the deterministic ascending list of its hit dicts.
 
-    Work is partitioned into chunks of ``task.chunk`` primes; with
-    ``workers > 1`` chunks run in separate processes, but results are merged
-    in range order so output never depends on scheduling.  A checkpoint (if
-    configured) is written before the first chunk and rewritten after each
-    merged chunk, so an exception (KeyboardInterrupt included) that stops the
-    scan leaves it at the last merged chunk.
+    The scan starts after its ``last_completed_prime``.  Its hits are
+    re-verified first, and one that fails, witness included, raises
+    ``CheckpointCorrupt``; the carried hits are the re-verified dicts, so they
+    print and are stored as an uninterrupted run has them.  A bad kind,
+    bounds or ``chunk`` raise ``InvalidInput`` before any prime is sieved.
+
+    The primes left are cut into chunks of ``chunk``; with ``workers > 1``
+    chunks run in separate processes, but results are merged in range order
+    so output never depends on scheduling.  The scan's checkpoint (written to
+    ``checkpoint_path``, if given) is written before the first chunk and
+    rewritten after each merged chunk, so an exception (KeyboardInterrupt
+    included) that stops the scan leaves it at the last merged chunk.  Once
+    no prime is left it records ``hi``.
 
     ``on_chunk(found, done, total, last_prime)`` is called after each of
     those writes, with the hits the write added, in ascending order: first
-    with the carried hits (below), ``done = 0`` and the last prime the
-    checkpoint records, then once per merged chunk, ``done`` of ``total``,
-    with the last prime that chunk covers.  A task refused here, or whose
-    checkpoint cannot be written, gets no call.  So the ``found`` lists,
-    concatenated, are the returned list.
-
-    ``resume_from`` is the checkpoint the caller loaded from
-    ``task.checkpoint_path`` (a task without one raises ``InvalidInput``); its
-    (kind, lo, hi) must be the task's, or ``TaskMismatch``.  The scan then
-    starts after its ``last_completed_prime``.  Its hits are re-verified
-    first, and one that fails, witness included, raises ``CheckpointCorrupt``.
-    The carried hits are the re-verified dicts, so they print and are stored
-    as an uninterrupted run would have them, even when nothing is left to
-    scan.
+    with the carried hits, ``done = 0`` and the last prime the first write
+    records, then once per merged chunk, ``done`` of ``total``, with the last
+    prime that chunk covers.  A scan refused here, or whose checkpoint cannot
+    be written, gets no call.  So the ``found`` lists, concatenated, are the
+    returned list.
     """
-    lo = max(task.lo, KINDS[task.kind][0])
-    # the last prime already covered; a resume never regresses its checkpoint
-    base_last = lo - 1
-    if resume_from is not None:
-        cp = resume_from
-        if task.checkpoint_path is None:
-            raise InvalidInput("resume needs a task with a checkpoint path")
-        if (task.kind, task.lo, task.hi) != (cp["kind"], cp["lo"], cp["hi"]):
-            # the kinds as the CLI spells them (mod-p8, not mod_p8)
-            raise TaskMismatch(
-                f"checkpoint is for {cp['kind'].replace('_', '-')} [{cp['lo']}, {cp['hi']}], "
-                f"requested {task.kind.replace('_', '-')} [{task.lo}, {task.hi}]"
-            )
-        base_last = cp["last_completed_prime"]
-    primes = primes_in(max(lo, base_last + 1), task.hi)
-    chunks = [primes[i : i + task.chunk] for i in range(0, len(primes), task.chunk)]
+    kind, hi = scan["kind"], scan["hi"]
+    _check_scan(kind, scan["lo"], hi)
+    if chunk < 1:
+        raise InvalidInput("chunk must be >= 1")
+    primes = primes_in(max(scan["lo"], KINDS[kind][0], scan["last_completed_prime"] + 1), hi)
+    chunks = [primes[i : i + chunk] for i in range(0, len(primes), chunk)]
     if _in_process(workers, len(chunks)):
         # one walk serves every chunk, each chunk's values as soon as it passes them
-        walk = lehmer_walk(chunks, KINDS[task.kind][1])
-        results = (_scan_chunk(task.kind, c, s) for c, s in zip(chunks, walk))
+        walk = lehmer_walk(chunks, KINDS[kind][1])
+        results = (_scan_chunk(kind, c, s) for c, s in zip(chunks, walk))
     else:  # each pool task walks its own chunk
-        results = ordered_map(functools.partial(_scan_chunk, task.kind), chunks, workers)
+        results = ordered_map(functools.partial(_scan_chunk, kind), chunks, workers)
     on_chunk = on_chunk or (lambda found, done, total, last_prime: None)
+    hits: list[dict] = []
+    cp = {**scan, "hits": hits}
 
-    hits = []
-    for h in resume_from["hits"] if resume_from is not None else ():
-        hit = _confirm(task.kind, h["p"])
+    def advance(found: list[dict], done: int, last: int) -> None:
+        hits.extend(found)
+        cp.update(last_completed_prime=last, updated_at=_now())
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, cp)
+        on_chunk(found, done, len(chunks), last)
+
+    carried = []
+    for h in scan["hits"]:
+        hit = _confirm(kind, h["p"])
         if hit != h:
             raise CheckpointCorrupt(f"checkpoint hit p={h['p']} fails re-verification")
-        hits.append(hit)
+        carried.append(hit)
     # written before the first chunk and before any hit is passed on, so an
-    # unwritable path costs no scan and gets no call; a resume with nothing
-    # left to scan still stores its re-verified hits
-    last = base_last if chunks or resume_from is not None else task.hi
-    _flush(task, last, hits)
-    on_chunk(list(hits), 0, len(chunks), last)
-
+    # unwritable path costs no scan and gets no call
+    advance(carried, 0, scan["last_completed_prime"] if chunks else hi)
     try:
         # each write covers every merged chunk, so an exception needs no final write
         for done, found in enumerate(results, 1):
-            last = chunks[done - 1][-1] if done < len(chunks) else task.hi
-            hits += found
-            _flush(task, last, hits)
-            on_chunk(found, done, len(chunks), last)
+            advance(found, done, chunks[done - 1][-1] if done < len(chunks) else hi)
     finally:
         results.close()
     return hits

@@ -20,7 +20,7 @@ from wlab.congruence import (
     check_theorem_main,
     run_suite,
 )
-from wlab.search import SearchTask, load_checkpoint, primes_in, run_search
+from wlab.search import load_checkpoint, new_scan, primes_in, run_search
 from wlab.sums import PowerSums
 
 EXTENDED = os.environ.get("WLAB_EXTENDED") == "1"
@@ -145,7 +145,7 @@ def test_criterion_08_wolstenholme_search(capsys):
 @pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for the 2.2e6 range")
 def test_criterion_08_extended_wolstenholme():
     t0 = time.perf_counter()
-    hits = run_search(SearchTask("wolstenholme", 5, 2_200_000))
+    hits = run_search(new_scan("wolstenholme", 5, 2_200_000))
     ok = [h["p"] for h in hits] == [16843, 2124679]
     conclude(8, "extended: both Wolstenholme primes below 2.2e6", ok,
              f"{time.perf_counter() - t0:.0f}s")
@@ -164,7 +164,7 @@ def test_criterion_09_mod_p8_search(capsys):
 @pytest.mark.skipif(not EXTENDED, reason="set WLAB_EXTENDED=1 for the full 5e5 range")
 def test_criterion_09_extended_mod_p8():
     t0 = time.perf_counter()
-    hits = run_search(SearchTask("mod_p8", 7, 500_000))
+    hits = run_search(new_scan("mod_p8", 7, 500_000))
     conclude(9, "extended: no prime below 5e5 reaches exponent 8", hits == [],
              f"{time.perf_counter() - t0:.0f}s")
 
@@ -208,7 +208,7 @@ def test_criterion_12_determinism(tmp_path, capsys):
     # search hit lists across worker counts, a window containing the hit
     search_streams = set()
     for workers in (1, 4, 16):
-        hits = run_search(SearchTask("wolstenholme", 16000, 17000, chunk=16), workers=workers)
+        hits = run_search(new_scan("wolstenholme", 16000, 17000), 16, workers=workers)
         search_streams.add(json.dumps(hits))
 
     # verify report streams across worker counts
@@ -221,19 +221,18 @@ def test_criterion_12_determinism(tmp_path, capsys):
 
     # kill-and-resume equals the uninterrupted run
     ck = str(tmp_path / "ck.json")
-    task = SearchTask("wolstenholme", 5, 30000, chunk=150, checkpoint_path=ck)
 
     def bomb(found, done, total, last):
         if done == 5:
             raise KeyboardInterrupt
 
     try:
-        run_search(task, on_chunk=bomb)
+        run_search(new_scan("wolstenholme", 5, 30000), 150, ck, on_chunk=bomb)
         interrupted = False
     except KeyboardInterrupt:
         interrupted = True
-    resumed = [h["p"] for h in run_search(task, resume_from=load_checkpoint(ck))]
-    uninterrupted = [h["p"] for h in run_search(SearchTask("wolstenholme", 5, 30000, chunk=150))]
+    resumed = [h["p"] for h in run_search(load_checkpoint(ck), 150, ck)]
+    uninterrupted = [h["p"] for h in run_search(new_scan("wolstenholme", 5, 30000), 150)]
 
     ok = (
         len(search_streams) == 1

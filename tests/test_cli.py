@@ -230,8 +230,38 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search", "mod-p8", "--resume", ck)
         # the kind as typed, not the internal mod_p8
         assert code == 1 and err == "error: checkpoint is for wolstenholme [5, 300], requested mod-p8 [5, 300]\n"
+        # a refused resume writes nothing: the checkpoint keeps its bytes, and csv gets no header
+        before = open(ck, "rb").read()
+        for argv in (["mod-p8"], ["wolstenholme", "--min", "100"], ["wolstenholme", "--max", "400"]):
+            code, out, err = run_cli(capsys, "--format", "csv", "search", *argv, "--resume", ck)
+            assert code == 1 and out == "" and err.startswith("error: checkpoint is for wolstenholme [5, 300]")
+            assert open(ck, "rb").read() == before
         for bound in ([], ["--min", "5"], ["--max", "300"]):
             assert run_cli(capsys, "search", "wolstenholme", "--resume", ck, *bound)[0] == 0
+
+    def test_resume_with_no_prime_left_records_hi(self, capsys, tmp_path):
+        # 16993 is the last prime below 17000: the resume ends as an uninterrupted run does
+        ck, fresh_ck = tmp_path / "ck.json", tmp_path / "fresh.json"
+        ck.write_text(json.dumps({
+            "schema_version": 1, "kind": "wolstenholme", "lo": 16000, "hi": 17000, "last_completed_prime": 16993,
+            "hits": [{"p": 16843, "witness": {"r1_valuation": 3, "binom_residual_valuation": 4}}],
+            "updated_at": "x",
+        }))
+        code, resumed, _ = run_cli(capsys, "search", "wolstenholme", "--resume", str(ck))
+        assert code == 0
+        code, fresh, _ = run_cli(capsys, "search", "wolstenholme", "--min", "16000", "--max", "17000",
+                                 "--checkpoint", str(fresh_ck))
+        assert code == 0 and resumed == fresh
+        stored, written = (json.loads(path.read_text()) for path in (ck, fresh_ck))
+        assert stored["last_completed_prime"] == 17000
+        assert {**stored, "updated_at": ""} == {**written, "updated_at": ""}
+
+    def test_resume_refuses_json_true_as_schema_version(self, capsys, tmp_path):
+        ck = tmp_path / "ck.json"
+        ck.write_text('{"schema_version": true, "kind": "wolstenholme", "lo": 5, "hi": 300, '
+                      '"last_completed_prime": 300, "hits": [], "updated_at": "x"}')
+        code, out, err = run_cli(capsys, "search", "wolstenholme", "--resume", str(ck))
+        assert (code, out) == (1, "") and err == "error: checkpoint field 'schema_version' has wrong type\n"
 
     def test_resume_loads_checkpoint_once(self, capsys, tmp_path, monkeypatch):
         # the bounds not given and the resume read one load of the file
@@ -275,8 +305,8 @@ class TestSearchCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csv_run_search_refusals_print_no_header(self, capsys, tmp_path):
-        # run_search refuses these itself: an unwritable checkpoint at its first
-        # write, and a checkpoint of another kind
+        # refused once the scan is built: an unwritable checkpoint at run_search's
+        # first write, and a checkpoint of another kind
         ck = str(tmp_path / "ck.json")
         assert run_cli(capsys, "search", "wolstenholme", "--max", "300", "--checkpoint", ck)[0] == 0
         for argv in (("wolstenholme", "--max", "100", "--checkpoint", str(tmp_path / "missing" / "x.json")),

@@ -21,7 +21,7 @@ import pytest
 
 from wlab import bernoulli, cli, congruence, modring, search, sums
 from wlab.congruence import run_suite
-from wlab.search import SearchTask, primes_in, run_search
+from wlab.search import new_scan, primes_in, run_search
 
 MODULES = (modring, sums, bernoulli, congruence, search, cli)
 KERNELS = ("half_range_moments", "PowerSums", "bernoulli_mod", "exact_bernoulli", "is_prime", "primes_in",
@@ -36,7 +36,7 @@ def _verify_all(tmp_path):
 
 def _search(kind, lo, hi):
     def run(tmp_path):
-        run_search(SearchTask(kind, lo, hi, 32, str(tmp_path / "ck.json")))
+        run_search(new_scan(kind, lo, hi), 32, str(tmp_path / "ck.json"))
     return run
 
 

@@ -15,13 +15,13 @@ import wlab.search as search_mod
 from wlab import modring
 from wlab.bernoulli import bernoulli_mod
 from wlab.congruence import REGISTRY, binom_central_int
-from wlab.errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, TaskMismatch, WlabError
+from wlab.errors import CheckpointCorrupt, InternalInconsistency, InvalidInput, WlabError
 from wlab.modring import PRIME_BOUND, residual_valuation
 from wlab.search import (
-    SearchTask,
     lehmer_walk,
     load_checkpoint,
     mod_p8_indicator,
+    new_scan,
     primes_in,
     run_search,
     save_checkpoint,
@@ -230,12 +230,12 @@ class TestLehmerFilter:
     def test_p5_is_no_hit(self):
         # the Lehmer sum is empty at p = 5, so the scan must not treat it as a zero
         assert lehmer_sum(5, 3, 5 // 4, 5 // 3) == 0
-        assert run_search(SearchTask("wolstenholme", 5, 5)) == []
+        assert run_search(new_scan("wolstenholme", 5, 5)) == []
 
     def test_p67_is_no_hit(self):
         # 67 | 1005, so the mod-p8 filter sum vanishes at 67 whatever B_60 is
         assert lehmer_sum(67, 7, 67 // 4, 67 // 3) == 0
-        assert run_search(SearchTask("mod_p8", 67, 67)) == []
+        assert run_search(new_scan("mod_p8", 67, 67)) == []
 
     @pytest.mark.parametrize("kind, routed", [("wolstenholme", [5]), ("mod_p8", [7, 67])])
     def test_only_degenerate_primes_reach_confirmation(self, monkeypatch, kind, routed):
@@ -243,20 +243,20 @@ class TestLehmerFilter:
         seen = []
         confirm = search_mod._confirm
         monkeypatch.setattr(search_mod, "_confirm", lambda kind, p: seen.append(p) or confirm(kind, p))
-        assert run_search(SearchTask(kind, 5, 2000)) == []
+        assert run_search(new_scan(kind, 5, 2000)) == []
         assert seen == routed
 
     @pytest.mark.parametrize("kind", ["wolstenholme", "mod_p8"])
     def test_filter_zero_failing_confirmation_raises(self, monkeypatch, kind):
         monkeypatch.setattr(search_mod, "lehmer_walk", lambda chunks, n: ([0] * len(c) for c in chunks))
         with pytest.raises(InternalInconsistency, match="p=101 "):
-            run_search(SearchTask(kind, 101, 101))
+            run_search(new_scan(kind, 101, 101))
         # a chunk that walks on its own, as a pool task does
         with pytest.raises(InternalInconsistency, match="p=101 "):
             search_mod._scan_chunk(kind, [101])
 
     def test_second_wolstenholme_prime_through_the_scan(self):
-        hits = run_search(SearchTask("wolstenholme", 2124600, 2124700))
+        hits = run_search(new_scan("wolstenholme", 2124600, 2124700))
         assert [h["p"] for h in hits] == [2124679]
 
 
@@ -378,50 +378,62 @@ class TestLehmerBatch:
 
 class TestRunSearch:
     def test_wolstenholme_small_range_empty(self):
-        assert run_search(SearchTask("wolstenholme", 5, 100)) == []
+        assert run_search(new_scan("wolstenholme", 5, 100)) == []
 
     def test_wolstenholme_hit_window(self):
-        hits = run_search(SearchTask("wolstenholme", 16000, 17000))
+        hits = run_search(new_scan("wolstenholme", 16000, 17000))
         assert [h["p"] for h in hits] == [16843]
         (hit,) = hits
         assert hit["witness"]["r1_valuation"] >= 3
         assert hit["witness"]["binom_residual_valuation"] >= 4
 
     def test_mod_p8_empty(self):
-        assert run_search(SearchTask("mod_p8", 7, 2000)) == []
+        assert run_search(new_scan("mod_p8", 7, 2000)) == []
 
     def test_determinism_across_workers_and_chunks(self):
         base = None
         for workers, chunk in ((1, 64), (2, 17), (4, 200)):
-            task = SearchTask("wolstenholme", 16500, 17500, chunk=chunk)
-            got = json.dumps(run_search(task, workers=workers))
+            got = json.dumps(run_search(new_scan("wolstenholme", 16500, 17500), chunk, workers=workers))
             if base is None:
                 base = got
             assert got == base
 
-    def test_task_validation(self):
+    def test_task_validation(self, monkeypatch):
+        with pytest.raises(InvalidInput, match="unknown search kind"):
+            new_scan("nope", 5, 10)
         with pytest.raises(InvalidInput):
-            SearchTask("nope", 5, 10)
-        with pytest.raises(InvalidInput):
-            SearchTask("wolstenholme", 10, 9)
-        with pytest.raises(InvalidInput):
-            SearchTask("wolstenholme", 5, 10, chunk=0)
+            new_scan("wolstenholme", 10, 9)
         # the top of the range is the bound of the deterministic primality test
         with pytest.raises(InvalidInput, match="hi < "):
-            SearchTask("wolstenholme", 5, PRIME_BOUND)
-        assert SearchTask("wolstenholme", 5, PRIME_BOUND - 1).hi == PRIME_BOUND - 1
+            new_scan("wolstenholme", 5, PRIME_BOUND)
+        assert new_scan("wolstenholme", 5, PRIME_BOUND - 1)["hi"] == PRIME_BOUND - 1
+        # run_search refuses a bad scan or chunk before any prime is sieved
+        sieved = []
+        monkeypatch.setattr(search_mod, "primes_in", lambda *a: sieved.append(a) or [])
+        scan = new_scan("wolstenholme", 5, 10)
+        with pytest.raises(InvalidInput, match="chunk"):
+            run_search(scan, chunk=0)
+        for bad in ({"kind": "mod-p8"}, {"lo": 11, "hi": 10}, {"hi": PRIME_BOUND}):
+            with pytest.raises(InvalidInput):
+                run_search({**scan, **bad})
+        assert sieved == []
 
-    @pytest.mark.parametrize("record", [
-        SearchTask("wolstenholme", 5, 10),
-        REGISTRY["eq1.1"],
-    ], ids=lambda r: type(r).__name__)
+    def test_new_scan_has_covered_nothing(self, tmp_path):
+        scan = new_scan("mod_p8", 100, 200)
+        assert list(scan) == ["schema_version", "kind", "lo", "hi", "last_completed_prime", "hits", "updated_at"]
+        assert (scan["last_completed_prime"], scan["hits"]) == (99, [])
+        # it is a checkpoint: saved, it loads back unchanged
+        save_checkpoint(str(tmp_path / "ck.json"), scan)
+        assert load_checkpoint(str(tmp_path / "ck.json")) == scan
+
+    @pytest.mark.parametrize("record", [REGISTRY["eq1.1"]], ids=lambda r: type(r).__name__)
     def test_records_are_immutable(self, record):
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
 
     def test_single_prime_scan(self):
-        assert [h["p"] for h in run_search(SearchTask("wolstenholme", 16843, 16843))] == [16843]
-        assert run_search(SearchTask("wolstenholme", 16844, 16844)) == []
+        assert [h["p"] for h in run_search(new_scan("wolstenholme", 16843, 16843))] == [16843]
+        assert run_search(new_scan("wolstenholme", 16844, 16844)) == []
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
         # Executor.map submits every task at once, and a spawn pool starts a
@@ -442,8 +454,8 @@ class TestRunSearch:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        task = SearchTask("wolstenholme", 16000, 17000, chunk=8)
-        assert run_search(task, workers=10**6) == run_search(task)
+        scan = new_scan("wolstenholme", 16000, 17000)
+        assert run_search(scan, 8, workers=10**6) == run_search(scan, 8)
         assert list(search_mod.ordered_map(abs, [-1, -2, -3], 10**6)) == [1, 2, 3]
         assert sizes == [min(10**6, os.cpu_count() or 1)] * 2 and sizes[0] <= (os.cpu_count() or 1)
         assert multiprocessing.active_children() == []
@@ -504,48 +516,38 @@ class TestCheckpointing:
         monkeypatch.setattr(search_mod, "save_checkpoint", lambda path, cp: writes.append(path) or save(path, cp))
         path = str(tmp_path / "missing" / "ck.json")
         with pytest.raises(WlabError, match="cannot write checkpoint"):
-            run_search(SearchTask("mod_p8", 20000, 40000, checkpoint_path=path))
+            run_search(new_scan("mod_p8", 20000, 40000), checkpoint_path=path)
         assert scanned == []
         assert writes == [path]
 
     def test_written_during_run(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        run_search(SearchTask("wolstenholme", 5, 2000, chunk=50, checkpoint_path=path))
+        run_search(new_scan("wolstenholme", 5, 2000), 50, path)
         cp = load_checkpoint(path)
         assert cp["last_completed_prime"] == 2000
         assert cp["hits"] == []
 
     def test_resume_completed_returns_stored_hits(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        task = SearchTask("wolstenholme", 16000, 17000, chunk=10, checkpoint_path=path)
-        full = run_search(task)
-        again = run_search(task, resume_from=load_checkpoint(path))
+        full = run_search(new_scan("wolstenholme", 16000, 17000), 10, path)
+        again = run_search(load_checkpoint(path), 10, path)
         assert again == full and [h["p"] for h in full] == [16843]
-
-    def test_resume_mismatched_bounds(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        run_search(SearchTask("wolstenholme", 5, 500, chunk=50, checkpoint_path=path))
-        cp = load_checkpoint(path)
-        with pytest.raises(TaskMismatch):
-            run_search(SearchTask("wolstenholme", 5, 600, checkpoint_path=path), resume_from=cp)
-        with pytest.raises(TaskMismatch):
-            run_search(SearchTask("mod_p8", 5, 500, checkpoint_path=path), resume_from=cp)
 
     def test_missing_file(self):
         with pytest.raises(CheckpointCorrupt, match="does not exist"):
             load_checkpoint("/nonexistent/checkpoint.json")
 
-    def test_task_without_checkpoint_path_refused(self):
-        cp = {"schema_version": 1, "kind": "wolstenholme", "lo": 5, "hi": 500, "last_completed_prime": 4,
-              "hits": [], "updated_at": "x"}
-        with pytest.raises(InvalidInput, match="checkpoint path"):
-            run_search(SearchTask("wolstenholme", 5, 500), resume_from=cp)
+    def test_loaded_scan_runs_without_a_path(self, tmp_path):
+        # a checkpoint read from a file continues without writing one
+        path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": WITNESS_16843}])
+        before = open(path).read()
+        assert run_search(load_checkpoint(path)) == run_search(new_scan("wolstenholme", 16000, 17000))
+        assert open(path).read() == before
 
     def test_returned_seen_and_stored_hits_are_equal(self, tmp_path):
         path = str(tmp_path / "ck.json")
         seen = []
-        hits = run_search(SearchTask("wolstenholme", 16000, 17000, chunk=50, checkpoint_path=path),
-                          on_chunk=hits_seen(seen))
+        hits = run_search(new_scan("wolstenholme", 16000, 17000), 50, path, on_chunk=hits_seen(seen))
         assert hits == seen == load_checkpoint(path)["hits"] == [{"p": 16843, "witness": WITNESS_16843}]
 
     def test_corrupt_json(self, tmp_path):
@@ -587,13 +589,6 @@ def write_checkpoint(tmp_path, **fields) -> str:
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(raw))
     return str(path)
-
-
-def task_for(path: str) -> SearchTask:
-    """A task with the kind and bounds of the checkpoint file at ``path``."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    return SearchTask(raw["kind"], raw["lo"], raw["hi"], checkpoint_path=path)
 
 
 # a string the file's text replaces by an integer past int()'s digit limit, which
@@ -695,19 +690,19 @@ class TestCheckpointSemantics:
         assert load_checkpoint(path)["hits"][0]["p"] == 16829
         calls = []
         with pytest.raises(CheckpointCorrupt, match="re-verification"):
-            run_search(task_for(path), on_chunk=lambda *call: calls.append(call), resume_from=load_checkpoint(path))
+            run_search(load_checkpoint(path), checkpoint_path=path, on_chunk=lambda *call: calls.append(call))
         assert calls == []
 
     def test_wrong_witness_rejected(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": {"r1_valuation": 4,
                                                                          "binom_residual_valuation": 4}}])
         with pytest.raises(CheckpointCorrupt, match="re-verification"):
-            run_search(task_for(path), resume_from=load_checkpoint(path))
+            run_search(load_checkpoint(path), checkpoint_path=path)
 
     def test_verified_hit_carried_over(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": WITNESS_16843}])
         seen = []
-        hits = run_search(task_for(path), on_chunk=hits_seen(seen), resume_from=load_checkpoint(path))
+        hits = run_search(load_checkpoint(path), checkpoint_path=path, on_chunk=hits_seen(seen))
         assert hits == seen == [{"p": 16843, "witness": WITNESS_16843}]
 
     def test_carried_hit_is_the_reverified_dict(self, tmp_path):
@@ -716,8 +711,8 @@ class TestCheckpointSemantics:
         stored = {"witness": dict(reversed(WITNESS_16843.items())), "p": 16843}
         path = write_checkpoint(tmp_path, hits=[stored])
         seen = []
-        hits = run_search(task_for(path), on_chunk=hits_seen(seen), resume_from=load_checkpoint(path))
-        fresh = run_search(SearchTask("wolstenholme", 16000, 17000))
+        hits = run_search(load_checkpoint(path), checkpoint_path=path, on_chunk=hits_seen(seen))
+        fresh = run_search(new_scan("wolstenholme", 16000, 17000))
         assert json.dumps(stored) != json.dumps(fresh[0])
         assert json.dumps(hits) == json.dumps(seen) == json.dumps(load_checkpoint(path)["hits"]) == json.dumps(fresh)
 
@@ -725,11 +720,36 @@ class TestCheckpointSemantics:
         # the whole range is done; the stored witness keys are in another order
         stored = {"witness": dict(reversed(WITNESS_16843.items())), "p": 16843}
         path = write_checkpoint(tmp_path, last_completed_prime=17000, hits=[stored])
-        hits = run_search(task_for(path), resume_from=load_checkpoint(path))
-        fresh = run_search(SearchTask("wolstenholme", 16000, 17000))
+        hits = run_search(load_checkpoint(path), checkpoint_path=path)
+        fresh = run_search(new_scan("wolstenholme", 16000, 17000))
         cp = load_checkpoint(path)
         assert json.dumps(cp["hits"]) == json.dumps(hits) == json.dumps(fresh) != json.dumps([stored])
         assert cp["last_completed_prime"] == 17000 and cp["updated_at"] != "x"
+
+
+    def test_resume_with_no_prime_left_records_hi(self, tmp_path):
+        # no prime lies in (16993, 17000]: the resume stores what an uninterrupted run does
+        path = write_checkpoint(tmp_path, last_completed_prime=16993, hits=[{"p": 16843, "witness": WITNESS_16843}])
+        hits = run_search(load_checkpoint(path), checkpoint_path=path)
+        fresh_path = str(tmp_path / "fresh.json")
+        fresh = run_search(new_scan("wolstenholme", 16000, 17000), checkpoint_path=fresh_path)
+        resumed, uninterrupted = load_checkpoint(path), load_checkpoint(fresh_path)
+        assert resumed["last_completed_prime"] == 17000 and hits == fresh
+        assert {**resumed, "updated_at": ""} == {**uninterrupted, "updated_at": ""}
+
+    @pytest.mark.parametrize("field", ["schema_version", "lo", "hi", "last_completed_prime", "p"])
+    def test_json_true_is_no_int(self, tmp_path, field):
+        # True == 1 and isinstance(True, int): each int field must refuse it by type
+        path = tmp_path / "ck.json"
+        raw = {"schema_version": 1, "kind": "wolstenholme", "lo": 5, "hi": 100, "last_completed_prime": 50,
+               "hits": [{"p": 11, "witness": {}}], "updated_at": "x"}
+        if field == "p":
+            raw["hits"][0]["p"] = True
+        else:
+            raw[field] = True
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CheckpointCorrupt, match="has wrong type"):
+            load_checkpoint(str(path))
 
 
 class TestOnChunk:
@@ -744,7 +764,7 @@ class TestOnChunk:
             calls.append(call)
             stored.append(load_checkpoint(path)["last_completed_prime"])
 
-        hits = run_search(SearchTask("wolstenholme", 5, 20000, chunk=200, checkpoint_path=path), on_chunk=on_chunk)
+        hits = run_search(new_scan("wolstenholme", 5, 20000), 200, path, on_chunk=on_chunk)
         primes = primes_in(5, 20000)
         chunks = [primes[i : i + 200] for i in range(0, len(primes), 200)]
         assert calls[0] == ([], 0, len(chunks), 4)  # lo - 1
@@ -755,23 +775,22 @@ class TestOnChunk:
     def test_first_call_hands_on_the_carried_hits(self, tmp_path):
         path = write_checkpoint(tmp_path, hits=[{"p": 16843, "witness": WITNESS_16843}])
         calls = []
-        hits = run_search(task_for(path), on_chunk=lambda *call: calls.append(call), resume_from=load_checkpoint(path))
+        hits = run_search(load_checkpoint(path), checkpoint_path=path, on_chunk=lambda *call: calls.append(call))
         assert calls == [(hits, 0, 1, 16900), ([], 1, 1, 17000)]  # the checkpoint's last_completed_prime
 
     def test_nothing_to_scan(self, tmp_path):
-        # a fresh empty range records its top as done; a resume its own prime
+        # a fresh empty range and a resume with no prime left each record their top as done
         calls = []
-        run_search(SearchTask("wolstenholme", 24, 28), on_chunk=lambda *call: calls.append(call))
-        path = write_checkpoint(tmp_path, last_completed_prime=17000)
-        run_search(task_for(path), on_chunk=lambda *call: calls.append(call), resume_from=load_checkpoint(path))
+        run_search(new_scan("wolstenholme", 24, 28), on_chunk=lambda *call: calls.append(call))
+        path = write_checkpoint(tmp_path, last_completed_prime=16993)  # the last prime below 17000
+        run_search(load_checkpoint(path), checkpoint_path=path, on_chunk=lambda *call: calls.append(call))
         assert calls == [([], 0, 0, 28), ([], 0, 0, 17000)]
 
     def test_found_lists_are_the_hits_in_ascending_order(self, monkeypatch):
         # every chunk's first prime passed on as a hit: one per chunk
         monkeypatch.setattr(search_mod, "_scan_chunk", lambda kind, primes, sums=None: [{"p": primes[0]}])
         found = []
-        hits = run_search(SearchTask("mod_p8", 5000, 6000, chunk=16),
-                          on_chunk=lambda f, done, total, last: found.append(f))
+        hits = run_search(new_scan("mod_p8", 5000, 6000), 16, on_chunk=lambda f, done, total, last: found.append(f))
         chunks = primes_in(5000, 6000)[::16]
         assert found == [[]] + [[{"p": p}] for p in chunks]
         assert [h for f in found for h in f] == hits and [h["p"] for h in hits] == chunks
@@ -779,11 +798,10 @@ class TestOnChunk:
     def test_no_call_for_a_refused_task(self, tmp_path):
         path = write_checkpoint(tmp_path)
         calls = []
-        with pytest.raises(TaskMismatch):
-            run_search(SearchTask("mod_p8", 16000, 17000, checkpoint_path=path),
-                       on_chunk=lambda *call: calls.append(call), resume_from=load_checkpoint(path))
+        with pytest.raises(InvalidInput, match="chunk"):
+            run_search(load_checkpoint(path), 0, path, on_chunk=lambda *call: calls.append(call))
         with pytest.raises(WlabError, match="cannot write checkpoint"):
-            run_search(SearchTask("wolstenholme", 5, 100, checkpoint_path=str(tmp_path / "missing" / "x.json")),
+            run_search(new_scan("wolstenholme", 5, 100), checkpoint_path=str(tmp_path / "missing" / "x.json"),
                        on_chunk=lambda *call: calls.append(call))
         assert calls == []
 
@@ -791,33 +809,31 @@ class TestOnChunk:
 class TestKillAndResume:
     def test_interrupt_then_resume_equals_uninterrupted(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        task = SearchTask("wolstenholme", 5, 20000, chunk=200, checkpoint_path=path)
 
         def bomb(found, done, total, last):
             if done == 4:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_search(task, on_chunk=bomb)
+            run_search(new_scan("wolstenholme", 5, 20000), 200, path, on_chunk=bomb)
         cp = load_checkpoint(path)
         assert 5 <= cp["last_completed_prime"] < 20000
 
-        resumed = run_search(task, resume_from=load_checkpoint(path))
-        uninterrupted = run_search(SearchTask("wolstenholme", 5, 20000, chunk=200))
+        resumed = run_search(load_checkpoint(path), 200, path)
+        uninterrupted = run_search(new_scan("wolstenholme", 5, 20000), 200)
         assert resumed == uninterrupted and [h["p"] for h in resumed] == [16843]
 
     def test_zero_progress_interrupt_never_regresses_checkpoint(self, tmp_path, monkeypatch):
         import wlab.search as search_mod
 
         path = str(tmp_path / "ck.json")
-        task = SearchTask("wolstenholme", 5, 40000, chunk=100, checkpoint_path=path)
 
         def bomb(found, done, total, last):
             if done == 20:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_search(task, on_chunk=bomb)
+            run_search(new_scan("wolstenholme", 5, 40000), 100, path, on_chunk=bomb)
         first = load_checkpoint(path)["last_completed_prime"]
 
         def explode(kind, primes, sums=None):
@@ -825,48 +841,48 @@ class TestKillAndResume:
 
         monkeypatch.setattr(search_mod, "_scan_chunk", explode)
         with pytest.raises(KeyboardInterrupt):
-            run_search(task, resume_from=load_checkpoint(path))
+            run_search(load_checkpoint(path), 100, path)
         after = load_checkpoint(path)
         assert after["last_completed_prime"] == first
         assert [h["p"] for h in after["hits"]] == [16843]
 
     def test_interrupt_with_two_workers(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        task = SearchTask("wolstenholme", 16000, 17500, chunk=40, checkpoint_path=path)
 
         def bomb(found, done, total, last):
             if done == 1:  # the first merged chunk
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_search(task, workers=2, on_chunk=bomb)
+            run_search(new_scan("wolstenholme", 16000, 17500), 40, path, workers=2, on_chunk=bomb)
         first_chunk = primes_in(16000, 17500)[:40]
         assert load_checkpoint(path)["last_completed_prime"] == first_chunk[-1]
 
-        resumed = run_search(task, workers=2, resume_from=load_checkpoint(path))
-        uninterrupted = run_search(SearchTask("wolstenholme", 16000, 17500, chunk=40))
+        resumed = run_search(load_checkpoint(path), 40, path, workers=2)
+        uninterrupted = run_search(new_scan("wolstenholme", 16000, 17500), 40)
         assert resumed == uninterrupted and [h["p"] for h in resumed] == [16843]
 
     def test_workers_below_one_rejected_before_any_work(self, tmp_path):
         path = tmp_path / "ck.json"
         with pytest.raises(InvalidInput, match="workers"):
-            run_search(SearchTask("wolstenholme", 24, 28, checkpoint_path=str(path)), workers=0)
+            run_search(new_scan("wolstenholme", 24, 28), checkpoint_path=str(path), workers=0)
         assert not path.exists()  # an empty range is not even flushed
-        task = SearchTask("wolstenholme", 16800, 16900, checkpoint_path=str(path))
-        run_search(task)
+        run_search(new_scan("wolstenholme", 16800, 16900), checkpoint_path=str(path))
         calls = []
         with pytest.raises(InvalidInput, match="workers"):
             # nothing left to scan
-            run_search(task, workers=-3, on_chunk=lambda *call: calls.append(call),
-                       resume_from=load_checkpoint(str(path)))
+            run_search(load_checkpoint(str(path)), checkpoint_path=str(path), workers=-3,
+                       on_chunk=lambda *call: calls.append(call))
         assert calls == []
 
-    def test_resume_does_not_rescan_completed_prefix(self, tmp_path):
+    def test_resume_does_not_rescan_completed_prefix(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.json")
         cp = {"schema_version": 1, "kind": "wolstenholme", "lo": 16000, "hi": 17000, "last_completed_prime": 16900,
               "hits": [{"p": 16843, "witness": {"r1_valuation": 3, "binom_residual_valuation": 4}}],
               "updated_at": "x"}
         save_checkpoint(path, cp)
-        hits = run_search(SearchTask("wolstenholme", 16000, 17000, checkpoint_path=path),
-                          resume_from=load_checkpoint(path))
+        sieved = []
+        monkeypatch.setattr(search_mod, "primes_in", lambda lo, hi: sieved.append((lo, hi)) or primes_in(lo, hi))
+        hits = run_search(load_checkpoint(path), checkpoint_path=path)
         assert [h["p"] for h in hits] == [16843]
+        assert sieved == [(16901, 17000)]  # the carried hit is re-verified, not rescanned
